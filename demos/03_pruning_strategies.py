@@ -40,8 +40,9 @@ print(f"donor source-domain error: {evaluate(donor, task.source_labeled):.3f}")
 
 r1 = 40.0
 m_tag = tag_mask(pre, r1)                       # pre-trained magnitudes
-m_taw = taw_mask(pre, task.target_labeled, r1,  # magnitudes after target fine-tune
-                 TrainConfig(lr=0.05, batch=16, updates=2000, seed=0))
+target_ft = finetune_supervised(pre, task.target_labeled,  # the DFT model
+                                TrainConfig(lr=0.05, batch=16, updates=2000, seed=0))
+m_taw = taw_mask(pre, target_ft, r1)            # magnitudes after target fine-tune
 m_cd = cdtaw_mask(pre, donor, r1)               # donor magnitudes
 
 print(f"\nmask agreement at r1={r1}:")

@@ -2,8 +2,9 @@
 
 Subcommands: pretrain, make-donor, run, compare-masks, report.  Every
 subcommand is deterministic given its config file and inputs; outputs are
-written atomically.  PADA_THREADS caps how many (strategy x frequency x seed)
-cells run in parallel (default 1).
+written atomically.  ``run`` runs every grid cell of one seed before the
+next seed, and fine-tunes on the target data once per seed: that model is
+the DFT cell's result and the one TAW's masks rank.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import ExperimentConfig, load_config
 from .data import gen_domain_shift
@@ -84,38 +84,23 @@ def _cell_name(strategy: str, freq: str, seed: int) -> str:
     return f"{strategy.lower()}_{freq}_seed{seed}"
 
 
-def _run_cell(cfg, strategy, freq, seed, pretrained, donor, task, run_dir):
-    name = _cell_name(strategy, freq, seed)
-    tcfg = cfg.target_cfg(seed)
-    mask_path = os.path.join(run_dir, f"{name}.padm") if strategy != "DFT" else None
-    try:
-        if strategy == "DFT":
-            model, log = run_dft(
-                pretrained, task.target_labeled, tcfg, eval_data=task.target_eval
-            )
-        else:
-            sched = cfg.schedule_for(freq)
-            spec = StrategySpec(
-                strategy,
-                sched.rates[0],
-                taw_cfg=tcfg if strategy == "TAW" else None,
-            )
-            model, log = run_pada(
-                pretrained,
-                spec,
-                sched,
-                task.target_labeled,
-                tcfg,
-                donor=donor,
-                eval_data=task.target_eval,
-                save_mask_to=mask_path,
-            )
-    except Exception as exc:
-        raise RunFailure(f"run {name}: {exc}") from exc
-    log.final["seed"] = seed
-    write_log_jsonl(log, os.path.join(run_dir, f"{name}.jsonl"))
-    save_checkpoint(model, os.path.join(run_dir, f"{name}.pada"))
-    return name, log.final["error_rate"]
+def _errors_by_cell(finals) -> dict[tuple[str, str], dict[int, float]]:
+    """Final error rates of the runs, grouped by (strategy, frequency), keyed by seed."""
+    cells: dict[tuple[str, str], dict[int, float]] = {}
+    for fin in finals:
+        if "error_rate" in fin:
+            key = (fin.get("strategy"), fin.get("frequency"))
+            cells.setdefault(key, {})[fin["seed"]] = fin["error_rate"]
+    return cells
+
+
+def _mean_error(by_seed: dict[int, float]) -> float:
+    """Mean error of one cell, summed in ascending seed order.
+
+    ``table.*`` and ``summary.json`` both take their means from here, so they
+    agree to the last bit whatever order the runs were found in.
+    """
+    return sum(by_seed[s] for s in sorted(by_seed)) / len(by_seed)
 
 
 def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
@@ -140,33 +125,51 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     if any(s == "CD-TAW" for s in cfg.strategies):
         donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
     task = gen_domain_shift(cfg.task_seed, cfg.task)
+    dft_eval = task.target_eval if cfg.include_dft else None
 
-    jobs = [(strategy, freq, seed) for strategy, freq in cells for seed in cfg.seeds]
-    workers = int(os.environ.get("PADA_THREADS", "1"))
-    errors: dict[tuple[str, str, int], float] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                job: pool.submit(_run_cell, cfg, *job, pretrained, donor, task, run_dir)
-                for job in jobs
-            }
-            for job, fut in futures.items():
-                _, err = fut.result()
-                errors[job] = err
-    else:
-        for job in jobs:
-            _, err = _run_cell(cfg, *job, pretrained, donor, task, run_dir)
-            errors[job] = err
+    finals = []
+    for seed in cfg.seeds:
+        tcfg = cfg.target_cfg(seed)
+        finetuned = None  # trained by the first cell of this seed that needs it
+        for strategy, freq in cells:
+            name = _cell_name(strategy, freq, seed)
+            try:
+                if finetuned is None and strategy in ("DFT", "TAW"):
+                    finetuned, dft_log = run_dft(
+                        pretrained, task.target_labeled, tcfg, eval_data=dft_eval
+                    )
+                if strategy == "DFT":
+                    model, log = finetuned, dft_log
+                else:
+                    sched = cfg.schedule_for(freq)
+                    model, log = run_pada(
+                        pretrained,
+                        StrategySpec(strategy, sched.rates[0]),
+                        sched,
+                        task.target_labeled,
+                        tcfg,
+                        donor=donor,
+                        finetuned=finetuned,
+                        eval_data=task.target_eval,
+                        save_mask_to=os.path.join(run_dir, f"{name}.padm"),
+                    )
+            except Exception as exc:
+                raise RunFailure(f"run {name}: {exc}") from exc
+            log.final["seed"] = seed
+            write_log_jsonl(log, os.path.join(run_dir, f"{name}.jsonl"))
+            save_checkpoint(model, os.path.join(run_dir, f"{name}.pada"))
+            finals.append(log.final)
 
+    by_cell = _errors_by_cell(finals)
     rows = []
     for strategy, freq in cells:
-        per_seed = [errors[(strategy, freq, seed)] for seed in cfg.seeds]
+        by_seed = by_cell[(strategy, freq)]
         rows.append(
             {
                 "strategy": strategy,
                 "frequency": freq,
-                "mean_error": sum(per_seed) / len(per_seed),
-                "per_seed": per_seed,
+                "mean_error": _mean_error(by_seed),
+                "per_seed": [by_seed[seed] for seed in cfg.seeds],
             }
         )
 
@@ -219,19 +222,13 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     events_csv = os.path.join(out_dir, "events.csv")
     atomic_write_text(events_csv, "\n".join(lines) + "\n")
 
-    by_cell: dict[tuple[str, str], list[float]] = {}
-    runs = []
-    for name, log in logs:
-        fin = log.final
-        runs.append({"run": name, "final": fin})
-        key = (fin.get("strategy"), fin.get("frequency"))
-        if "error_rate" in fin:
-            by_cell.setdefault(key, []).append(fin["error_rate"])
+    runs = [{"run": name, "final": log.final} for name, log in logs]
+    by_cell = _errors_by_cell(log.final for _, log in logs)
     cells = [
         {
             "strategy": k[0],
             "frequency": k[1],
-            "mean_error": sum(v) / len(v),
+            "mean_error": _mean_error(v),
             "n_runs": len(v),
         }
         for k, v in sorted(by_cell.items())

@@ -106,6 +106,7 @@ class ParameterSet:
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise ValueError(f"duplicate tensor name {dup!r}")
+        _check_meta(self.meta)
 
     def __iter__(self):
         return iter(self.tensors)
@@ -147,6 +148,12 @@ class ParameterSet:
             and len(self.tensors) == len(other.tensors)
             and all(a == b for a, b in zip(self.tensors, other.tensors))
         )
+
+
+def _check_meta(meta: dict[str, str]) -> None:
+    # the checkpoint format writes "role" itself, from ParameterSet.role
+    if "role" in meta:
+        raise ValueError("metadata key 'role' is reserved; set ParameterSet.role instead")
 
 
 def flat_prunable_view(ps: ParameterSet) -> list[tuple[int, int, float]]:
@@ -307,6 +314,8 @@ def read_container(path: str, magic: bytes, label: str, payload_nbytes):
         prunable = bool(r.u8("prunable flag"))
         rank = r.u8("tensor rank")
         shape = tuple(r.u32("tensor dims") for _ in range(rank))
+        if 0 in shape:
+            raise FormatError(f"{path}: tensor {name!r}: dims must be positive, got {shape}")
         n = 1
         for d in shape:
             n *= d
@@ -320,6 +329,8 @@ def read_container(path: str, magic: bytes, label: str, payload_nbytes):
         value_len = r.u32("metadata value length")
         value = r.take(value_len, "metadata value").decode("utf-8")
         metadata[key] = value
+    if r.off != len(buf):
+        raise FormatError(f"{path}: {len(buf) - r.off} trailing bytes after the metadata")
     return records, metadata
 
 
@@ -329,6 +340,7 @@ def save_checkpoint(ps: ParameterSet, path: str) -> None:
         (t.name, t.prunable, t.shape, np.ascontiguousarray(t.data, dtype="<f4").tobytes())
         for t in ps.tensors
     ]
+    _check_meta(ps.meta)  # meta may have been edited after construction
     metadata = {"role": ps.role, **ps.meta}
     write_container(path, CHECKPOINT_MAGIC, records, metadata)
 

@@ -141,6 +141,7 @@ def run_pada(
     target_data: LabeledBatch,
     cfg: TrainConfig,
     donor: ParameterSet | None = None,
+    finetuned: ParameterSet | None = None,
     eval_data: LabeledBatch | None = None,
     save_mask_to: str | None = None,
 ) -> tuple[ParameterSet, PadaRunLog]:
@@ -150,6 +151,7 @@ def run_pada(
     r1).  Event i lands at update i*n while rates remain and i*n <= N; the
     logged "train_loss" is the loss over the full target labeled set at that
     point.  Returns the adapted model (no persistent mask) and the run log.
+    TAW ranks ``finetuned`` (the target fine-tuned model), CD-TAW ``donor``.
     ``save_mask_to`` optionally writes the initial strategy mask as a .padm
     file for later similarity analysis.
     """
@@ -162,7 +164,7 @@ def run_pada(
     log = PadaRunLog()
 
     s_before = sparsity(pretrained)
-    model, mask0 = initial_model(pretrained, spec, target_data=target_data, donor=donor)
+    model, mask0 = initial_model(pretrained, spec, finetuned=finetuned, donor=donor)
     if save_mask_to is not None:
         save_mask(mask0, save_mask_to)
     log.events.append(

@@ -5,8 +5,9 @@ weights come from; the resulting mask is always applied to the pre-trained
 model's values.
 
 * TAG ranks the pre-trained model's own weights.
-* TAW fine-tunes a copy of the pre-trained model on the target labeled data
-  first and ranks the fine-tuned weights; the fine-tuned copy is discarded.
+* TAW ranks the weights of the pre-trained model after fine-tuning on the
+  target labeled data.  That model is the direct fine-tuning (DFT) baseline,
+  so ``pada run`` trains it once per seed and passes it in.
 * CD-TAW ranks the weights of a separately fine-tuned donor model, making use
   of readily available fine-tuned checkpoints, and never reads the
   pre-trained values at all.
@@ -24,7 +25,6 @@ from .params import (
     structural_mismatch,
 )
 from .pruning import Mask, apply_zeroing, compute_ump_mask
-from .trainer import LabeledBatch, TrainConfig, finetune_supervised
 
 STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")
 
@@ -33,14 +33,13 @@ STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")
 class StrategySpec:
     """Which strategy produces the initial mask, at what rate, plus its inputs.
 
-    TAW needs a fine-tune config (the target labeled data is passed to
-    :func:`initial_model` alongside the spec); CD-TAW needs a donor parameter
-    set or a donor checkpoint path.
+    TAW needs the target fine-tuned model and CD-TAW a donor parameter set
+    (both passed to :func:`initial_model` alongside the spec); CD-TAW may
+    instead name a donor checkpoint path.
     """
 
     kind: str
     rate: float
-    taw_cfg: TrainConfig | None = None
     donor_path: str | None = None
 
     def __post_init__(self):
@@ -56,22 +55,23 @@ def tag_mask(pretrained: ParameterSet, r1: float) -> Mask:
     return compute_ump_mask(pretrained, r1, source="TAG")
 
 
-def taw_mask(
-    pretrained: ParameterSet,
-    target_data: LabeledBatch,
-    r1: float,
-    cfg: TrainConfig,
-) -> Mask:
-    """Task-aware mask: fine-tune a copy on the target data, rank the result.
+def _rank_other(pretrained, other, r1: float, source: str, what: str) -> Mask:
+    # the mask positions must mean the same weights in both models
+    if not shapes_compatible(pretrained, other):
+        raise StructureMismatchError(
+            f"{what} incompatible with pretrained model: {structural_mismatch(pretrained, other)}"
+        )
+    return compute_ump_mask(other, r1, source=source)
 
-    The fine-tuned copy exists only to supply magnitudes; ``pretrained`` is
-    left untouched and the mask is meant to be applied to it.
+
+def taw_mask(pretrained: ParameterSet, finetuned: ParameterSet, r1: float) -> Mask:
+    """Task-aware mask: rank the weights of the target fine-tuned model.
+
+    ``finetuned`` is the pre-trained model fine-tuned on the target labeled
+    data (the DFT model); only its magnitudes are read, and the mask is
+    applied to the pre-trained values downstream.
     """
-    if target_data.n < 1:
-        raise ValueError("TAW requires a nonempty target dataset")
-    finetuned = finetune_supervised(pretrained, target_data, cfg)
-    mask = compute_ump_mask(finetuned, r1, source="TAW")
-    return mask
+    return _rank_other(pretrained, finetuned, r1, "TAW", "fine-tuned model")
 
 
 def cdtaw_mask(pretrained: ParameterSet, donor: ParameterSet, r1: float) -> Mask:
@@ -81,17 +81,13 @@ def cdtaw_mask(pretrained: ParameterSet, donor: ParameterSet, r1: float) -> Mask
     mask positions mean the same weights.  Only donor magnitudes are read;
     the mask is applied to the pre-trained values downstream.
     """
-    if not shapes_compatible(pretrained, donor):
-        raise StructureMismatchError(
-            f"donor incompatible with pretrained model: {structural_mismatch(pretrained, donor)}"
-        )
-    return compute_ump_mask(donor, r1, source="CD-TAW")
+    return _rank_other(pretrained, donor, r1, "CD-TAW", "donor")
 
 
 def initial_model(
     pretrained: ParameterSet,
     spec: StrategySpec,
-    target_data: LabeledBatch | None = None,
+    finetuned: ParameterSet | None = None,
     donor: ParameterSet | None = None,
 ) -> tuple[ParameterSet, Mask]:
     """Dispatch to the chosen strategy and zero the pre-trained model.
@@ -102,11 +98,9 @@ def initial_model(
     if spec.kind == "TAG":
         mask = tag_mask(pretrained, spec.rate)
     elif spec.kind == "TAW":
-        if target_data is None:
-            raise ValueError("TAW requires a target dataset")
-        if spec.taw_cfg is None:
-            raise ValueError("TAW requires a fine-tune config (taw_cfg)")
-        mask = taw_mask(pretrained, target_data, spec.rate, spec.taw_cfg)
+        if finetuned is None:
+            raise ValueError("TAW requires the target fine-tuned model")
+        mask = taw_mask(pretrained, finetuned, spec.rate)
     else:
         if donor is None:
             if spec.donor_path is None:

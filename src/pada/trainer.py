@@ -364,26 +364,18 @@ def finetune_supervised(
     data: LabeledBatch,
     cfg: TrainConfig,
     role: str = "finetuned_target",
-    reinit_head: bool = False,
 ) -> ParameterSet:
     """Jointly train all weights with cross-entropy on the classification head.
 
     Works on a copy; the input set is never modified.  The classification head
-    exists from initialization and is reused as-is unless ``reinit_head``
-    redraws it before training.
+    exists from initialization and is reused as-is.
     """
     if cfg.loss != "cross_entropy":
         raise ValueError("supervised fine-tuning uses the cross_entropy loss")
     if "cls.weight" not in ps:
         raise ValueError("parameter set has no classification head (cls.weight)")
     rng = np.random.default_rng(cfg.seed)
-    model = ps.copy()
-    if reinit_head:
-        head = model["cls.weight"]
-        fan_in = head.shape[1]
-        head.data = (rng.standard_normal(head.shape) / math.sqrt(fan_in)).astype(np.float32)
-        model["cls.bias"].data = np.zeros_like(model["cls.bias"].data)
-    model, _ = sgd_train(model, data, cfg, cfg.updates, rng)
+    model, _ = sgd_train(ps.copy(), data, cfg, cfg.updates, rng)
     meta = {**model.meta, "seed": str(cfg.seed), "updates": str(cfg.updates)}
     return ParameterSet(model.tensors, role, meta)
 

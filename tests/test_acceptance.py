@@ -31,6 +31,7 @@ from pada.strategies import StrategySpec, cdtaw_mask, tag_mask, taw_mask
 from pada.trainer import (
     ModelArch,
     TrainConfig,
+    finetune_supervised,
     init_model,
     loss_and_grads,
     loss_on_weights,
@@ -186,7 +187,8 @@ def test_strategy_semantics():
     pre = init_model(ARCH, 11)
 
     cfg0 = TrainConfig(lr=0.05, batch=16, updates=0, seed=12, loss="cross_entropy")
-    assert taw_mask(pre, task.target_labeled, 40.0, cfg0) == tag_mask(pre, 40.0)
+    finetuned0 = finetune_supervised(pre, task.target_labeled, cfg0)
+    assert taw_mask(pre, finetuned0, 40.0) == tag_mask(pre, 40.0)
 
     donor = init_model(ARCH, 13)
     scaled = pre.copy()

@@ -231,6 +231,26 @@ def test_run_missing_checkpoint_is_io_error(tmp_path, capsys):
     assert "pretrained.pada" in err
 
 
+def test_run_zero_dim_checkpoint_is_format_error(tmp_path, capsys):
+    from pada.params import CHECKPOINT_MAGIC, write_container
+
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    os.makedirs(doc["out"])
+    write_container(
+        os.path.join(doc["out"], "pretrained.pada"),
+        CHECKPOINT_MAGIC,
+        [("layers.0.weight", True, (12, 0), b"")],
+        {"role": "pretrained"},
+    )
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("format:")
+    assert "dims must be positive" in err
+
+
 def test_cell_failure_carries_run_identity(tmp_path, capsys):
     from pada.params import save_checkpoint
     from pada.trainer import ModelArch, init_model
@@ -265,15 +285,42 @@ def test_report_aggregates(tmp_path):
     assert all("error_rate" in r["final"] for r in doc["runs"])
 
 
-def test_threads_env_gives_identical_outputs(tmp_path, monkeypatch):
-    cfg = prep(tmp_path)
-    table_csv, table_json = cmd_run(cfg)
-    seq_csv = open(table_csv, "rb").read()
-    seq_json = open(table_json, "rb").read()
-    monkeypatch.setenv("PADA_THREADS", "4")
-    cmd_run(cfg, force=True)
-    assert open(table_csv, "rb").read() == seq_csv
-    assert open(table_json, "rb").read() == seq_json
+def test_report_means_equal_table_means(tmp_path):
+    # seeds whose file names sort differently from their values
+    doc = small_config(str(tmp_path / "exp"), seeds=(9, 10, 11))
+    doc["strategies"] = ["TAG", "CD-TAW"]
+    doc["frequencies"] = ["once", "iterative"]
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    cmd_make_donor(cfg)
+    _, table_json = cmd_run(cfg)
+    _, summary_json = cmd_report(cfg.out)
+    table = {
+        (r["strategy"], r["frequency"]): r["mean_error"]
+        for r in json.loads(open(table_json).read())["rows"]
+    }
+    summary = {
+        (c["strategy"], c["frequency"]): c["mean_error"]
+        for c in json.loads(open(summary_json).read())["cells"]
+    }
+    assert summary == table
+
+
+def test_taw_masks_rank_the_seed_fine_tune(tmp_path):
+    from pada.data import gen_domain_shift
+    from pada.pruning import compute_ump_mask, load_mask
+    from pada.trainer import finetune_supervised
+
+    cfg = prep(tmp_path, seeds=(3,))
+    cmd_run(cfg)
+    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
+    target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
+    finetuned = finetune_supervised(pre, target, cfg.target_cfg(3))
+    for freq in cfg.frequencies:
+        r1 = cfg.schedule_for(freq).rates[0]
+        mask = load_mask(os.path.join(cfg.out, "runs", f"taw_{freq}_seed3.padm"))
+        assert mask == compute_ump_mask(finetuned, r1)
+        assert (mask.source, mask.rate) == ("TAW", r1)
 
 
 def test_run_writes_masks_for_pada_cells(tmp_path):

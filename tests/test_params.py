@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pada.params import (
+    FormatError,
     NotACheckpointError,
     ParameterSet,
     Tensor,
@@ -13,6 +14,7 @@ from pada.params import (
     shapes_compatible,
     structural_mismatch,
 )
+from pada.pruning import compute_ump_mask, load_mask, save_mask
 
 
 def two_tensor_set():
@@ -100,6 +102,28 @@ def test_unsupported_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedVersionError):
         load_checkpoint(str(path))
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    ps = two_tensor_set()
+    for path, save, load in (
+        (tmp_path / "x.pada", save_checkpoint, load_checkpoint),
+        (tmp_path / "x.padm", save_mask, load_mask),
+    ):
+        obj = ps if save is save_checkpoint else compute_ump_mask(ps, 50.0)
+        save(obj, str(path))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            load(str(path))
+
+
+def test_role_is_a_reserved_meta_key(tmp_path):
+    with pytest.raises(ValueError, match="reserved"):
+        ParameterSet([], role="adapted", meta={"role": "pretrained"})
+    ps = ParameterSet([], role="adapted")
+    ps.meta["role"] = "pretrained"  # edited after construction
+    with pytest.raises(ValueError, match="reserved"):
+        save_checkpoint(ps, str(tmp_path / "r.pada"))
 
 
 def test_missing_file_is_io_error(tmp_path):

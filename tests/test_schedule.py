@@ -12,8 +12,9 @@ from pada.schedule import (
     validate,
     write_log_jsonl,
 )
+from pada.pruning import compute_ump_mask, load_mask
 from pada.strategies import StrategySpec
-from pada.trainer import LabeledBatch, ModelArch, TrainConfig, init_model
+from pada.trainer import LabeledBatch, ModelArch, TrainConfig, finetune_supervised, init_model
 
 ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3, activation="tanh")
 
@@ -214,6 +215,15 @@ def test_run_dft_no_events_and_deterministic():
     assert model1.role == "finetuned_target"
 
 
+def test_run_dft_model_is_the_target_finetune():
+    # the identity that lets `pada run` rank TAW masks from the DFT cell's model
+    pre = init_model(ARCH, 37)
+    data = toy_labeled(seed=38)
+    cfg = tcfg(seed=40, updates=50)
+    model, _ = run_dft(pre, data, cfg)
+    assert model.tensors == finetune_supervised(pre, data, cfg).tensors
+
+
 def test_log_jsonl_roundtrip(tmp_path):
     pre = init_model(ARCH, 41)
     data = toy_labeled(seed=42)
@@ -234,12 +244,16 @@ def test_log_jsonl_roundtrip(tmp_path):
     assert "error_rate" in back.final
 
 
-def test_taw_strategy_inside_run():
+def test_taw_strategy_inside_run(tmp_path):
     pre = init_model(ARCH, 45)
     data = toy_labeled(seed=46)
     cfg = tcfg(seed=47, updates=30)
     sched = PruneSchedule("once", (40,), 30, 10)
-    spec = StrategySpec("TAW", 40.0, taw_cfg=tcfg(seed=48, updates=20))
-    a, _ = run_pada(pre, spec, sched, data, cfg)
-    b, _ = run_pada(pre, spec, sched, data, cfg)
+    finetuned = finetune_supervised(pre, data, tcfg(seed=48, updates=20))
+    spec = StrategySpec("TAW", 40.0)
+    mask_path = str(tmp_path / "taw.padm")
+    a, _ = run_pada(pre, spec, sched, data, cfg, finetuned=finetuned)
+    b, _ = run_pada(pre, spec, sched, data, cfg, finetuned=finetuned, save_mask_to=mask_path)
     assert a == b
+    # the initial mask ranks the fine-tuned model, not the pre-trained one
+    assert load_mask(mask_path) == compute_ump_mask(finetuned, 40.0)

@@ -4,7 +4,7 @@ import pytest
 from pada.params import ParameterSet, StructureMismatchError, Tensor
 from pada.pruning import Mask, MaskEntry, apply_zeroing, prune_count, sparsity
 from pada.strategies import StrategySpec, cdtaw_mask, initial_model, tag_mask, taw_mask
-from pada.trainer import LabeledBatch, ModelArch, TrainConfig, init_model
+from pada.trainer import LabeledBatch, ModelArch, TrainConfig, finetune_supervised, init_model
 
 ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3, activation="tanh")
 
@@ -40,46 +40,45 @@ def test_tag_fixture():
     assert mask_bits(mask).tolist() == [True, False, True, True]
 
 
+def finetuned_on(pre, data_seed, updates, seed):
+    cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=seed, loss="cross_entropy")
+    return finetune_supervised(pre, toy_labeled(seed=data_seed), cfg)
+
+
 def test_taw_zero_updates_equals_tag():
     pre = init_model(ARCH, 1)
-    data = toy_labeled(seed=2)
-    cfg = TrainConfig(lr=0.05, batch=8, updates=0, seed=3, loss="cross_entropy")
-    assert taw_mask(pre, data, 35.0, cfg) == tag_mask(pre, 35.0)
+    assert taw_mask(pre, finetuned_on(pre, 2, 0, 3), 35.0) == tag_mask(pre, 35.0)
 
 
 def test_taw_deterministic():
     pre = init_model(ARCH, 4)
-    data = toy_labeled(seed=5)
-    cfg = TrainConfig(lr=0.05, batch=8, updates=60, seed=6, loss="cross_entropy")
-    m1 = taw_mask(pre, data, 40.0, cfg)
-    m2 = taw_mask(pre, data, 40.0, cfg)
+    m1 = taw_mask(pre, finetuned_on(pre, 5, 60, 6), 40.0)
+    m2 = taw_mask(pre, finetuned_on(pre, 5, 60, 6), 40.0)
     assert m1 == m2
     assert m1.source == "TAW"
+    assert m1 != tag_mask(pre, 40.0)
 
 
 def test_taw_rate_100_all_zero():
     pre = init_model(ARCH, 7)
-    data = toy_labeled(seed=8)
-    cfg = TrainConfig(lr=0.05, batch=8, updates=30, seed=9, loss="cross_entropy")
-    mask = taw_mask(pre, data, 100.0, cfg)
+    mask = taw_mask(pre, finetuned_on(pre, 8, 30, 9), 100.0)
     assert mask.zero_bits == mask.total_bits
 
 
-def test_taw_leaves_pretrained_unmodified():
-    pre = init_model(ARCH, 10)
-    snapshot = pre.copy()
-    data = toy_labeled(seed=11)
-    cfg = TrainConfig(lr=0.05, batch=8, updates=50, seed=12, loss="cross_entropy")
-    taw_mask(pre, data, 40.0, cfg)
-    assert pre == snapshot
-
-
 def test_taw_requires_nonempty_data():
+    # the fine-tune that supplies TAW's model refuses an empty target set
     pre = init_model(ARCH, 13)
     empty = LabeledBatch(np.zeros((0, 5)), np.zeros(0, dtype=np.int64))
     cfg = TrainConfig(lr=0.05, batch=8, updates=5, seed=0, loss="cross_entropy")
-    with pytest.raises(ValueError, match="nonempty"):
-        taw_mask(pre, empty, 40.0, cfg)
+    with pytest.raises(ValueError, match="empty"):
+        finetune_supervised(pre, empty, cfg)
+
+
+def test_taw_structural_error_names_mismatch():
+    pre = init_model(ARCH, 13)
+    other = init_model(ModelArch(input_dim=5, hidden=(7,), num_classes=3), 14)
+    with pytest.raises(StructureMismatchError, match="fine-tuned model.*shape"):
+        taw_mask(pre, other, 40.0)
 
 
 def test_cdtaw_degenerate_donor_equals_tag():
@@ -148,8 +147,8 @@ def test_strategies_differ_only_in_mask_provenance():
 
 def test_initial_model_missing_inputs():
     pre = init_model(ARCH, 22)
-    with pytest.raises(ValueError, match="target dataset"):
-        initial_model(pre, StrategySpec("TAW", 40.0, taw_cfg=None))
+    with pytest.raises(ValueError, match="target fine-tuned model"):
+        initial_model(pre, StrategySpec("TAW", 40.0))
     with pytest.raises(ValueError, match="donor"):
         initial_model(pre, StrategySpec("CD-TAW", 40.0))
 
