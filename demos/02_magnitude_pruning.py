@@ -46,8 +46,11 @@ print(f"\nsparsity right after 40% zeroing: {sparsity(zeroed):.3f}")
 
 rng = np.random.default_rng(2)
 batch = LabeledBatch(rng.normal(size=(32, 8)), rng.integers(0, 3, size=32))
+# the training kernel works on a plain name -> float32 array dict
+weights = {t.name: t.data for t in zeroed}
 for step in range(5):
-    loss, grads = loss_and_grads(zeroed, batch.x, batch.y, "cross_entropy")
-    zeroed = sgd_step(zeroed, grads, 0.05)
-    print(f"after update {step + 1}: sparsity {sparsity(zeroed):.3f} (loss {loss:.3f})")
+    loss, grads = loss_and_grads(weights, batch.x, batch.y, "cross_entropy")
+    weights = sgd_step(weights, grads, 0.05)
+    zeros = sum(np.count_nonzero(weights[t.name] == 0.0) for t in zeroed.prunable_tensors())
+    print(f"after update {step + 1}: sparsity {zeros / zeroed.d_prunable:.3f} (loss {loss:.3f})")
 print("zeroed weights regrew: nothing was frozen, no mask was retained")

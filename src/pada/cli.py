@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_seeds, load_config
 from .data import gen_domain_shift
 from .metrics import layerwise_report, report_to_csv, report_to_json
 from .params import (
@@ -27,7 +27,6 @@ from .params import (
 from .pruning import load_mask
 from .schedule import (
     ConfigError,
-    PadaRunLog,
     ScheduleError,
     read_log_jsonl,
     run_dft,
@@ -199,16 +198,20 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
 
 
 def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
-    """Aggregate the .jsonl logs of a finished run into plot-ready files."""
-    run_dir = os.path.join(run_out, "runs")
-    if not os.path.isdir(run_dir):
-        raise ConfigError(f"no runs directory under {run_out}")
+    """Aggregate the .jsonl logs of the runs ``table.json`` lists into plot-ready files."""
+    table_json = os.path.join(run_out, "table.json")
+    if not os.path.isfile(table_json):
+        raise ConfigError(f"no table.json under {run_out} (not a finished `pada run`)")
+    with open(table_json, "r", encoding="utf-8") as fh:
+        table = json.load(fh)
+    names = sorted(
+        _cell_name(row["strategy"], row["frequency"], seed)
+        for row in table["rows"]
+        for seed in table["seeds"]
+    )
+    logs = [(n, read_log_jsonl(os.path.join(run_out, "runs", f"{n}.jsonl"))) for n in names]
     out_dir = out_dir or run_out
     _ensure_dir(out_dir)
-    logs: list[tuple[str, PadaRunLog]] = []
-    for fname in sorted(os.listdir(run_dir)):
-        if fname.endswith(".jsonl"):
-            logs.append((fname[: -len(".jsonl")], read_log_jsonl(os.path.join(run_dir, fname))))
 
     lines = ["run,strategy,frequency,seed,update,rate,sparsity_before,sparsity_after,train_loss"]
     for name, log in logs:
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
             else:
                 if args.seeds is not None:
-                    cfg.seeds = [int(s) for s in args.seeds.split(",") if s]
+                    cfg.seeds = check_seeds(s for s in args.seeds.split(",") if s)
                 csv_path, json_path = cmd_run(cfg, force=args.force)
                 print(f"wrote {csv_path}")
                 print(f"wrote {json_path}")

@@ -22,6 +22,17 @@ def _req(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def check_seeds(seeds) -> list[int]:
+    """The seed sweep as a list of ints; it must be nonempty and hold no duplicates."""
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ConfigError("seed list must be nonempty")
+    dups = sorted({s for s in seeds if seeds.count(s) > 1})
+    if dups:
+        raise ConfigError(f"duplicate seeds in seed list: {dups}")
+    return seeds
+
+
 @dataclass
 class ExperimentConfig:
     task_seed: int
@@ -128,13 +139,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         strategies=strategies,
         frequencies=frequencies,
         include_dft=bool(doc.get("include_dft", True)),
-        seeds=[int(s) for s in _req(doc, "seeds", "")],
+        seeds=check_seeds(_req(doc, "seeds", "")),
         out=str(_req(doc, "out", "")),
         pretrained_file=str(doc.get("pretrained", "pretrained.pada")),
         donor_file=str(doc.get("donor_checkpoint", "donor.pada")),
     )
-    if not cfg.seeds:
-        raise ConfigError("seed list must be nonempty")
     for f in cfg.frequencies:
         validate(cfg.schedule_for(f))
     return cfg

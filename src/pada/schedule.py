@@ -167,53 +167,29 @@ def run_pada(
     model, mask0 = initial_model(pretrained, spec, finetuned=finetuned, donor=donor)
     if save_mask_to is not None:
         save_mask(mask0, save_mask_to)
-    log.events.append(
-        PruneEvent(
-            update=0,
-            rate=sched.rates[0],
-            sparsity_before=s_before,
-            sparsity_after=sparsity(model),
-            train_loss=dataset_loss(model, target_data, "cross_entropy"),
-        )
-    )
+    log.events.append(_prune_event(0, sched.rates[0], s_before, model, target_data))
 
     rng = np.random.default_rng(cfg.seed)
     cfg = replace(cfg, loss="cross_entropy")
-    if sched.freq == "once":
-        model, _ = sgd_train(model, target_data, cfg, n_total, rng)
-    else:
-        done = 0
-        next_rate = 1  # rates[0] was consumed by the strategy at update 0
-        while done < n_total:
-            chunk = min(sched.interval, n_total - done)
-            model, _ = sgd_train(model, target_data, cfg, chunk, rng, step_offset=done)
-            done += chunk
-            at_boundary = done % sched.interval == 0
-            if at_boundary and next_rate < len(sched.rates):
-                s_before = sparsity(model)
-                mask = compute_ump_mask(model, sched.rates[next_rate], source="in-loop")
-                model = apply_zeroing(model, mask)
-                log.events.append(
-                    PruneEvent(
-                        update=done,
-                        rate=sched.rates[next_rate],
-                        sparsity_before=s_before,
-                        sparsity_after=sparsity(model),
-                        train_loss=dataset_loss(model, target_data, "cross_entropy"),
-                    )
-                )
-                next_rate += 1
+    done = 0
+    next_rate = 1  # rates[0] was consumed by the strategy at update 0
+    while done < n_total:
+        # train to the next prune point, or straight to N once no rate is left
+        pruning = next_rate < len(sched.rates)
+        chunk = min(sched.interval, n_total - done) if pruning else n_total - done
+        model, _ = sgd_train(model, target_data, cfg, chunk, rng, step_offset=done)
+        done += chunk
+        if pruning and done % sched.interval == 0:
+            s_before = sparsity(model)
+            mask = compute_ump_mask(model, sched.rates[next_rate], source="in-loop")
+            model = apply_zeroing(model, mask)
+            log.events.append(
+                _prune_event(done, sched.rates[next_rate], s_before, model, target_data)
+            )
+            next_rate += 1
 
     adapted = model.with_role("adapted")
-    log.final = {
-        "total_updates": n_total,
-        "strategy": spec.kind,
-        "frequency": sched.freq,
-        "final_sparsity": sparsity(adapted),
-        "train_loss": dataset_loss(adapted, target_data, "cross_entropy"),
-    }
-    if eval_data is not None:
-        log.final["error_rate"] = evaluate(adapted, eval_data)
+    log.final = _final_record(adapted, n_total, spec.kind, sched.freq, target_data, eval_data)
     return adapted, log
 
 
@@ -229,13 +205,26 @@ def run_dft(
     model, _ = sgd_train(pretrained, target_data, cfg, cfg.updates, rng)
     model = model.with_role("finetuned_target")
     log = PadaRunLog()
-    log.final = {
-        "total_updates": cfg.updates,
-        "strategy": "DFT",
-        "frequency": "-",
+    log.final = _final_record(model, cfg.updates, "DFT", "-", target_data, eval_data)
+    return model, log
+
+
+def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEvent:
+    """The log record of a prune event that has just zeroed ``model``."""
+    after = sparsity(model)
+    loss = dataset_loss(model, target_data, "cross_entropy")
+    return PruneEvent(update, rate, sparsity_before, after, loss)
+
+
+def _final_record(model, total_updates, strategy, freq, target_data, eval_data) -> dict:
+    """The "final" log record of a trained model (key order is the file format)."""
+    final = {
+        "total_updates": total_updates,
+        "strategy": strategy,
+        "frequency": freq,
         "final_sparsity": sparsity(model) if model.d_prunable else 0.0,
         "train_loss": dataset_loss(model, target_data, "cross_entropy"),
     }
     if eval_data is not None:
-        log.final["error_rate"] = evaluate(model, eval_data)
-    return model, log
+        final["error_rate"] = evaluate(model, eval_data)
+    return final

@@ -17,13 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import (
-    ParameterSet,
-    StructureMismatchError,
-    load_checkpoint,
-    shapes_compatible,
-    structural_mismatch,
-)
+from .params import ParameterSet, StructureMismatchError, shapes_compatible, structural_mismatch
 from .pruning import Mask, apply_zeroing, compute_ump_mask
 
 STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")
@@ -31,16 +25,14 @@ STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")
 
 @dataclass
 class StrategySpec:
-    """Which strategy produces the initial mask, at what rate, plus its inputs.
+    """Which strategy produces the initial mask, and at what rate.
 
-    TAW needs the target fine-tuned model and CD-TAW a donor parameter set
-    (both passed to :func:`initial_model` alongside the spec); CD-TAW may
-    instead name a donor checkpoint path.
+    TAW needs the target fine-tuned model and CD-TAW a donor parameter set;
+    both are passed to :func:`initial_model` alongside the spec.
     """
 
     kind: str
     rate: float
-    donor_path: str | None = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -103,8 +95,6 @@ def initial_model(
         mask = taw_mask(pretrained, finetuned, spec.rate)
     else:
         if donor is None:
-            if spec.donor_path is None:
-                raise ValueError("CD-TAW requires a donor parameter set or donor_path")
-            donor = load_checkpoint(spec.donor_path)
+            raise ValueError("CD-TAW requires a donor parameter set")
         mask = cdtaw_mask(pretrained, donor, spec.rate)
     return apply_zeroing(pretrained, mask), mask

@@ -7,9 +7,11 @@ exist from initialization, so parameter sets from every pipeline stage share
 one structure and masks transfer between them without shape surgery.
 
 Weights are stored as float32 (the checkpoint-canonical dtype); all forward,
-loss and gradient arithmetic runs in float64.  :func:`loss_on_weights` exposes
-the float64 core directly so finite-difference gradient checks can perturb
-parameters without float32 rounding.
+loss and gradient arithmetic runs in float64.  The SGD kernel
+(:func:`loss_and_grads`, :func:`sgd_step`) works on plain name->array weight
+dicts; :func:`sgd_train` builds a ParameterSet only for the model it returns.
+:func:`loss_on_weights` exposes the float64 core so finite-difference gradient
+checks can perturb weights without float32 rounding.
 
 No operation freezes a parameter: SGD updates every weight, including ones a
 pruning pass just zeroed, which is what lets zeroed weights regrow.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParameterSet, StructureMismatchError, Tensor, structural_mismatch
+from .params import ParameterSet, StructureMismatchError, Tensor
 
 ACTIVATIONS = ("tanh", "relu")
 HEADS = ("reconstruction", "classification")
@@ -46,13 +48,12 @@ class TrainingDivergedError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModelArch:
-    """Layer widths and activation; ``head`` names the task output in use."""
+    """Layer widths and activation."""
 
     input_dim: int
     hidden: tuple[int, ...]
     num_classes: int
     activation: str = "tanh"
-    head: str = "classification"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.num_classes < 1 or any(h < 1 for h in self.hidden):
@@ -61,8 +62,6 @@ class ModelArch:
             raise ValueError("at least one hidden layer is required")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.head not in HEADS:
-            raise ValueError(f"unknown head kind {self.head!r}")
 
 
 @dataclass(frozen=True)
@@ -243,18 +242,17 @@ def loss_on_weights(weights, x, target, kind: str, activation: str = "tanh") -> 
     return loss
 
 
-def loss_and_grads(ps: ParameterSet, x, target, kind: str):
-    """Loss plus analytic gradients as a parameter set structurally equal to ``ps``.
+def loss_and_grads(weights, x, target, kind: str, activation: str = "tanh"):
+    """Loss plus analytic gradients of :func:`loss_on_weights`, as a name->float32 dict.
 
     Tensors outside the active head's path get zero gradients.  Raises
     :class:`NonFiniteLossError` when the loss is inf or NaN.
     """
     if kind not in LOSSES:
         raise ValueError(f"unknown loss kind {kind!r}")
-    x64 = _check_input(ps, x)
-    activation = _activation_of(ps)
+    x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     head = _LOSS_HEAD[kind]
-    w = weights64(ps)
+    w = {name: arr.astype(np.float64, copy=False) for name, arr in weights.items()}
     # diverging runs may overflow to inf here; the finiteness check below is
     # the mechanism that turns that into an error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -263,9 +261,7 @@ def loss_and_grads(ps: ParameterSet, x, target, kind: str):
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"non-finite loss {loss!r}")
 
-    g = {name: np.zeros_like(arr) for name, arr in w.items()}
-    g[f"{head}.weight"] = dout.T @ acts[-1]
-    g[f"{head}.bias"] = dout.sum(axis=0)
+    g = {f"{head}.weight": dout.T @ acts[-1], f"{head}.bias": dout.sum(axis=0)}
     da = dout @ w[f"{head}.weight"]
     n_layers = len(acts) - 1
     for i in reversed(range(n_layers)):
@@ -273,26 +269,25 @@ def loss_and_grads(ps: ParameterSet, x, target, kind: str):
         g[f"layers.{i}.weight"] = dz.T @ acts[i]
         g[f"layers.{i}.bias"] = dz.sum(axis=0)
         da = dz @ w[f"layers.{i}.weight"]
-
-    grads = ParameterSet(
-        [Tensor(t.name, g[t.name].astype(np.float32), t.prunable) for t in ps.tensors],
-        ps.role,
-        dict(ps.meta),
-    )
+    grads = {
+        name: g[name].astype(np.float32) if name in g else np.zeros(arr.shape, np.float32)
+        for name, arr in w.items()
+    }
     return loss, grads
 
 
-def sgd_step(ps: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
-    """w' = w - lr * g for EVERY parameter, zeroed or not (nothing is frozen)."""
-    problem = structural_mismatch(ps, grads)
-    if problem is not None:
-        raise StructureMismatchError(f"gradient structure mismatch: {problem}")
-    tensors = []
+def sgd_step(weights, grads, lr: float):
+    """w' = w - lr * g for EVERY weight, zeroed or not (nothing is frozen).
+
+    Takes and returns name->float32 dicts; the inputs are left unmodified.
+    """
+    if weights.keys() != grads.keys():
+        raise StructureMismatchError(f"gradient keys {sorted(grads)} != weights {sorted(weights)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, gt in zip(ps.tensors, grads.tensors):
-            w = t.data.astype(np.float64) - lr * gt.data.astype(np.float64)
-            tensors.append(Tensor(t.name, w.astype(np.float32), t.prunable))
-    return ParameterSet(tensors, ps.role, dict(ps.meta))
+        return {
+            name: (w.astype(np.float64) - lr * grads[name].astype(np.float64)).astype(np.float32)
+            for name, w in weights.items()
+        }
 
 
 def sgd_train(
@@ -307,17 +302,19 @@ def sgd_train(
 
     For ``cross_entropy`` the data must be a :class:`LabeledBatch`; for
     ``mse_reconstruction`` the clean rows are the targets and the inputs get
-    fresh Gaussian corruption each step (denoising).  Returns the updated
-    parameters and the per-step training losses.  The rng is consumed
-    identically regardless of how callers chunk the updates, so chunked and
-    single-call training produce bit-identical weights.
+    fresh Gaussian corruption each step (denoising).  Returns a new parameter
+    set, sharing no buffer with ``ps``, and the per-step training losses.
+    The rng is consumed identically regardless of how callers chunk the
+    updates, so chunked and single-call training produce bit-identical weights.
     """
     if cfg.loss == "cross_entropy" and not isinstance(data, LabeledBatch):
         raise ValueError("cross_entropy training requires a LabeledBatch")
     n = data.n
     if n < 1:
         raise ValueError("training data is empty")
-    model = ps
+    _check_input(ps, data.x)
+    activation = _activation_of(ps)
+    weights = {t.name: t.data for t in ps.tensors}
     losses = []
     for step in range(updates):
         idx = rng.integers(0, n, size=cfg.batch)
@@ -328,12 +325,17 @@ def sgd_train(
             x_in = xb + rng.normal(0.0, cfg.denoise_std, size=xb.shape)
             target = xb
         try:
-            loss, grads = loss_and_grads(model, x_in, target, cfg.loss)
+            loss, grads = loss_and_grads(weights, x_in, target, cfg.loss, activation)
         except NonFiniteLossError as exc:
             raise TrainingDivergedError(step_offset + step) from exc
         losses.append(loss)
-        model = sgd_step(model, grads, cfg.lr)
-    return model, losses
+        weights = sgd_step(weights, grads, cfg.lr)
+    # sgd_step returns fresh arrays; without updates these are still ps's own
+    tensors = [
+        Tensor(t.name, weights[t.name] if updates else t.data.copy(), t.prunable)
+        for t in ps.tensors
+    ]
+    return ParameterSet(tensors, ps.role, dict(ps.meta)), losses
 
 
 def dataset_loss(ps: ParameterSet, data, kind: str) -> float:
@@ -367,15 +369,15 @@ def finetune_supervised(
 ) -> ParameterSet:
     """Jointly train all weights with cross-entropy on the classification head.
 
-    Works on a copy; the input set is never modified.  The classification head
-    exists from initialization and is reused as-is.
+    The input set is never modified.  The classification head exists from
+    initialization and is reused as-is.
     """
     if cfg.loss != "cross_entropy":
         raise ValueError("supervised fine-tuning uses the cross_entropy loss")
     if "cls.weight" not in ps:
         raise ValueError("parameter set has no classification head (cls.weight)")
     rng = np.random.default_rng(cfg.seed)
-    model, _ = sgd_train(ps.copy(), data, cfg, cfg.updates, rng)
+    model, _ = sgd_train(ps, data, cfg, cfg.updates, rng)
     meta = {**model.meta, "seed": str(cfg.seed), "updates": str(cfg.updates)}
     return ParameterSet(model.tensors, role, meta)
 

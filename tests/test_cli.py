@@ -219,6 +219,25 @@ def test_main_seeds_override(tmp_path):
     assert header == "strategy,frequency,mean_error,seed_5"
 
 
+@pytest.mark.parametrize("seeds, message", [(",", "nonempty"), ("3,3", "duplicate")])
+def test_bad_seeds_override_is_config_error(tmp_path, capsys, seeds, message):
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg_path, "--seeds", seeds]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config:")
+    assert message in err
+    assert not os.path.exists(os.path.join(doc["out"], "table.csv"))
+
+
+def test_config_duplicate_seeds_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="duplicate seeds in seed list: \\[4\\]"):
+        parse_config(small_config(str(tmp_path / "exp"), seeds=(4, 5, 4)))
+
+
 def test_run_missing_checkpoint_is_io_error(tmp_path, capsys):
     doc = small_config(str(tmp_path / "exp"), seeds=(0,))
     cfg_path = str(tmp_path / "config.json")
@@ -304,6 +323,41 @@ def test_report_means_equal_table_means(tmp_path):
         for c in json.loads(open(summary_json).read())["cells"]
     }
     assert summary == table
+
+
+def test_report_reads_only_the_last_run(tmp_path):
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+    doc["strategies"] = ["TAG"]
+    doc["frequencies"] = ["once", "iterative"]
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["pretrain", "--config", cfg_path]) == 0
+    assert main(["make-donor", "--config", cfg_path]) == 0
+    assert main(["run", "--config", cfg_path, "--seeds", "0,1"]) == 0
+    assert main(["run", "--config", cfg_path, "--seeds", "1", "--force"]) == 0
+    assert main(["report", doc["out"]]) == 0
+    # the seed-0 logs of the first run are still on disk
+    assert os.path.exists(os.path.join(doc["out"], "runs", "dft_seed0.jsonl"))
+    table = json.loads(open(os.path.join(doc["out"], "table.json")).read())
+    summary = json.loads(open(os.path.join(doc["out"], "summary.json")).read())
+    assert [c["n_runs"] for c in summary["cells"]] == [1, 1, 1]
+    assert {(c["strategy"], c["frequency"]): c["mean_error"] for c in summary["cells"]} == {
+        (r["strategy"], r["frequency"]): r["mean_error"] for r in table["rows"]
+    }
+    assert [r["run"] for r in summary["runs"]] == [
+        "dft_seed1", "tag_iterative_seed1", "tag_once_seed1"
+    ]
+    events = open(os.path.join(doc["out"], "events.csv")).read().splitlines()[1:]
+    assert all(line.split(",")[3] == "1" for line in events)
+
+
+def test_report_without_table_is_config_error(tmp_path, capsys):
+    os.makedirs(tmp_path / "exp" / "runs")
+    assert main(["report", str(tmp_path / "exp")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config:")
+    assert "table.json" in err
 
 
 def test_taw_masks_rank_the_seed_fine_tune(tmp_path):

@@ -153,19 +153,6 @@ def test_initial_model_missing_inputs():
         initial_model(pre, StrategySpec("CD-TAW", 40.0))
 
 
-def test_initial_model_cdtaw_loads_donor_from_path(tmp_path):
-    from pada.params import save_checkpoint
-
-    pre = init_model(ARCH, 23)
-    donor = init_model(ARCH, 24)
-    path = str(tmp_path / "donor.pada")
-    save_checkpoint(donor, path)
-    ps_direct, m_direct = initial_model(pre, StrategySpec("CD-TAW", 40.0), donor=donor)
-    ps_path, m_path = initial_model(pre, StrategySpec("CD-TAW", 40.0, donor_path=path))
-    assert m_direct == m_path
-    assert ps_direct.tensors == ps_path.tensors
-
-
 def test_strategy_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         StrategySpec("MAGIC", 40.0)

@@ -33,6 +33,11 @@ def toy_labeled(n=64, seed=0, arch=ARCH):
     return LabeledBatch(x, y)
 
 
+def weights_of(ps):
+    """The float32 name->array dict the training kernel works on."""
+    return {t.name: t.data for t in ps.tensors}
+
+
 def zero_all(ps):
     out = ps.copy()
     for t in out.tensors:
@@ -86,7 +91,7 @@ def test_cross_entropy_perfect_prediction_near_zero():
     ps["cls.bias"].data = np.array([50.0, 0.0, 0.0, 0.0], dtype=np.float32)
     x = np.zeros((8, 6))
     y = np.zeros(8, dtype=np.int64)
-    loss, _ = loss_and_grads(ps, x, y, "cross_entropy")
+    loss, _ = loss_and_grads(weights_of(ps), x, y, "cross_entropy")
     assert 0.0 <= loss < 1e-12
 
 
@@ -96,16 +101,16 @@ def test_mse_doubling_error_quadruples_loss():
     x = rng.normal(size=(10, 6))
     out = forward(ps, x, "reconstruction")
     e = rng.normal(size=out.shape)
-    loss1, _ = loss_and_grads(ps, x, out - e, "mse_reconstruction")
-    loss2, _ = loss_and_grads(ps, x, out - 2 * e, "mse_reconstruction")
+    loss1, _ = loss_and_grads(weights_of(ps), x, out - e, "mse_reconstruction")
+    loss2, _ = loss_and_grads(weights_of(ps), x, out - 2 * e, "mse_reconstruction")
     assert loss2 == pytest.approx(4.0 * loss1, rel=1e-9)
 
 
 def finite_difference_max_rel_err(ps, x, target, kind, n_coords=120, eps=1e-4, seed=0):
     """Central differences on the float64 core vs analytic gradients."""
-    _, grads = loss_and_grads(ps, x, target, kind)
     w = weights64(ps)
     act = ps.meta.get("activation", "tanh")
+    _, grads = loss_and_grads(w, x, target, kind, act)
     rng = np.random.default_rng(seed)
     # sample only tensors on the active path; inactive-head grads are zero by
     # construction and checked separately
@@ -124,7 +129,7 @@ def finite_difference_max_rel_err(ps, x, target, kind, n_coords=120, eps=1e-4, s
         lm = loss_on_weights(w, x, target, kind, act)
         arr[idx] = orig
         fd = (lp - lm) / (2.0 * eps)
-        g = float(grads[name].data[idx])
+        g = float(grads[name][idx])
         denom = max(abs(g), abs(fd))
         if denom < 1e-8:
             continue
@@ -167,37 +172,46 @@ def test_gradcheck_relu():
 def test_inactive_head_gets_zero_grads():
     ps = init_model(ARCH, 17)
     data = toy_labeled(16, seed=18)
-    _, grads = loss_and_grads(ps, data.x, data.y, "cross_entropy")
-    assert np.all(grads["recon.weight"].data == 0.0)
-    assert np.all(grads["recon.bias"].data == 0.0)
+    _, grads = loss_and_grads(weights_of(ps), data.x, data.y, "cross_entropy")
+    assert grads.keys() == weights_of(ps).keys()
+    assert all(g.dtype == np.float32 for g in grads.values())
+    assert np.all(grads["recon.weight"] == 0.0)
+    assert np.all(grads["recon.bias"] == 0.0)
 
 
 def test_sgd_step_lr_zero_identity():
     ps = init_model(ARCH, 19)
     data = toy_labeled(16, seed=20)
-    _, grads = loss_and_grads(ps, data.x, data.y, "cross_entropy")
-    assert sgd_step(ps, grads, 0.0) == ps
+    weights = weights_of(ps)
+    _, grads = loss_and_grads(weights, data.x, data.y, "cross_entropy")
+    out = sgd_step(weights, grads, 0.0)
+    assert list(out) == list(weights)
+    assert all(out[k].tobytes() == weights[k].tobytes() for k in weights)
 
 
 def test_sgd_step_regrows_zero_weight():
-    ps = ParameterSet([Tensor("w", np.array([0.0], dtype=np.float32))])
-    grads = ParameterSet([Tensor("w", np.array([-1.0], dtype=np.float32))])
-    out = sgd_step(ps, grads, 0.1)
-    assert out["w"].data[0] == pytest.approx(0.1)
+    weights = {"w": np.array([0.0], dtype=np.float32)}
+    grads = {"w": np.array([-1.0], dtype=np.float32)}
+    out = sgd_step(weights, grads, 0.1)
+    assert out["w"][0] == pytest.approx(0.1)
 
 
 def test_sgd_step_hand_computed():
-    ps = ParameterSet([Tensor("w", np.array([0.5, -0.25], dtype=np.float32))])
-    grads = ParameterSet([Tensor("w", np.array([0.2, 0.4], dtype=np.float32))])
-    out = sgd_step(ps, grads, 0.5)
-    np.testing.assert_allclose(out["w"].data, [0.4, -0.45], rtol=1e-7)
+    weights = {"w": np.array([0.5, -0.25], dtype=np.float32)}
+    grads = {"w": np.array([0.2, 0.4], dtype=np.float32)}
+    out = sgd_step(weights, grads, 0.5)
+    np.testing.assert_allclose(out["w"], [0.4, -0.45], rtol=1e-7)
+    assert out["w"].dtype == np.float32
+    # the inputs are left unmodified
+    assert weights["w"].tolist() == [0.5, -0.25]
+    assert grads["w"].tolist() == pytest.approx([0.2, 0.4])
 
 
 def test_sgd_step_structure_mismatch():
-    ps = ParameterSet([Tensor("w", np.zeros(2, dtype=np.float32))])
-    grads = ParameterSet([Tensor("v", np.zeros(2, dtype=np.float32))])
+    weights = {"w": np.zeros(2, dtype=np.float32)}
+    grads = {"v": np.zeros(2, dtype=np.float32)}
     with pytest.raises(StructureMismatchError):
-        sgd_step(ps, grads, 0.1)
+        sgd_step(weights, grads, 0.1)
 
 
 def test_pretrain_loss_trend():
@@ -305,7 +319,7 @@ def test_nonfinite_loss_error():
     ps = init_model(ModelArch(2, (3,), 2, activation="relu"), 44)
     x = np.full((2, 2), 1e300)
     with pytest.raises(NonFiniteLossError):
-        loss_and_grads(ps, x, x, "mse_reconstruction")
+        loss_and_grads(weights_of(ps), x, x, "mse_reconstruction", "relu")
 
 
 def test_losses_and_grads_finite_on_generated_data():
@@ -316,15 +330,16 @@ def test_losses_and_grads_finite_on_generated_data():
     )
     task = gen_domain_shift(48, spec)
     ps = init_model(ARCH, 49)
-    loss, grads = loss_and_grads(ps, task.target_labeled.x, task.target_labeled.y, "cross_entropy")
+    weights = weights_of(ps)
+    loss, grads = loss_and_grads(weights, task.target_labeled.x, task.target_labeled.y, "cross_entropy")
     assert np.isfinite(loss)
     loss2, grads2 = loss_and_grads(
-        ps, task.source_unlabeled.x, task.source_unlabeled.x, "mse_reconstruction"
+        weights, task.source_unlabeled.x, task.source_unlabeled.x, "mse_reconstruction"
     )
     assert np.isfinite(loss2)
     for g in (grads, grads2):
-        for t in g.tensors:
-            assert np.all(np.isfinite(t.data))
+        for arr in g.values():
+            assert np.all(np.isfinite(arr))
 
 
 def test_chunked_training_matches_single_call():
@@ -337,3 +352,59 @@ def test_chunked_training_matches_single_call():
     for start in (0, 40, 80):
         chunked, _ = sgd_train(chunked, data, cfg, 40, rng, step_offset=start)
     assert whole == chunked
+
+
+@pytest.mark.parametrize("updates", [0, 5])
+def test_sgd_train_result_shares_no_buffer_with_input(updates):
+    data = toy_labeled(32, seed=50)
+    cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=51, loss="cross_entropy")
+    ps = init_model(ARCH, 52)
+    before = ps.copy()
+    out, losses = sgd_train(ps, data, cfg, updates, np.random.default_rng(51))
+    assert len(losses) == updates
+    assert ps == before
+    for t in ps.tensors:
+        assert not np.shares_memory(out[t.name].data, t.data)
+    # writing to the result leaves the input alone
+    for t in out.tensors:
+        t.data[...] = 1.0
+    assert ps == before
+
+
+def test_sgd_train_builds_objects_once_per_call(monkeypatch):
+    import pada.params
+    import pada.trainer
+
+    counts = {"Tensor": 0, "ParameterSet": 0}
+
+    def counting(cls, key):
+        original = cls.__post_init__
+
+        def post_init(self):
+            counts[key] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+
+    counting(Tensor, "Tensor")
+    counting(ParameterSet, "ParameterSet")
+    real_mismatch = pada.params.structural_mismatch
+    calls = []
+    for module in (pada.params, pada.trainer):
+        monkeypatch.setattr(
+            module,
+            "structural_mismatch",
+            lambda a, b: calls.append(1) or real_mismatch(a, b),
+            raising=False,
+        )
+    data = toy_labeled(32, seed=53)
+    ps = init_model(ARCH, 54)
+    seen = []
+    for updates in (1, 40):
+        counts.update(Tensor=0, ParameterSet=0)
+        cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=55, loss="cross_entropy")
+        sgd_train(ps, data, cfg, updates, np.random.default_rng(55))
+        seen.append(dict(counts))
+    # one result set of len(ps) tensors, however many updates ran
+    assert seen[0] == seen[1] == {"Tensor": len(ps), "ParameterSet": 1}
+    assert calls == []
