@@ -20,8 +20,6 @@ from pada import (
     shapes_compatible,
 )
 
-workdir = tempfile.mkdtemp(prefix="pada-demo-")
-
 # A model is an ordered list of named float32 tensors.  Rank-2 tensors
 # (weight matrices) are prunable by default, rank-1 (biases) are not.
 ps = ParameterSet(
@@ -35,19 +33,20 @@ ps = ParameterSet(
 print("tensors:", ps.names())
 print("prunable flags:", [t.prunable for t in ps], "-> d_prunable =", ps.d_prunable)
 
-path = os.path.join(workdir, "model.pada")
-save_checkpoint(ps, path)
-raw = open(path, "rb").read()
-print(f"\nwrote {path} ({len(raw)} bytes), first 16 bytes: {raw[:16].hex(' ')}")
+with tempfile.TemporaryDirectory(prefix="pada-demo-") as workdir:
+    path = os.path.join(workdir, "model.pada")
+    save_checkpoint(ps, path)
+    raw = open(path, "rb").read()
+    print(f"\nwrote {path} ({len(raw)} bytes), first 16 bytes: {raw[:16].hex(' ')}")
 
-loaded = load_checkpoint(path)
-print("round-trip equal (bit-exact):", loaded == ps)
-print("structures compatible:", shapes_compatible(loaded, ps))
+    loaded = load_checkpoint(path)
+    print("round-trip equal (bit-exact):", loaded == ps)
+    print("structures compatible:", shapes_compatible(loaded, ps))
 
-# Masks cover only the prunable tensors and serialize as packed bits.
-mask = compute_ump_mask(ps, 50.0, source="TAG")
-print("\n50% magnitude mask over layers.0.weight:", mask.entries[0].bits.ravel().astype(int))
-mpath = os.path.join(workdir, "model.padm")
-save_mask(mask, mpath)
-print("mask file magic:", open(mpath, "rb").read(4))
-print("mask round-trip equal:", load_mask(mpath) == mask)
+    # Masks cover only the prunable tensors and serialize as packed bits.
+    mask = compute_ump_mask(ps, 50.0, source="TAG")
+    print("\n50% magnitude mask over layers.0.weight:", mask.entries[0].bits.ravel().astype(int))
+    mpath = os.path.join(workdir, "model.padm")
+    save_mask(mask, mpath)
+    print("mask file magic:", open(mpath, "rb").read(4))
+    print("mask round-trip equal:", load_mask(mpath) == mask)

@@ -10,7 +10,6 @@ import numpy as np
 from pada import (
     DomainShiftSpec,
     ModelArch,
-    StrategySpec,
     TrainConfig,
     cdtaw_mask,
     evaluate,
@@ -31,8 +30,7 @@ print(f"task: |P|={task.source_unlabeled.n} |J|={task.source_labeled.n} "
 
 arch = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6, activation="tanh")
 pre = pretrain_denoising(arch, task.source_unlabeled,
-                         TrainConfig(lr=0.05, batch=32, updates=3000, seed=101,
-                                     loss="mse_reconstruction", denoise_std=0.3))
+                         TrainConfig(lr=0.05, batch=32, updates=3000, seed=101, denoise_std=0.3))
 donor = finetune_supervised(pre, task.source_labeled,
                             TrainConfig(lr=0.05, batch=32, updates=3000, seed=202),
                             role="finetuned_donor")
@@ -53,8 +51,8 @@ for name_a, a, name_b, b in (
 ):
     print(f"  {name_a:6s} vs {name_b:6s}: IOU {iou(a, b):.3f}  MMA {mma(a, b):.3f}")
 
-# initial_model dispatches on a StrategySpec and zeroes the PRE-TRAINED values
-ps0, mask = initial_model(pre, StrategySpec("CD-TAW", r1), donor=donor)
+# initial_model dispatches on the strategy kind and zeroes the PRE-TRAINED values
+ps0, mask = initial_model(pre, "CD-TAW", r1, donor=donor)
 print(f"\np(theta_0) via CD-TAW: sparsity {sparsity(ps0):.3f}, mask source {mask.source!r}")
 
 # metamorphic check: CD-TAW never reads pretrained values

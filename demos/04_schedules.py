@@ -10,7 +10,6 @@ from pada import (
     LARGE_RATE_PRESETS,
     ModelArch,
     PruneSchedule,
-    StrategySpec,
     TrainConfig,
     gen_domain_shift,
     pretrain_denoising,
@@ -21,8 +20,7 @@ from pada import (
 task = gen_domain_shift(7, DomainShiftSpec())
 arch = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6, activation="tanh")
 pre = pretrain_denoising(arch, task.source_unlabeled,
-                         TrainConfig(lr=0.05, batch=32, updates=3000, seed=101,
-                                     loss="mse_reconstruction", denoise_std=0.3))
+                         TrainConfig(lr=0.05, batch=32, updates=3000, seed=101, denoise_std=0.3))
 
 n_total, interval = 2000, 500
 tcfg = TrainConfig(lr=0.05, batch=16, updates=n_total, seed=0)
@@ -32,8 +30,8 @@ print(f"DFT baseline: no prune events, target error {dft_log.final['error_rate']
 
 for freq, rates in LARGE_RATE_PRESETS.items():
     sched = PruneSchedule(freq, rates, n_total, interval)
-    strat = StrategySpec("TAG", rates[0])
-    _, log = run_pada(pre, strat, sched, task.target_labeled, tcfg, eval_data=task.target_eval)
+    # the TAG initial mask prunes at the schedule's first rate
+    _, log = run_pada(pre, "TAG", sched, task.target_labeled, tcfg, eval_data=task.target_eval)
     print(f"\n{freq} (rates {rates}): target error {log.final['error_rate']:.4f}")
     print("  update  rate   sparsity before -> after   train loss")
     for ev in log.events:

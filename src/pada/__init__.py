@@ -48,7 +48,7 @@ from .trainer import (
     sgd_step,
 )
 from .data import DomainShiftSpec, DomainShiftTask, apply_shift, gen_domain_shift
-from .strategies import StrategySpec, cdtaw_mask, initial_model, tag_mask, taw_mask
+from .strategies import cdtaw_mask, initial_model, tag_mask, taw_mask
 from .schedule import (
     BASE_RATE_PRESETS,
     LARGE_RATE_PRESETS,

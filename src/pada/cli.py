@@ -33,7 +33,6 @@ from .schedule import (
     run_pada,
     write_log_jsonl,
 )
-from .strategies import StrategySpec
 from .trainer import TrainingDivergedError, finetune_supervised, pretrain_denoising
 
 
@@ -143,7 +142,7 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
                     sched = cfg.schedule_for(freq)
                     model, log = run_pada(
                         pretrained,
-                        StrategySpec(strategy, sched.rates[0]),
+                        strategy,
                         sched,
                         task.target_labeled,
                         tcfg,

@@ -62,7 +62,6 @@ class ExperimentConfig:
             batch=self.target_batch,
             updates=self.total_updates,
             seed=seed,
-            loss="cross_entropy",
         )
 
     def cells(self) -> list[tuple[str, str]]:
@@ -93,7 +92,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         batch=_req(pre_doc, "batch", "pretrain"),
         updates=_req(pre_doc, "updates", "pretrain"),
         seed=_req(pre_doc, "seed", "pretrain"),
-        loss="mse_reconstruction",
         denoise_std=pre_doc.get("denoise_std", 0.1),
     )
     don_doc = _req(doc, "donor", "")
@@ -102,7 +100,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         batch=_req(don_doc, "batch", "donor"),
         updates=_req(don_doc, "updates", "donor"),
         seed=_req(don_doc, "seed", "donor"),
-        loss="cross_entropy",
     )
     tgt_doc = _req(doc, "target", "")
     target_lr = float(_req(tgt_doc, "lr", "target"))

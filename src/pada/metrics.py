@@ -18,11 +18,17 @@ from .params import StructureMismatchError, atomic_write_text
 from .pruning import Mask
 
 
-def _check_aligned(ma: Mask, mb: Mask) -> None:
+def _layer_counts(ma: Mask, mb: Mask) -> list[tuple[int, int, int]]:
+    """(both retained, either retained, size) per entry of two aligned masks.
+
+    Both zeroed is ``size - either retained``, so one pass over the bits
+    feeds IOU and MMA alike.
+    """
     if len(ma.entries) != len(mb.entries):
         raise StructureMismatchError(
             f"masks cover {len(ma.entries)} vs {len(mb.entries)} tensors"
         )
+    counts = []
     for i, (a, b) in enumerate(zip(ma.entries, mb.entries)):
         if a.name != b.name:
             raise StructureMismatchError(f"entry {i}: name {a.name!r} vs {b.name!r}")
@@ -30,26 +36,29 @@ def _check_aligned(ma: Mask, mb: Mask) -> None:
             raise StructureMismatchError(
                 f"entry {i} ({a.name!r}): shape {a.shape} vs {b.shape}"
             )
+        both = int(np.count_nonzero(a.bits & b.bits))
+        either = int(np.count_nonzero(a.bits | b.bits))
+        counts.append((both, either, a.bits.size))
+    return counts
 
 
-def _pair_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
-    """(both retained, both zeroed, either retained) for one aligned bit pair."""
-    inter1 = int(np.count_nonzero(a & b))
-    inter0 = int(np.count_nonzero(~a & ~b))
-    union1 = int(np.count_nonzero(a | b))
-    return inter1, inter0, union1
+def _iou_of(counts) -> tuple[int, int]:
+    return sum(c[0] for c in counts), sum(c[1] for c in counts)
+
+
+def _mma_of(counts) -> tuple[int, int]:
+    # agreement = both retained + both zeroed = size - (either - both)
+    return sum(size - either + both for both, either, size in counts), sum(c[2] for c in counts)
 
 
 def iou_counts(ma: Mask, mb: Mask) -> tuple[int, int]:
     """Exact (|a=1 and b=1|, |a=1 or b=1|) over all bits."""
-    _check_aligned(ma, mb)
-    inter = 0
-    union = 0
-    for a, b in zip(ma.entries, mb.entries):
-        i1, _, u1 = _pair_counts(a.bits, b.bits)
-        inter += i1
-        union += u1
-    return inter, union
+    return _iou_of(_layer_counts(ma, mb))
+
+
+def _ratio_iou(inter: int, union: int) -> float:
+    # both masks retain nothing: they are identical, and identical masks score 1.0
+    return 1.0 if union == 0 else inter / union
 
 
 def iou(ma: Mask, mb: Mask) -> float:
@@ -58,22 +67,12 @@ def iou(ma: Mask, mb: Mask) -> float:
     When both masks retain nothing the union is empty; the two masks are then
     identical and the identical-masks convention returns 1.0.
     """
-    inter, union = iou_counts(ma, mb)
-    if union == 0:
-        return 1.0
-    return inter / union
+    return _ratio_iou(*iou_counts(ma, mb))
 
 
 def mma_counts(ma: Mask, mb: Mask) -> tuple[int, int]:
     """Exact (positions agreeing in either state, total positions)."""
-    _check_aligned(ma, mb)
-    agree = 0
-    total = 0
-    for a, b in zip(ma.entries, mb.entries):
-        i1, i0, _ = _pair_counts(a.bits, b.bits)
-        agree += i1 + i0
-        total += a.bits.size
-    return agree, total
+    return _mma_of(_layer_counts(ma, mb))
 
 
 def mma(ma: Mask, mb: Mask) -> float:
@@ -108,23 +107,24 @@ class SimilarityReport:
 
 def layerwise_report(ma: Mask, mb: Mask) -> SimilarityReport:
     """Compute IOU and MMA per prunable tensor and globally."""
-    _check_aligned(ma, mb)
+    counts = _layer_counts(ma, mb)
     if ma.total_bits == 0:
         raise ValueError("cannot compare empty masks")
-    layers = []
-    for a, b in zip(ma.entries, mb.entries):
-        i1, i0, u1 = _pair_counts(a.bits, b.bits)
-        layer_iou = 1.0 if u1 == 0 else i1 / u1
-        layers.append(LayerScore(a.name, layer_iou, (i1 + i0) / a.bits.size, u1 == 0))
+    layers = [
+        LayerScore(e.name, _ratio_iou(both, either), (size - either + both) / size, either == 0)
+        for e, (both, either, size) in zip(ma.entries, counts)
+    ]
+    inter, union = _iou_of(counts)
+    agree, total = _mma_of(counts)
     return SimilarityReport(
-        global_iou=iou(ma, mb),
-        global_mma=mma(ma, mb),
+        global_iou=_ratio_iou(inter, union),
+        global_mma=agree / total,
         layers=layers,
         source_a=ma.source,
         source_b=mb.source,
         rate_a=ma.rate,
         rate_b=mb.rate,
-        empty_union=iou_counts(ma, mb)[1] == 0,
+        empty_union=union == 0,
     )
 
 

@@ -136,9 +136,6 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet([t.copy() for t in self.tensors], self.role, dict(self.meta))
 
-    def with_role(self, role: str) -> "ParameterSet":
-        return ParameterSet([t.copy() for t in self.tensors], role, dict(self.meta))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterSet):
             return NotImplemented
@@ -211,16 +208,25 @@ def shapes_compatible(a: ParameterSet, b: ParameterSet) -> bool:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path: str):
         self.buf = buf
+        self.path = path
         self.off = 0
 
     def take(self, n: int, what: str) -> bytes:
         if self.off + n > len(self.buf):
-            raise TruncatedFileError(f"truncated {what} (need {n} bytes at offset {self.off})")
+            raise TruncatedFileError(
+                f"{self.path}: truncated {what} (need {n} bytes at offset {self.off})"
+            )
         chunk = self.buf[self.off : self.off + n]
         self.off += n
         return chunk
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: {what} is not UTF-8 ({exc})") from exc
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -301,7 +307,7 @@ def read_container(path: str, magic: bytes, label: str, payload_nbytes):
         raise OSError(f"cannot read {path}: {exc}") from exc
     if len(buf) < 4 or buf[:4] != magic:
         raise NotACheckpointError(f"{path}: not a {label} (bad magic)")
-    r = _Reader(buf)
+    r = _Reader(buf, path)
     r.off = 4
     version = r.u8("version byte")
     if version != FORMAT_VERSION:
@@ -310,7 +316,7 @@ def read_container(path: str, magic: bytes, label: str, payload_nbytes):
     records = []
     for _ in range(count):
         name_len = r.u16("tensor name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        name = r.text(name_len, "tensor name")
         prunable = bool(r.u8("prunable flag"))
         rank = r.u8("tensor rank")
         shape = tuple(r.u32("tensor dims") for _ in range(rank))
@@ -325,9 +331,9 @@ def read_container(path: str, magic: bytes, label: str, payload_nbytes):
     pair_count = r.u32("metadata count")
     for _ in range(pair_count):
         key_len = r.u16("metadata key length")
-        key = r.take(key_len, "metadata key").decode("utf-8")
+        key = r.text(key_len, "metadata key")
         value_len = r.u32("metadata value length")
-        value = r.take(value_len, "metadata value").decode("utf-8")
+        value = r.text(value_len, "metadata value")
         metadata[key] = value
     if r.off != len(buf):
         raise FormatError(f"{path}: {len(buf) - r.off} trailing bytes after the metadata")
@@ -350,9 +356,12 @@ def load_checkpoint(path: str) -> ParameterSet:
     records, metadata = read_container(
         path, CHECKPOINT_MAGIC, "PADA checkpoint", lambda n: 4 * n
     )
-    tensors = []
-    for name, prunable, shape, payload in records:
-        data = np.frombuffer(payload, dtype="<f4").reshape(shape)
-        tensors.append(Tensor(name, data.copy(), prunable))
     role = metadata.pop("role", "pretrained")
-    return ParameterSet(tensors, role, metadata)
+    try:
+        tensors = [
+            Tensor(name, np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), prunable)
+            for name, prunable, shape, payload in records
+        ]
+        return ParameterSet(tensors, role, metadata)
+    except ValueError as exc:  # well-formed container, invalid content (e.g. an unknown role)
+        raise FormatError(f"{path}: {exc}") from exc

@@ -15,6 +15,7 @@ import numpy as np
 
 from .params import (
     MASK_MAGIC,
+    FormatError,
     ParameterSet,
     StructureMismatchError,
     Tensor,
@@ -184,6 +185,8 @@ def load_mask(path: str) -> Mask:
             np.frombuffer(payload, dtype=np.uint8), count=n, bitorder="little"
         ).astype(bool)
         entries.append(MaskEntry(name, bits.reshape(shape)))
-    source = metadata.get("source", "in-loop")
-    rate = float(metadata.get("rate", "0.0"))
-    return Mask(entries, source=source, rate=rate)
+    try:
+        rate = float(metadata.get("rate", "0.0"))
+        return Mask(entries, source=metadata.get("source", "in-loop"), rate=rate)
+    except ValueError as exc:  # well-formed container, invalid content
+        raise FormatError(f"{path}: {exc}") from exc

@@ -1,10 +1,10 @@
 """Pruning schedules and the prune-and-fine-tune loop.
 
 A run starts by building the initial zeroed model from the chosen strategy
-(one prune event at update 0, consuming the first rate), then fine-tunes on
-the target labeled data for exactly N updates.  Under the iterative and
-dynamic-iterative frequencies the remaining rates are consumed one per
-interval: after every n updates the CURRENT weights are re-ranked by
+(one prune event at update 0, at the schedule's first rate r1), then
+fine-tunes on the target labeled data for exactly N updates.  Under the
+iterative and dynamic-iterative frequencies the remaining rates are consumed
+one per interval: after every n updates the CURRENT weights are re-ranked by
 magnitude and re-zeroed (these in-loop events are magnitude-only and
 independent of the initial strategy).  A prune point landing exactly on
 update N is executed; training never exceeds N updates.  The final model
@@ -14,13 +14,13 @@ carries no mask of any kind.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .params import ParameterSet, atomic_write_text
 from .pruning import apply_zeroing, compute_ump_mask, save_mask, sparsity
-from .strategies import StrategySpec, initial_model
+from .strategies import initial_model
 from .trainer import LabeledBatch, TrainConfig, dataset_loss, evaluate, sgd_train
 
 FREQUENCIES = ("once", "iterative", "dynamic_iterative")
@@ -46,7 +46,7 @@ class ScheduleError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Inconsistent run configuration (e.g. schedule vs strategy rate)."""
+    """Inconsistent run configuration (e.g. an unknown strategy or a missing field)."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def read_log_jsonl(path: str) -> PadaRunLog:
 
 def run_pada(
     pretrained: ParameterSet,
-    spec: StrategySpec,
+    strategy: str,
     sched: PruneSchedule,
     target_data: LabeledBatch,
     cfg: TrainConfig,
@@ -147,30 +147,29 @@ def run_pada(
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Prune-assisted fine-tuning: strategy prune at update 0, then train to N.
 
-    The schedule's first rate must equal the strategy rate (they are the same
-    r1).  Event i lands at update i*n while rates remain and i*n <= N; the
-    logged "train_loss" is the loss over the full target labeled set at that
-    point.  Returns the adapted model (no persistent mask) and the run log.
+    ``strategy`` is a kind from :data:`~pada.strategies.STRATEGY_KINDS`; its
+    initial mask prunes at the schedule's first rate r1.  Event i lands at
+    update i*n while rates remain and i*n <= N; the logged "train_loss" is the
+    loss over the full target labeled set at that point.  Returns the adapted model (no persistent mask) and the run log.
     TAW ranks ``finetuned`` (the target fine-tuned model), CD-TAW ``donor``.
     ``save_mask_to`` optionally writes the initial strategy mask as a .padm
     file for later similarity analysis.
     """
     validate(sched)
-    if sched.rates[0] != spec.rate:
-        raise ConfigError(
-            f"schedule r1 ({sched.rates[0]}) != strategy rate ({spec.rate})"
-        )
+    if not isinstance(target_data, LabeledBatch):
+        raise ValueError("prune-assisted fine-tuning requires a LabeledBatch")
     n_total = sched.total_updates
     log = PadaRunLog()
 
     s_before = sparsity(pretrained)
-    model, mask0 = initial_model(pretrained, spec, finetuned=finetuned, donor=donor)
+    model, mask0 = initial_model(
+        pretrained, strategy, sched.rates[0], finetuned=finetuned, donor=donor
+    )
     if save_mask_to is not None:
         save_mask(mask0, save_mask_to)
     log.events.append(_prune_event(0, sched.rates[0], s_before, model, target_data))
 
     rng = np.random.default_rng(cfg.seed)
-    cfg = replace(cfg, loss="cross_entropy")
     done = 0
     next_rate = 1  # rates[0] was consumed by the strategy at update 0
     while done < n_total:
@@ -188,8 +187,9 @@ def run_pada(
             )
             next_rate += 1
 
-    adapted = model.with_role("adapted")
-    log.final = _final_record(adapted, n_total, spec.kind, sched.freq, target_data, eval_data)
+    # sgd_train/apply_zeroing built ``model`` fresh, so its tensors are ours
+    adapted = ParameterSet(model.tensors, "adapted", dict(model.meta))
+    log.final = _final_record(adapted, n_total, strategy, sched.freq, target_data, eval_data)
     return adapted, log
 
 
@@ -200,10 +200,11 @@ def run_dft(
     eval_data: LabeledBatch | None = None,
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Direct fine-tuning baseline: cfg.updates SGD steps, no pruning at all."""
+    if not isinstance(target_data, LabeledBatch):
+        raise ValueError("direct fine-tuning requires a LabeledBatch")
     rng = np.random.default_rng(cfg.seed)
-    cfg = replace(cfg, loss="cross_entropy")
     model, _ = sgd_train(pretrained, target_data, cfg, cfg.updates, rng)
-    model = model.with_role("finetuned_target")
+    model = ParameterSet(model.tensors, "finetuned_target", dict(model.meta))
     log = PadaRunLog()
     log.final = _final_record(model, cfg.updates, "DFT", "-", target_data, eval_data)
     return model, log

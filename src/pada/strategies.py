@@ -1,8 +1,9 @@
 """Initial-mask strategies: TAG, TAW and CD-TAW.
 
 The three strategies differ only in where the magnitudes that rank the
-weights come from; the resulting mask is always applied to the pre-trained
-model's values.
+weights come from; each masks at r1, the schedule's first rate, and the
+resulting mask is always applied to the pre-trained model's values.  A
+strategy is named by its kind string, one of :data:`STRATEGY_KINDS`.
 
 * TAG ranks the pre-trained model's own weights.
 * TAW ranks the weights of the pre-trained model after fine-tuning on the
@@ -15,31 +16,10 @@ model's values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import ParameterSet, StructureMismatchError, shapes_compatible, structural_mismatch
 from .pruning import Mask, apply_zeroing, compute_ump_mask
 
 STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")
-
-
-@dataclass
-class StrategySpec:
-    """Which strategy produces the initial mask, and at what rate.
-
-    TAW needs the target fine-tuned model and CD-TAW a donor parameter set;
-    both are passed to :func:`initial_model` alongside the spec.
-    """
-
-    kind: str
-    rate: float
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        self.rate = float(self.rate)
-        if not 0.0 <= self.rate <= 100.0:
-            raise ValueError(f"prune rate must be in [0, 100], got {self.rate}")
 
 
 def tag_mask(pretrained: ParameterSet, r1: float) -> Mask:
@@ -78,23 +58,28 @@ def cdtaw_mask(pretrained: ParameterSet, donor: ParameterSet, r1: float) -> Mask
 
 def initial_model(
     pretrained: ParameterSet,
-    spec: StrategySpec,
+    kind: str,
+    r1: float,
     finetuned: ParameterSet | None = None,
     donor: ParameterSet | None = None,
 ) -> tuple[ParameterSet, Mask]:
-    """Dispatch to the chosen strategy and zero the pre-trained model.
+    """Mask the pre-trained model at rate ``r1`` with strategy ``kind`` and zero it.
 
-    Returns the zeroed model (all weights still trainable) together with the
-    mask so callers can analyze mask similarity later.
+    ``kind`` is one of :data:`STRATEGY_KINDS`; TAW needs the target
+    fine-tuned model and CD-TAW the donor.  Returns the zeroed model (all
+    weights still trainable) together with the mask so callers can analyze
+    mask similarity later.
     """
-    if spec.kind == "TAG":
-        mask = tag_mask(pretrained, spec.rate)
-    elif spec.kind == "TAW":
+    if kind == "TAG":
+        mask = tag_mask(pretrained, r1)
+    elif kind == "TAW":
         if finetuned is None:
             raise ValueError("TAW requires the target fine-tuned model")
-        mask = taw_mask(pretrained, finetuned, spec.rate)
-    else:
+        mask = taw_mask(pretrained, finetuned, r1)
+    elif kind == "CD-TAW":
         if donor is None:
             raise ValueError("CD-TAW requires a donor parameter set")
-        mask = cdtaw_mask(pretrained, donor, spec.rate)
+        mask = cdtaw_mask(pretrained, donor, r1)
+    else:
+        raise ValueError(f"unknown strategy kind {kind!r}, expected one of {STRATEGY_KINDS}")
     return apply_zeroing(pretrained, mask), mask

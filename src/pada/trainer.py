@@ -4,7 +4,10 @@ Every model owns a shared trunk of hidden layers plus two linear heads, a
 reconstruction head (``recon.*``, used for denoising pre-training) and a
 classification head (``cls.*``, used for supervised fine-tuning).  Both heads
 exist from initialization, so parameter sets from every pipeline stage share
-one structure and masks transfer between them without shape surgery.
+one structure and masks transfer between them without shape surgery.  Which
+head trains is decided by the data, not by a setting: :func:`sgd_train`
+trains ``cls.*`` with cross-entropy on a :class:`LabeledBatch` and ``recon.*``
+with the denoising MSE on an :class:`UnlabeledBatch`.
 
 Weights are stored as float32 (the checkpoint-canonical dtype); all forward,
 loss and gradient arithmetic runs in float64.  The SGD kernel
@@ -66,13 +69,16 @@ class ModelArch:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD hyperparameters. ``updates=0`` is allowed and means "return the input"."""
+    """SGD hyperparameters. ``updates=0`` is allowed and means "return the input".
+
+    The loss is not a setting: :func:`sgd_train` takes it from the data type.
+    ``denoise_std`` is read only when training on an :class:`UnlabeledBatch`.
+    """
 
     lr: float
     batch: int
     updates: int
     seed: int
-    loss: str = "cross_entropy"
     denoise_std: float = 0.1
 
     def __post_init__(self):
@@ -82,8 +88,6 @@ class TrainConfig:
             raise ValueError("batch size must be positive")
         if self.updates < 0:
             raise ValueError("update count must be >= 0")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
         if self.denoise_std < 0:
             raise ValueError("denoise_std must be >= 0")
 
@@ -300,15 +304,17 @@ def sgd_train(
 ):
     """Run ``updates`` SGD steps, sampling batches with replacement from ``rng``.
 
-    For ``cross_entropy`` the data must be a :class:`LabeledBatch`; for
-    ``mse_reconstruction`` the clean rows are the targets and the inputs get
-    fresh Gaussian corruption each step (denoising).  Returns a new parameter
-    set, sharing no buffer with ``ps``, and the per-step training losses.
+    The data type picks the loss: a :class:`LabeledBatch` trains the
+    classification head with cross-entropy; an :class:`UnlabeledBatch` trains
+    the reconstruction head by denoising, where the clean rows are the targets
+    and the inputs get fresh ``cfg.denoise_std`` Gaussian corruption each
+    step.  Returns a new parameter set, sharing no buffer with ``ps``, and
+    the per-step training losses.
     The rng is consumed identically regardless of how callers chunk the
     updates, so chunked and single-call training produce bit-identical weights.
     """
-    if cfg.loss == "cross_entropy" and not isinstance(data, LabeledBatch):
-        raise ValueError("cross_entropy training requires a LabeledBatch")
+    labeled = isinstance(data, LabeledBatch)
+    kind = "cross_entropy" if labeled else "mse_reconstruction"
     n = data.n
     if n < 1:
         raise ValueError("training data is empty")
@@ -319,13 +325,13 @@ def sgd_train(
     for step in range(updates):
         idx = rng.integers(0, n, size=cfg.batch)
         xb = data.x[idx]
-        if cfg.loss == "cross_entropy":
+        if labeled:
             x_in, target = xb, data.y[idx]
         else:
             x_in = xb + rng.normal(0.0, cfg.denoise_std, size=xb.shape)
             target = xb
         try:
-            loss, grads = loss_and_grads(weights, x_in, target, cfg.loss, activation)
+            loss, grads = loss_and_grads(weights, x_in, target, kind, activation)
         except NonFiniteLossError as exc:
             raise TrainingDivergedError(step_offset + step) from exc
         losses.append(loss)
@@ -350,8 +356,6 @@ def pretrain_denoising(arch: ModelArch, data, cfg: TrainConfig) -> ParameterSet:
 
     With ``cfg.updates == 0`` this returns the seeded initialization unchanged.
     """
-    if cfg.loss != "mse_reconstruction":
-        raise ValueError("pretraining uses the mse_reconstruction loss")
     if not isinstance(data, UnlabeledBatch):
         data = UnlabeledBatch(np.asarray(data))
     rng = np.random.default_rng(cfg.seed)
@@ -372,8 +376,8 @@ def finetune_supervised(
     The input set is never modified.  The classification head exists from
     initialization and is reused as-is.
     """
-    if cfg.loss != "cross_entropy":
-        raise ValueError("supervised fine-tuning uses the cross_entropy loss")
+    if not isinstance(data, LabeledBatch):
+        raise ValueError("supervised fine-tuning requires a LabeledBatch")
     if "cls.weight" not in ps:
         raise ValueError("parameter set has no classification head (cls.weight)")
     rng = np.random.default_rng(cfg.seed)

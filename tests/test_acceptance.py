@@ -27,7 +27,7 @@ from pada.pruning import (
     sparsity,
 )
 from pada.schedule import PruneSchedule, ScheduleError, run_pada, validate
-from pada.strategies import StrategySpec, cdtaw_mask, tag_mask, taw_mask
+from pada.strategies import cdtaw_mask, tag_mask, taw_mask
 from pada.trainer import (
     ModelArch,
     TrainConfig,
@@ -106,19 +106,19 @@ def test_regrowth_keeps_parameters_trainable():
 def test_schedule_timing_paper_presets():
     task = gen_domain_shift(7, DomainShiftSpec())
     pre = init_model(ARCH, 4)
-    cfg = TrainConfig(lr=0.05, batch=16, updates=0, seed=5, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=16, updates=0, seed=5)
 
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 10000, 1000)
-    _, log = run_pada(pre, StrategySpec("TAG", 40.0), sched, task.target_labeled, cfg)
+    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
     assert [e.update for e in log.events] == [0, 1000, 2000]
     assert log.final["total_updates"] == 10000
 
     sched = PruneSchedule("iterative", (30, 30, 30), 10000, 1000)
-    _, log = run_pada(pre, StrategySpec("TAG", 30.0), sched, task.target_labeled, cfg)
+    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
     assert len(log.events) == 3
 
     sched = PruneSchedule("once", (40,), 10000, 1000)
-    _, log = run_pada(pre, StrategySpec("TAG", 40.0), sched, task.target_labeled, cfg)
+    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
     assert len(log.events) == 1
     ok("schedule timing: dynamic events {0,1000,2000} at N=10000, n=1000; iterative 3; once 1")
 
@@ -186,7 +186,7 @@ def test_strategy_semantics():
     task = gen_domain_shift(7, DomainShiftSpec())
     pre = init_model(ARCH, 11)
 
-    cfg0 = TrainConfig(lr=0.05, batch=16, updates=0, seed=12, loss="cross_entropy")
+    cfg0 = TrainConfig(lr=0.05, batch=16, updates=0, seed=12)
     finetuned0 = finetune_supervised(pre, task.target_labeled, cfg0)
     assert taw_mask(pre, finetuned0, 40.0) == tag_mask(pre, 40.0)
 

@@ -271,7 +271,7 @@ def test_run_zero_dim_checkpoint_is_format_error(tmp_path, capsys):
 
 
 def test_cell_failure_carries_run_identity(tmp_path, capsys):
-    from pada.params import save_checkpoint
+    from pada.params import ParameterSet, save_checkpoint
     from pada.trainer import ModelArch, init_model
 
     doc = small_config(str(tmp_path / "exp"), seeds=(0,))
@@ -280,7 +280,8 @@ def test_cell_failure_carries_run_identity(tmp_path, capsys):
     cfg = parse_config(doc)
     cmd_pretrain(cfg)
     # donor with a different hidden width: structurally incompatible
-    bad_donor = init_model(ModelArch(8, (5,), 4), seed=0).with_role("finetuned_donor")
+    narrow = init_model(ModelArch(8, (5,), 4), seed=0)
+    bad_donor = ParameterSet(narrow.tensors, "finetuned_donor", narrow.meta)
     save_checkpoint(bad_donor, os.path.join(cfg.out, cfg.donor_file))
     cfg_path = str(tmp_path / "config.json")
     with open(cfg_path, "w") as fh:

@@ -117,6 +117,43 @@ def test_trailing_bytes_rejected(tmp_path):
             load(str(path))
 
 
+def _corruptions(raw: bytes, flips: int, seed: int):
+    """Every strict prefix of ``raw``, then ``flips`` seeded single-byte XOR flips."""
+    for end in range(len(raw)):
+        yield "truncated", raw[:end]
+    rng = np.random.default_rng(seed)
+    for _ in range(flips):
+        buf = bytearray(raw)
+        buf[int(rng.integers(len(buf)))] ^= int(rng.integers(1, 256))
+        yield "flipped", bytes(buf)
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "mask"])
+def test_corrupt_container_bytes_are_format_errors(tmp_path, kind):
+    ps = two_tensor_set()
+    path = tmp_path / ("c.pada" if kind == "checkpoint" else "c.padm")
+    if kind == "checkpoint":
+        save_checkpoint(ps, str(path))
+        load = load_checkpoint
+    else:
+        save_mask(compute_ump_mask(ps, 50.0, source="TAG"), str(path))
+        load = load_mask
+    raw = path.read_bytes()
+    outcomes = {"truncated": [], "flipped": []}
+    for how, case in _corruptions(raw, 400, seed=5):
+        path.write_bytes(case)
+        try:
+            load(str(path))
+        except FormatError as exc:
+            assert str(path) in str(exc)
+            outcomes[how].append("format")
+        else:
+            outcomes[how].append("loaded")
+    # no strict prefix is a complete file; some flips (payload bytes) still load
+    assert set(outcomes["truncated"]) == {"format"}
+    assert set(outcomes["flipped"]) == {"format", "loaded"}
+
+
 def test_role_is_a_reserved_meta_key(tmp_path):
     with pytest.raises(ValueError, match="reserved"):
         ParameterSet([], role="adapted", meta={"role": "pretrained"})

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pada.schedule import (
-    ConfigError,
     PruneSchedule,
     ScheduleError,
     preset_schedule,
@@ -13,7 +12,6 @@ from pada.schedule import (
     write_log_jsonl,
 )
 from pada.pruning import compute_ump_mask, load_mask
-from pada.strategies import StrategySpec
 from pada.trainer import LabeledBatch, ModelArch, TrainConfig, finetune_supervised, init_model
 
 ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3, activation="tanh")
@@ -27,7 +25,7 @@ def toy_labeled(n=40, seed=0):
 
 
 def tcfg(seed=0, lr=0.05, batch=8, updates=0):
-    return TrainConfig(lr=lr, batch=batch, updates=updates, seed=seed, loss="cross_entropy")
+    return TrainConfig(lr=lr, batch=batch, updates=updates, seed=seed)
 
 
 def test_validate_accepts_paper_presets():
@@ -73,7 +71,7 @@ def test_event_timing_dynamic():
     pre = init_model(ARCH, 0)
     data = toy_labeled(seed=1)
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 50, 10)
-    _, log = run_pada(pre, StrategySpec("TAG", 40.0), sched, data, tcfg(seed=2))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=2))
     assert [e.update for e in log.events] == [0, 10, 20]
     assert [e.rate for e in log.events] == [40.0, 20.0, 10.0]
     assert log.final["total_updates"] == 50
@@ -84,7 +82,7 @@ def test_event_timing_iterative_guard():
     pre = init_model(ARCH, 3)
     data = toy_labeled(seed=4)
     sched = PruneSchedule("iterative", (30, 30, 30), 1500, 1000)
-    _, log = run_pada(pre, StrategySpec("TAG", 30.0), sched, data, tcfg(seed=5))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=5))
     assert [e.update for e in log.events] == [0, 1000]
 
 
@@ -92,7 +90,7 @@ def test_event_exactly_at_n_is_executed():
     pre = init_model(ARCH, 6)
     data = toy_labeled(seed=7)
     sched = PruneSchedule("iterative", (30, 30, 30), 20, 10)
-    _, log = run_pada(pre, StrategySpec("TAG", 30.0), sched, data, tcfg(seed=8))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=8))
     assert [e.update for e in log.events] == [0, 10, 20]
 
 
@@ -100,7 +98,7 @@ def test_once_single_event():
     pre = init_model(ARCH, 9)
     data = toy_labeled(seed=10)
     sched = PruneSchedule("once", (40,), 30, 10)
-    _, log = run_pada(pre, StrategySpec("TAG", 40.0), sched, data, tcfg(seed=11))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=11))
     assert [e.update for e in log.events] == [0]
 
 
@@ -115,7 +113,7 @@ def test_event_count_bound_property():
         rates = tuple(np.linspace(50, 5, k))  # strictly decreasing
         freq = "dynamic_iterative" if k > 1 else "once"
         sched = PruneSchedule(freq, rates, n_total, interval)
-        _, log = run_pada(pre, StrategySpec("TAG", rates[0]), sched, data, tcfg(seed=15))
+        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=15))
         expected = min(k, n_total // interval + 1) if freq != "once" else 1
         assert len(log.events) == expected
         assert [e.update for e in log.events] == [i * interval for i in range(len(log.events))] or freq == "once"
@@ -126,7 +124,7 @@ def test_rate_zero_collapses_to_dft():
     data = toy_labeled(seed=17)
     cfg = tcfg(seed=18, updates=40)
     sched = PruneSchedule("iterative", (0, 0, 0), 40, 10)
-    adapted, log = run_pada(pre, StrategySpec("TAG", 0.0), sched, data, cfg)
+    adapted, log = run_pada(pre, "TAG", sched, data, cfg)
     baseline, _ = run_dft(pre, data, cfg)
     assert adapted.tensors == baseline.tensors  # bit-identical weights
     assert all(e.rate == 0.0 for e in log.events)
@@ -137,7 +135,7 @@ def test_once_rate_zero_equals_dft():
     data = toy_labeled(seed=20)
     cfg = tcfg(seed=21, updates=35)
     sched = PruneSchedule("once", (0,), 35, 5)
-    adapted, _ = run_pada(pre, StrategySpec("TAG", 0.0), sched, data, cfg)
+    adapted, _ = run_pada(pre, "TAG", sched, data, cfg)
     baseline, _ = run_dft(pre, data, cfg)
     assert adapted.tensors == baseline.tensors
 
@@ -146,7 +144,7 @@ def test_no_persistent_mask_regrowth():
     pre = init_model(ARCH, 22)
     data = toy_labeled(seed=23)
     sched = PruneSchedule("once", (40,), 200, 10)
-    adapted, log = run_pada(pre, StrategySpec("TAG", 40.0), sched, data, tcfg(seed=24))
+    adapted, log = run_pada(pre, "TAG", sched, data, tcfg(seed=24))
     assert log.final["final_sparsity"] < log.events[0].sparsity_after
 
 
@@ -154,19 +152,10 @@ def test_reproducible_bit_identical():
     pre = init_model(ARCH, 25)
     data = toy_labeled(seed=26)
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 60, 20)
-    spec = StrategySpec("TAG", 40.0)
-    a, _ = run_pada(pre, spec, sched, data, tcfg(seed=27))
-    b, _ = run_pada(pre, spec, sched, data, tcfg(seed=27))
+    a, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27))
+    b, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27))
     assert a == b
     assert a.role == "adapted"
-
-
-def test_rate_mismatch_is_config_error():
-    pre = init_model(ARCH, 28)
-    data = toy_labeled(seed=29)
-    sched = PruneSchedule("once", (40,), 10, 5)
-    with pytest.raises(ConfigError, match="r1"):
-        run_pada(pre, StrategySpec("TAG", 30.0), sched, data, tcfg(seed=30))
 
 
 def test_invalid_schedule_rejected_by_run():
@@ -174,7 +163,7 @@ def test_invalid_schedule_rejected_by_run():
     data = toy_labeled(seed=32)
     sched = PruneSchedule("dynamic_iterative", (10, 20), 10, 5)
     with pytest.raises(ScheduleError):
-        run_pada(pre, StrategySpec("TAG", 10.0), sched, data, tcfg(seed=33))
+        run_pada(pre, "TAG", sched, data, tcfg(seed=33))
 
 
 def test_divergence_carries_global_step():
@@ -197,7 +186,7 @@ def test_divergence_carries_global_step():
     sched = PruneSchedule("iterative", (10, 10, 10), 400, 2)
     assert expected >= sched.interval  # fails in a later chunk, not the first
     with pytest.raises(TrainingDivergedError) as info:
-        run_pada(pre, StrategySpec("TAG", 10.0), sched, data, cfg)
+        run_pada(pre, "TAG", sched, data, cfg)
     assert info.value.step == expected
 
 
@@ -230,7 +219,7 @@ def test_log_jsonl_roundtrip(tmp_path):
     eval_data = toy_labeled(seed=43)
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 30, 10)
     _, log = run_pada(
-        pre, StrategySpec("TAG", 40.0), sched, data, tcfg(seed=44), eval_data=eval_data
+        pre, "TAG", sched, data, tcfg(seed=44), eval_data=eval_data
     )
     path = str(tmp_path / "log.jsonl")
     write_log_jsonl(log, path)
@@ -250,10 +239,9 @@ def test_taw_strategy_inside_run(tmp_path):
     cfg = tcfg(seed=47, updates=30)
     sched = PruneSchedule("once", (40,), 30, 10)
     finetuned = finetune_supervised(pre, data, tcfg(seed=48, updates=20))
-    spec = StrategySpec("TAW", 40.0)
     mask_path = str(tmp_path / "taw.padm")
-    a, _ = run_pada(pre, spec, sched, data, cfg, finetuned=finetuned)
-    b, _ = run_pada(pre, spec, sched, data, cfg, finetuned=finetuned, save_mask_to=mask_path)
+    a, _ = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned)
+    b, _ = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned, save_mask_to=mask_path)
     assert a == b
     # the initial mask ranks the fine-tuned model, not the pre-trained one
     assert load_mask(mask_path) == compute_ump_mask(finetuned, 40.0)

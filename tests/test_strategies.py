@@ -3,7 +3,7 @@ import pytest
 
 from pada.params import ParameterSet, StructureMismatchError, Tensor
 from pada.pruning import Mask, MaskEntry, apply_zeroing, prune_count, sparsity
-from pada.strategies import StrategySpec, cdtaw_mask, initial_model, tag_mask, taw_mask
+from pada.strategies import cdtaw_mask, initial_model, tag_mask, taw_mask
 from pada.trainer import LabeledBatch, ModelArch, TrainConfig, finetune_supervised, init_model
 
 ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3, activation="tanh")
@@ -28,7 +28,7 @@ def test_tag_rate_zero_identity():
     pre = init_model(ARCH, 0)
     mask = tag_mask(pre, 0.0)
     assert mask.zero_bits == 0
-    ps0, m = initial_model(pre, StrategySpec("TAG", 0.0))
+    ps0, m = initial_model(pre, "TAG", 0.0)
     assert ps0.tensors == pre.tensors
     assert m == mask
 
@@ -41,7 +41,7 @@ def test_tag_fixture():
 
 
 def finetuned_on(pre, data_seed, updates, seed):
-    cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=seed, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=seed)
     return finetune_supervised(pre, toy_labeled(seed=data_seed), cfg)
 
 
@@ -69,7 +69,7 @@ def test_taw_requires_nonempty_data():
     # the fine-tune that supplies TAW's model refuses an empty target set
     pre = init_model(ARCH, 13)
     empty = LabeledBatch(np.zeros((0, 5)), np.zeros(0, dtype=np.int64))
-    cfg = TrainConfig(lr=0.05, batch=8, updates=5, seed=0, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=8, updates=5, seed=0)
     with pytest.raises(ValueError, match="empty"):
         finetune_supervised(pre, empty, cfg)
 
@@ -119,7 +119,7 @@ def test_initial_model_sparsity_exact():
     pre = init_model(ARCH, 19)
     d = pre.d_prunable
     for rate in (10.0, 33.3, 40.0, 75.0):
-        ps0, _ = initial_model(pre, StrategySpec("TAG", rate))
+        ps0, _ = initial_model(pre, "TAG", rate)
         assert sparsity(ps0) == prune_count(rate, d) / d
 
 
@@ -130,8 +130,8 @@ def test_initial_model_cdtaw_differs_from_tag_for_permuted_donor():
         if t.prunable:
             flat = t.data.ravel()
             t.data = flat[::-1].reshape(t.data.shape).copy()  # permute magnitudes
-    _, m_tag = initial_model(pre, StrategySpec("TAG", 40.0))
-    _, m_cd = initial_model(pre, StrategySpec("CD-TAW", 40.0), donor=donor)
+    _, m_tag = initial_model(pre, "TAG", 40.0)
+    _, m_cd = initial_model(pre, "CD-TAW", 40.0, donor=donor)
     assert m_tag != m_cd
 
 
@@ -148,13 +148,14 @@ def test_strategies_differ_only_in_mask_provenance():
 def test_initial_model_missing_inputs():
     pre = init_model(ARCH, 22)
     with pytest.raises(ValueError, match="target fine-tuned model"):
-        initial_model(pre, StrategySpec("TAW", 40.0))
+        initial_model(pre, "TAW", 40.0)
     with pytest.raises(ValueError, match="donor"):
-        initial_model(pre, StrategySpec("CD-TAW", 40.0))
+        initial_model(pre, "CD-TAW", 40.0)
 
 
-def test_strategy_spec_validation():
+def test_initial_model_validation():
+    pre = init_model(ARCH, 23)
     with pytest.raises(ValueError, match="kind"):
-        StrategySpec("MAGIC", 40.0)
+        initial_model(pre, "MAGIC", 40.0)
     with pytest.raises(ValueError, match=r"\[0, 100\]"):
-        StrategySpec("TAG", 101.0)
+        initial_model(pre, "TAG", 101.0)

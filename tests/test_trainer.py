@@ -217,7 +217,7 @@ def test_sgd_step_structure_mismatch():
 def test_pretrain_loss_trend():
     rng = np.random.default_rng(21)
     data = UnlabeledBatch(rng.normal(size=(256, 6)))
-    cfg = TrainConfig(lr=0.05, batch=32, updates=400, seed=22, loss="mse_reconstruction", denoise_std=0.2)
+    cfg = TrainConfig(lr=0.05, batch=32, updates=400, seed=22, denoise_std=0.2)
     ps = init_model(ARCH, 22)
     _, losses = sgd_train(ps, data, cfg, cfg.updates, np.random.default_rng(cfg.seed))
     assert np.mean(losses[:10]) > np.mean(losses[-10:])
@@ -226,7 +226,7 @@ def test_pretrain_loss_trend():
 def test_pretrain_zero_updates_returns_initialization():
     rng = np.random.default_rng(23)
     data = UnlabeledBatch(rng.normal(size=(64, 6)))
-    cfg = TrainConfig(lr=0.05, batch=16, updates=0, seed=24, loss="mse_reconstruction")
+    cfg = TrainConfig(lr=0.05, batch=16, updates=0, seed=24)
     ps = pretrain_denoising(ARCH, data, cfg)
     expected = init_model(ARCH, np.random.default_rng(24))
     assert ps.tensors == expected.tensors
@@ -236,21 +236,31 @@ def test_pretrain_zero_updates_returns_initialization():
 def test_pretrain_deterministic():
     rng = np.random.default_rng(25)
     data = UnlabeledBatch(rng.normal(size=(128, 6)))
-    cfg = TrainConfig(lr=0.05, batch=16, updates=150, seed=26, loss="mse_reconstruction")
+    cfg = TrainConfig(lr=0.05, batch=16, updates=150, seed=26)
     assert pretrain_denoising(ARCH, data, cfg) == pretrain_denoising(ARCH, data, cfg)
 
 
-def test_pretrain_requires_mse_loss():
+def test_supervised_stages_refuse_unlabeled_data():
+    # the data type picks the loss, so unlabeled rows would silently train the
+    # reconstruction head; every supervised stage refuses them instead
+    from pada.schedule import PruneSchedule, run_dft, run_pada
+
+    pre = init_model(ARCH, 0)
     data = UnlabeledBatch(np.zeros((4, 6)))
-    cfg = TrainConfig(lr=0.05, batch=2, updates=1, seed=0, loss="cross_entropy")
-    with pytest.raises(ValueError, match="mse_reconstruction"):
-        pretrain_denoising(ARCH, data, cfg)
+    cfg = TrainConfig(lr=0.05, batch=2, updates=1, seed=0)
+    for stage in (
+        lambda: finetune_supervised(pre, data, cfg),
+        lambda: run_dft(pre, data, cfg),
+        lambda: run_pada(pre, "TAG", PruneSchedule("once", (40,), 1, 1), data, cfg),
+    ):
+        with pytest.raises(ValueError, match="LabeledBatch"):
+            stage()
 
 
 def test_finetune_head_changes_and_improves():
     data = toy_labeled(200, seed=27)
     ps = init_model(ARCH, 28)
-    cfg = TrainConfig(lr=0.05, batch=16, updates=400, seed=29, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=16, updates=400, seed=29)
     tuned = finetune_supervised(ps, data, cfg)
     assert not np.array_equal(tuned["cls.weight"].data, ps["cls.weight"].data)
     assert evaluate(tuned, data) < evaluate(ps, data)
@@ -263,7 +273,7 @@ def test_finetune_head_changes_and_improves():
 def test_finetune_zero_updates_preserves_body():
     data = toy_labeled(32, seed=30)
     ps = init_model(ARCH, 31)
-    cfg = TrainConfig(lr=0.05, batch=8, updates=0, seed=32, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=8, updates=0, seed=32)
     tuned = finetune_supervised(ps, data, cfg)
     assert tuned.tensors == ps.tensors
 
@@ -271,7 +281,7 @@ def test_finetune_zero_updates_preserves_body():
 def test_finetune_requires_head():
     headless = ParameterSet([Tensor("layers.0.weight", np.ones((4, 6), dtype=np.float32))])
     data = toy_labeled(8, seed=33)
-    cfg = TrainConfig(lr=0.05, batch=4, updates=1, seed=0, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=4, updates=1, seed=0)
     with pytest.raises(ValueError, match="classification head"):
         finetune_supervised(headless, data, cfg)
 
@@ -279,7 +289,7 @@ def test_finetune_requires_head():
 def test_evaluate_perfect_classifier():
     data = toy_labeled(300, seed=34)
     ps = init_model(ARCH, 35)
-    cfg = TrainConfig(lr=0.1, batch=32, updates=3000, seed=36, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.1, batch=32, updates=3000, seed=36)
     tuned = finetune_supervised(ps, data, cfg)
     assert evaluate(tuned, data) == 0.0
 
@@ -307,7 +317,7 @@ def test_evaluate_deterministic_and_empty():
 def test_divergence_error_carries_step():
     rng = np.random.default_rng(41)
     data = UnlabeledBatch(rng.normal(size=(64, 6)) * 10.0)
-    cfg = TrainConfig(lr=1e4, batch=16, updates=500, seed=42, loss="mse_reconstruction")
+    cfg = TrainConfig(lr=1e4, batch=16, updates=500, seed=42)
     ps = init_model(ARCH, 43)
     with pytest.raises(TrainingDivergedError) as info:
         sgd_train(ps, data, cfg, cfg.updates, np.random.default_rng(cfg.seed))
@@ -344,7 +354,7 @@ def test_losses_and_grads_finite_on_generated_data():
 
 def test_chunked_training_matches_single_call():
     data = toy_labeled(64, seed=45)
-    cfg = TrainConfig(lr=0.05, batch=8, updates=120, seed=46, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=8, updates=120, seed=46)
     ps = init_model(ARCH, 47)
     whole, _ = sgd_train(ps, data, cfg, 120, np.random.default_rng(46))
     rng = np.random.default_rng(46)
@@ -357,7 +367,7 @@ def test_chunked_training_matches_single_call():
 @pytest.mark.parametrize("updates", [0, 5])
 def test_sgd_train_result_shares_no_buffer_with_input(updates):
     data = toy_labeled(32, seed=50)
-    cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=51, loss="cross_entropy")
+    cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=51)
     ps = init_model(ARCH, 52)
     before = ps.copy()
     out, losses = sgd_train(ps, data, cfg, updates, np.random.default_rng(51))
@@ -402,7 +412,7 @@ def test_sgd_train_builds_objects_once_per_call(monkeypatch):
     seen = []
     for updates in (1, 40):
         counts.update(Tensor=0, ParameterSet=0)
-        cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=55, loss="cross_entropy")
+        cfg = TrainConfig(lr=0.05, batch=8, updates=updates, seed=55)
         sgd_train(ps, data, cfg, updates, np.random.default_rng(55))
         seen.append(dict(counts))
     # one result set of len(ps) tensors, however many updates ran
