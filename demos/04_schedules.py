@@ -29,7 +29,8 @@ _, dft_log = run_dft(pre, task.target_labeled, tcfg, eval_data=task.target_eval)
 print(f"DFT baseline: no prune events, target error {dft_log.final['error_rate']:.4f}")
 
 for freq, rates in LARGE_RATE_PRESETS.items():
-    sched = PruneSchedule(freq, rates, n_total, interval)
+    # the schedule plans only pruning; every run trains tcfg.updates = N updates
+    sched = PruneSchedule(freq, rates, interval)
     # the TAG initial mask prunes at the schedule's first rate
     _, log = run_pada(pre, "TAG", sched, task.target_labeled, tcfg, eval_data=task.target_eval)
     print(f"\n{freq} (rates {rates}): target error {log.final['error_rate']:.4f}")

@@ -48,15 +48,11 @@ def _check_outputs(paths, force: bool) -> None:
             raise ConfigError(f"output exists: {p} (use --force to overwrite)")
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def cmd_pretrain(cfg: ExperimentConfig, force: bool = False) -> str:
     """Denoising pre-training on the source unlabeled split; writes a checkpoint."""
     out_path = os.path.join(cfg.out, cfg.pretrained_file)
     _check_outputs([out_path], force)
-    _ensure_dir(cfg.out)
+    os.makedirs(cfg.out, exist_ok=True)
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     ps = pretrain_denoising(cfg.arch, task.source_unlabeled, cfg.pretrain)
     save_checkpoint(ps, out_path)
@@ -68,7 +64,7 @@ def cmd_make_donor(cfg: ExperimentConfig, force: bool = False) -> str:
     src = os.path.join(cfg.out, cfg.pretrained_file)
     out_path = os.path.join(cfg.out, cfg.donor_file)
     _check_outputs([out_path], force)
-    _ensure_dir(cfg.out)
+    os.makedirs(cfg.out, exist_ok=True)
     ps = load_checkpoint(src)
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     donor = finetune_supervised(ps, task.source_labeled, cfg.donor, role="finetuned_donor")
@@ -116,7 +112,7 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
         for seed in cfg.seeds:
             planned.append(os.path.join(run_dir, _cell_name(strategy, freq, seed) + ".jsonl"))
     _check_outputs(planned, force)
-    _ensure_dir(run_dir)
+    os.makedirs(run_dir, exist_ok=True)
 
     pretrained = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
     donor = None
@@ -189,7 +185,7 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
     csv_path = os.path.join(out_dir, "mask_report.csv")
     json_path = os.path.join(out_dir, "mask_report.json")
     _check_outputs([csv_path, json_path], force)
-    _ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     report = layerwise_report(load_mask(path_a), load_mask(path_b))
     report_to_csv(report, csv_path)
     report_to_json(report, json_path)
@@ -210,7 +206,7 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     )
     logs = [(n, read_log_jsonl(os.path.join(run_out, "runs", f"{n}.jsonl"))) for n in names]
     out_dir = out_dir or run_out
-    _ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     lines = ["run,strategy,frequency,seed,update,rate,sparsity_before,sparsity_after,train_loss"]
     for name, log in logs:

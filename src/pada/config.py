@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .data import DomainShiftSpec
-from .schedule import FREQUENCIES, ConfigError, PruneSchedule, validate
+from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, ConfigError, PruneSchedule, validate
 from .strategies import STRATEGY_KINDS
 from .trainer import TrainConfig, ModelArch
 
@@ -20,6 +20,11 @@ def _req(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"missing config field: {where}.{key}" if where else f"missing config field: {key}")
     return doc[key]
+
+
+def _train_cfg(doc: dict, where: str, **extra) -> TrainConfig:
+    fields = {key: _req(doc, key, where) for key in ("lr", "batch", "updates", "seed")}
+    return TrainConfig(**fields, **extra)
 
 
 def check_seeds(seeds) -> list[int]:
@@ -42,7 +47,7 @@ class ExperimentConfig:
     donor: TrainConfig
     target_lr: float
     target_batch: int
-    total_updates: int
+    total_updates: int  # N: the target fine-tune's TrainConfig.updates
     interval: int
     rates: dict[str, tuple[float, ...]]
     strategies: list[str]
@@ -54,7 +59,7 @@ class ExperimentConfig:
     donor_file: str = "donor.pada"
 
     def schedule_for(self, freq: str) -> PruneSchedule:
-        return PruneSchedule(freq, self.rates[freq], self.total_updates, self.interval)
+        return PruneSchedule(freq, self.rates[freq], self.interval)
 
     def target_cfg(self, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -87,20 +92,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
     pre_doc = _req(doc, "pretrain", "")
-    pretrain = TrainConfig(
-        lr=_req(pre_doc, "lr", "pretrain"),
-        batch=_req(pre_doc, "batch", "pretrain"),
-        updates=_req(pre_doc, "updates", "pretrain"),
-        seed=_req(pre_doc, "seed", "pretrain"),
-        denoise_std=pre_doc.get("denoise_std", 0.1),
-    )
-    don_doc = _req(doc, "donor", "")
-    donor = TrainConfig(
-        lr=_req(don_doc, "lr", "donor"),
-        batch=_req(don_doc, "batch", "donor"),
-        updates=_req(don_doc, "updates", "donor"),
-        seed=_req(don_doc, "seed", "donor"),
-    )
+    pretrain = _train_cfg(pre_doc, "pretrain", denoise_std=pre_doc.get("denoise_std", 0.1))
+    donor = _train_cfg(_req(doc, "donor", ""), "donor")
     tgt_doc = _req(doc, "target", "")
     target_lr = float(_req(tgt_doc, "lr", "target"))
     target_batch = int(_req(tgt_doc, "batch", "target"))
@@ -142,7 +135,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         donor_file=str(doc.get("donor_checkpoint", "donor.pada")),
     )
     for f in cfg.frequencies:
-        validate(cfg.schedule_for(f))
+        validate(cfg.schedule_for(f), cfg.total_updates)
     return cfg
 
 
@@ -179,11 +172,7 @@ def default_config() -> dict:
         "schedule": {
             "total_updates": 2000,
             "interval": 500,
-            "rates": {
-                "once": [40.0],
-                "iterative": [30.0, 30.0, 30.0],
-                "dynamic_iterative": [40.0, 20.0, 10.0],
-            },
+            "rates": {freq: list(rates) for freq, rates in LARGE_RATE_PRESETS.items()},
         },
         "strategies": ["TAG", "TAW", "CD-TAW"],
         "frequencies": ["once", "iterative", "dynamic_iterative"],

@@ -362,6 +362,11 @@ def load_checkpoint(path: str) -> ParameterSet:
             Tensor(name, np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), prunable)
             for name, prunable, shape, payload in records
         ]
-        return ParameterSet(tensors, role, metadata)
+        ps = ParameterSet(tensors, role, metadata)
     except ValueError as exc:  # well-formed container, invalid content (e.g. an unknown role)
         raise FormatError(f"{path}: {exc}") from exc
+    # magnitude ranking would never prune a NaN (argsort puts it last)
+    bad = next((t.name for t in tensors if not np.isfinite(t.data).all()), None)
+    if bad is not None:
+        raise FormatError(f"{path}: tensor {bad!r} holds NaN or inf weights")
+    return ps

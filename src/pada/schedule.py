@@ -1,14 +1,18 @@
 """Pruning schedules and the prune-and-fine-tune loop.
 
-A run starts by building the initial zeroed model from the chosen strategy
-(one prune event at update 0, at the schedule's first rate r1), then
-fine-tunes on the target labeled data for exactly N updates.  Under the
-iterative and dynamic-iterative frequencies the remaining rates are consumed
-one per interval: after every n updates the CURRENT weights are re-ranked by
+A :class:`PruneSchedule` plans only the pruning: a frequency, the rates
+r1..rk and an interval n.  The training length N is the run's
+``TrainConfig.updates``, as for direct fine-tuning, which has an N but no
+schedule.  A run starts by building the initial zeroed model from the chosen
+strategy (one prune event at update 0, at r1), then fine-tunes on the target
+labeled data for exactly N updates.  Under the iterative and
+dynamic-iterative frequencies the remaining rates are consumed one per
+interval: after every n updates the CURRENT weights are re-ranked by
 magnitude and re-zeroed (these in-loop events are magnitude-only and
 independent of the initial strategy).  A prune point landing exactly on
 update N is executed; training never exceeds N updates.  The final model
-carries no mask of any kind.
+carries no mask of any kind.  Logged losses use the loss the target data
+trains with, which its type decides.
 """
 
 from __future__ import annotations
@@ -51,28 +55,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PruneSchedule:
-    """Pruning frequency, the rate sequence r1..rk, total updates N, interval n."""
+    """Pruning frequency, the rate sequence r1..rk and the interval n."""
 
     freq: str
     rates: tuple[float, ...]
-    total_updates: int
     interval: int
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
 
-def preset_schedule(size: str, freq: str, total_updates: int, interval: int) -> PruneSchedule:
+def preset_schedule(size: str, freq: str, interval: int) -> PruneSchedule:
     """Schedule with the preset rates for a model scale ("large" or "base")."""
     if size not in RATE_PRESETS:
         raise ScheduleError(f"unknown preset size {size!r}, expected one of {tuple(RATE_PRESETS)}")
     if freq not in FREQUENCIES:
         raise ScheduleError(f"unknown pruning frequency {freq!r}")
-    return PruneSchedule(freq, RATE_PRESETS[size][freq], total_updates, interval)
+    return PruneSchedule(freq, RATE_PRESETS[size][freq], interval)
 
 
-def validate(sched: PruneSchedule) -> None:
-    """Raise :class:`ScheduleError` with a distinct message per violated invariant."""
+def validate(sched: PruneSchedule, updates: int) -> None:
+    """Raise :class:`ScheduleError`, one message per invariant, for ``sched`` over N=``updates``."""
     if sched.freq not in FREQUENCIES:
         raise ScheduleError(f"unknown pruning frequency {sched.freq!r}")
     if len(sched.rates) < 1:
@@ -87,11 +90,11 @@ def validate(sched: PruneSchedule) -> None:
     if sched.freq == "dynamic_iterative":
         if any(a <= b for a, b in zip(sched.rates, sched.rates[1:])):
             raise ScheduleError("'dynamic_iterative' requires strictly decreasing rates")
-    if sched.total_updates < 1:
+    if updates < 1:
         raise ScheduleError("total_updates must be positive")
     if sched.interval < 1:
         raise ScheduleError("interval must be positive")
-    if sched.interval > sched.total_updates:
+    if sched.interval > updates:
         raise ScheduleError("interval must not exceed total_updates")
 
 
@@ -147,18 +150,20 @@ def run_pada(
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Prune-assisted fine-tuning: strategy prune at update 0, then train to N.
 
-    ``strategy`` is a kind from :data:`~pada.strategies.STRATEGY_KINDS`; its
-    initial mask prunes at the schedule's first rate r1.  Event i lands at
-    update i*n while rates remain and i*n <= N; the logged "train_loss" is the
-    loss over the full target labeled set at that point.  Returns the adapted model (no persistent mask) and the run log.
+    N is ``cfg.updates``.  ``strategy`` is a kind from
+    :data:`~pada.strategies.STRATEGY_KINDS`; its initial mask prunes at the
+    schedule's first rate r1.  Event i lands at update i*n while rates remain
+    and i*n <= N; the logged "train_loss" is the loss over the full target
+    labeled set at that point.  Returns the adapted model (no persistent
+    mask) and the run log.
     TAW ranks ``finetuned`` (the target fine-tuned model), CD-TAW ``donor``.
     ``save_mask_to`` optionally writes the initial strategy mask as a .padm
     file for later similarity analysis.
     """
-    validate(sched)
+    validate(sched, cfg.updates)
     if not isinstance(target_data, LabeledBatch):
         raise ValueError("prune-assisted fine-tuning requires a LabeledBatch")
-    n_total = sched.total_updates
+    n_total = cfg.updates
     log = PadaRunLog()
 
     s_before = sparsity(pretrained)
@@ -213,7 +218,7 @@ def run_dft(
 def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEvent:
     """The log record of a prune event that has just zeroed ``model``."""
     after = sparsity(model)
-    loss = dataset_loss(model, target_data, "cross_entropy")
+    loss = dataset_loss(model, target_data)
     return PruneEvent(update, rate, sparsity_before, after, loss)
 
 
@@ -224,7 +229,7 @@ def _final_record(model, total_updates, strategy, freq, target_data, eval_data) 
         "strategy": strategy,
         "frequency": freq,
         "final_sparsity": sparsity(model) if model.d_prunable else 0.0,
-        "train_loss": dataset_loss(model, target_data, "cross_entropy"),
+        "train_loss": dataset_loss(model, target_data),
     }
     if eval_data is not None:
         final["error_rate"] = evaluate(model, eval_data)

@@ -16,7 +16,7 @@ strategy is named by its kind string, one of :data:`STRATEGY_KINDS`.
 
 from __future__ import annotations
 
-from .params import ParameterSet, StructureMismatchError, shapes_compatible, structural_mismatch
+from .params import ParameterSet, StructureMismatchError, structural_mismatch
 from .pruning import Mask, apply_zeroing, compute_ump_mask
 
 STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")
@@ -29,10 +29,9 @@ def tag_mask(pretrained: ParameterSet, r1: float) -> Mask:
 
 def _rank_other(pretrained, other, r1: float, source: str, what: str) -> Mask:
     # the mask positions must mean the same weights in both models
-    if not shapes_compatible(pretrained, other):
-        raise StructureMismatchError(
-            f"{what} incompatible with pretrained model: {structural_mismatch(pretrained, other)}"
-        )
+    mismatch = structural_mismatch(pretrained, other)
+    if mismatch is not None:
+        raise StructureMismatchError(f"{what} incompatible with pretrained model: {mismatch}")
     return compute_ump_mask(other, r1, source=source)
 
 

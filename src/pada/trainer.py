@@ -204,15 +204,13 @@ def _loss_from_outputs(out: np.ndarray, target, kind: str):
         dout = p
         dout[np.arange(out.shape[0]), y] -= 1.0
         dout /= out.shape[0]
-    elif kind == "mse_reconstruction":
+    else:  # mse_reconstruction; callers check the kind
         t = np.asarray(target, dtype=np.float64)
         if t.shape != out.shape:
             raise ValueError(f"reconstruction target shape {t.shape} != output {out.shape}")
         diff = out - t
         loss = float(np.mean(diff * diff))
         dout = 2.0 * diff / diff.size
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
     return loss, dout
 
 
@@ -294,6 +292,13 @@ def sgd_step(weights, grads, lr: float):
         }
 
 
+def _loss_kind(data) -> str:
+    """The loss ``data`` trains and is scored with: its type decides."""
+    if not isinstance(data, (LabeledBatch, UnlabeledBatch)):
+        raise ValueError(f"expected a LabeledBatch or an UnlabeledBatch, not {type(data).__name__}")
+    return "cross_entropy" if isinstance(data, LabeledBatch) else "mse_reconstruction"
+
+
 def sgd_train(
     ps: ParameterSet,
     data,
@@ -313,8 +318,8 @@ def sgd_train(
     The rng is consumed identically regardless of how callers chunk the
     updates, so chunked and single-call training produce bit-identical weights.
     """
-    labeled = isinstance(data, LabeledBatch)
-    kind = "cross_entropy" if labeled else "mse_reconstruction"
+    kind = _loss_kind(data)
+    labeled = kind == "cross_entropy"
     n = data.n
     if n < 1:
         raise ValueError("training data is empty")
@@ -344,20 +349,20 @@ def sgd_train(
     return ParameterSet(tensors, ps.role, dict(ps.meta)), losses
 
 
-def dataset_loss(ps: ParameterSet, data, kind: str) -> float:
-    """Forward-only loss over a whole dataset (deterministic, no sampling)."""
-    if kind == "cross_entropy":
-        return loss_on_weights(weights64(ps), data.x, data.y, kind, _activation_of(ps))
-    return loss_on_weights(weights64(ps), data.x, data.x, kind, _activation_of(ps))
+def dataset_loss(ps: ParameterSet, data) -> float:
+    """Forward-only loss over a whole dataset, the loss :func:`sgd_train` trains it with."""
+    kind = _loss_kind(data)
+    target = data.y if kind == "cross_entropy" else data.x
+    return loss_on_weights(weights64(ps), data.x, target, kind, _activation_of(ps))
 
 
-def pretrain_denoising(arch: ModelArch, data, cfg: TrainConfig) -> ParameterSet:
+def pretrain_denoising(arch: ModelArch, data: UnlabeledBatch, cfg: TrainConfig) -> ParameterSet:
     """Train input reconstruction from noise-corrupted input; the p(theta) analogue.
 
     With ``cfg.updates == 0`` this returns the seeded initialization unchanged.
     """
     if not isinstance(data, UnlabeledBatch):
-        data = UnlabeledBatch(np.asarray(data))
+        raise ValueError("denoising pre-training requires an UnlabeledBatch")
     rng = np.random.default_rng(cfg.seed)
     ps = init_model(arch, rng)
     ps, _ = sgd_train(ps, data, cfg, cfg.updates, rng)

@@ -106,18 +106,18 @@ def test_regrowth_keeps_parameters_trainable():
 def test_schedule_timing_paper_presets():
     task = gen_domain_shift(7, DomainShiftSpec())
     pre = init_model(ARCH, 4)
-    cfg = TrainConfig(lr=0.05, batch=16, updates=0, seed=5)
+    cfg = TrainConfig(lr=0.05, batch=16, updates=10000, seed=5)
 
-    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 10000, 1000)
+    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 1000)
     _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
     assert [e.update for e in log.events] == [0, 1000, 2000]
     assert log.final["total_updates"] == 10000
 
-    sched = PruneSchedule("iterative", (30, 30, 30), 10000, 1000)
+    sched = PruneSchedule("iterative", (30, 30, 30), 1000)
     _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
     assert len(log.events) == 3
 
-    sched = PruneSchedule("once", (40,), 10000, 1000)
+    sched = PruneSchedule("once", (40,), 1000)
     _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
     assert len(log.events) == 1
     ok("schedule timing: dynamic events {0,1000,2000} at N=10000, n=1000; iterative 3; once 1")
@@ -125,10 +125,10 @@ def test_schedule_timing_paper_presets():
 
 def test_schedule_validation_presets():
     with pytest.raises(ScheduleError):
-        validate(PruneSchedule("dynamic_iterative", (30, 30, 10), 1000, 100))
+        validate(PruneSchedule("dynamic_iterative", (30, 30, 10), 100), 1000)
     with pytest.raises(ScheduleError):
-        validate(PruneSchedule("iterative", (30, 25, 20), 1000, 100))
-    validate(PruneSchedule("dynamic_iterative", (30, 25, 20, 10), 9000, 1000))
+        validate(PruneSchedule("iterative", (30, 25, 20), 100), 1000)
+    validate(PruneSchedule("dynamic_iterative", (30, 25, 20, 10), 1000), 9000)
     ok("schedule validation: bad dynamic/iterative rejected, BASE dynamic preset accepted")
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pada.cli import cmd_compare_masks, cmd_make_donor, cmd_pretrain, cmd_report, cmd_run, main
-from pada.config import parse_config
-from pada.params import load_checkpoint
+from pada.config import default_config, parse_config
+from pada.params import load_checkpoint, save_checkpoint
 from pada.pruning import Mask, MaskEntry, save_mask
 from pada.schedule import ConfigError, read_log_jsonl
 
@@ -270,6 +270,28 @@ def test_run_zero_dim_checkpoint_is_format_error(tmp_path, capsys):
     assert "dims must be positive" in err
 
 
+def test_run_nonfinite_donor_is_format_error(tmp_path, capsys):
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["strategies"] = ["CD-TAW"]
+    doc["frequencies"] = ["once"]
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    cmd_make_donor(cfg)
+    donor_path = os.path.join(cfg.out, cfg.donor_file)
+    donor = load_checkpoint(donor_path)
+    donor["layers.1.weight"].data[0, 0] = np.nan
+    save_checkpoint(donor, donor_path)
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("format:")
+    assert "donor.pada" in err and "'layers.1.weight'" in err
+    assert not os.path.exists(os.path.join(cfg.out, "table.csv"))
+
+
 def test_cell_failure_carries_run_identity(tmp_path, capsys):
     from pada.params import ParameterSet, save_checkpoint
     from pada.trainer import ModelArch, init_model
@@ -385,3 +407,10 @@ def test_run_writes_masks_for_pada_cells(tmp_path):
     names = os.listdir(run_dir)
     assert "tag_once_seed0.padm" in names
     assert not any(n.startswith("dft") and n.endswith(".padm") for n in names)
+
+
+def test_default_config_is_the_demo_config():
+    # the benchmark builds its workloads from default_config(); the demo file must match
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "config_default.json")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == default_config()

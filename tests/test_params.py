@@ -154,6 +154,18 @@ def test_corrupt_container_bytes_are_format_errors(tmp_path, kind):
     assert set(outcomes["flipped"]) == {"format", "loaded"}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_weights_are_format_errors(tmp_path, bad):
+    # magnitude ranking would never prune a NaN, so a checkpoint holding one is corrupt
+    ps = two_tensor_set()
+    ps["layers.0.bias"].data[1] = bad
+    path = str(tmp_path / "w.pada")
+    save_checkpoint(ps, path)
+    with pytest.raises(FormatError, match="'layers.0.bias' holds NaN or inf") as info:
+        load_checkpoint(path)
+    assert path in str(info.value)
+
+
 def test_role_is_a_reserved_meta_key(tmp_path):
     with pytest.raises(ValueError, match="reserved"):
         ParameterSet([], role="adapted", meta={"role": "pretrained"})

@@ -29,76 +29,95 @@ def tcfg(seed=0, lr=0.05, batch=8, updates=0):
 
 
 def test_validate_accepts_paper_presets():
-    validate(PruneSchedule("dynamic_iterative", (40, 20, 10), 10000, 1000))
-    validate(PruneSchedule("iterative", (30, 30, 30), 10000, 1000))
-    validate(PruneSchedule("once", (40,), 10000, 1000))
-    validate(PruneSchedule("dynamic_iterative", (30, 25, 20, 10), 9000, 1000))  # BASE preset
+    validate(PruneSchedule("dynamic_iterative", (40, 20, 10), 1000), 10000)
+    validate(PruneSchedule("iterative", (30, 30, 30), 1000), 10000)
+    validate(PruneSchedule("once", (40,), 1000), 10000)
+    validate(PruneSchedule("dynamic_iterative", (30, 25, 20, 10), 1000), 9000)  # BASE preset
 
 
 def test_validate_rejections_have_distinct_messages():
     with pytest.raises(ScheduleError, match="strictly decreasing"):
-        validate(PruneSchedule("dynamic_iterative", (30, 30, 10), 100, 10))
+        validate(PruneSchedule("dynamic_iterative", (30, 30, 10), 10), 100)
     with pytest.raises(ScheduleError, match="equal"):
-        validate(PruneSchedule("iterative", (30, 25, 20), 100, 10))
+        validate(PruneSchedule("iterative", (30, 25, 20), 10), 100)
     with pytest.raises(ScheduleError, match="exactly one"):
-        validate(PruneSchedule("once", (40, 20), 100, 10))
+        validate(PruneSchedule("once", (40, 20), 10), 100)
     with pytest.raises(ScheduleError, match="at least one"):
-        validate(PruneSchedule("iterative", (), 100, 10))
+        validate(PruneSchedule("iterative", (), 10), 100)
     with pytest.raises(ScheduleError, match="frequency"):
-        validate(PruneSchedule("sometimes", (40,), 100, 10))
+        validate(PruneSchedule("sometimes", (40,), 10), 100)
     with pytest.raises(ScheduleError, match=r"outside \[0, 100\]"):
-        validate(PruneSchedule("once", (140,), 100, 10))
+        validate(PruneSchedule("once", (140,), 10), 100)
     with pytest.raises(ScheduleError, match="total_updates"):
-        validate(PruneSchedule("once", (40,), 0, 10))
+        validate(PruneSchedule("once", (40,), 10), 0)
     with pytest.raises(ScheduleError, match="interval must be positive"):
-        validate(PruneSchedule("iterative", (30, 30), 100, 0))
+        validate(PruneSchedule("iterative", (30, 30), 0), 100)
     with pytest.raises(ScheduleError, match="exceed"):
-        validate(PruneSchedule("iterative", (30, 30), 100, 200))
+        validate(PruneSchedule("iterative", (30, 30), 200), 100)
 
 
 def test_preset_schedules():
-    s = preset_schedule("large", "dynamic_iterative", 10000, 1000)
+    s = preset_schedule("large", "dynamic_iterative", 1000)
     assert s.rates == (40.0, 20.0, 10.0)
-    s = preset_schedule("base", "dynamic_iterative", 9000, 1000)
+    s = preset_schedule("base", "dynamic_iterative", 1000)
     assert s.rates == (30.0, 25.0, 20.0, 10.0)
-    s = preset_schedule("large", "once", 27000, 2400)
+    s = preset_schedule("large", "once", 2400)
     assert s.rates == (40.0,)
     with pytest.raises(ScheduleError):
-        preset_schedule("huge", "once", 100, 10)
+        preset_schedule("huge", "once", 10)
 
 
 def test_event_timing_dynamic():
     pre = init_model(ARCH, 0)
     data = toy_labeled(seed=1)
-    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 50, 10)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=2))
+    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 10)
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=2, updates=50))
     assert [e.update for e in log.events] == [0, 10, 20]
     assert [e.rate for e in log.events] == [40.0, 20.0, 10.0]
     assert log.final["total_updates"] == 50
+
+
+def test_run_pada_trains_cfg_updates():
+    # N is the TrainConfig's; the schedule only plans where to prune
+    pre = init_model(ARCH, 49)
+    data = toy_labeled(seed=50)
+    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 10)
+    for n_total, expected in ((15, [0, 10]), (20, [0, 10, 20]), (45, [0, 10, 20])):
+        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=51, updates=n_total))
+        assert log.final["total_updates"] == n_total
+        assert [e.update for e in log.events] == expected
+    # without pruning, a run takes exactly the SGD steps DFT takes on the same config
+    unpruned = PruneSchedule("once", (0,), 1)
+    for n_total in (7, 8):
+        cfg = tcfg(seed=52, updates=n_total)
+        adapted, _ = run_pada(pre, "TAG", unpruned, data, cfg)
+        assert adapted.tensors == run_dft(pre, data, cfg)[0].tensors
+    with pytest.raises(ScheduleError, match="total_updates must be positive"):
+        run_pada(pre, "TAG", sched, data, tcfg(seed=51, updates=0))
 
 
 def test_event_timing_iterative_guard():
     # third rate unapplied: next candidate point 2000 exceeds N=1500
     pre = init_model(ARCH, 3)
     data = toy_labeled(seed=4)
-    sched = PruneSchedule("iterative", (30, 30, 30), 1500, 1000)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=5))
+    sched = PruneSchedule("iterative", (30, 30, 30), 1000)
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=5, updates=1500))
     assert [e.update for e in log.events] == [0, 1000]
 
 
 def test_event_exactly_at_n_is_executed():
     pre = init_model(ARCH, 6)
     data = toy_labeled(seed=7)
-    sched = PruneSchedule("iterative", (30, 30, 30), 20, 10)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=8))
+    sched = PruneSchedule("iterative", (30, 30, 30), 10)
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=8, updates=20))
     assert [e.update for e in log.events] == [0, 10, 20]
 
 
 def test_once_single_event():
     pre = init_model(ARCH, 9)
     data = toy_labeled(seed=10)
-    sched = PruneSchedule("once", (40,), 30, 10)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=11))
+    sched = PruneSchedule("once", (40,), 10)
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=11, updates=30))
     assert [e.update for e in log.events] == [0]
 
 
@@ -112,8 +131,8 @@ def test_event_count_bound_property():
         k = int(rng.integers(1, 6))
         rates = tuple(np.linspace(50, 5, k))  # strictly decreasing
         freq = "dynamic_iterative" if k > 1 else "once"
-        sched = PruneSchedule(freq, rates, n_total, interval)
-        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=15))
+        sched = PruneSchedule(freq, rates, interval)
+        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=15, updates=n_total))
         expected = min(k, n_total // interval + 1) if freq != "once" else 1
         assert len(log.events) == expected
         assert [e.update for e in log.events] == [i * interval for i in range(len(log.events))] or freq == "once"
@@ -123,7 +142,7 @@ def test_rate_zero_collapses_to_dft():
     pre = init_model(ARCH, 16)
     data = toy_labeled(seed=17)
     cfg = tcfg(seed=18, updates=40)
-    sched = PruneSchedule("iterative", (0, 0, 0), 40, 10)
+    sched = PruneSchedule("iterative", (0, 0, 0), 10)
     adapted, log = run_pada(pre, "TAG", sched, data, cfg)
     baseline, _ = run_dft(pre, data, cfg)
     assert adapted.tensors == baseline.tensors  # bit-identical weights
@@ -134,7 +153,7 @@ def test_once_rate_zero_equals_dft():
     pre = init_model(ARCH, 19)
     data = toy_labeled(seed=20)
     cfg = tcfg(seed=21, updates=35)
-    sched = PruneSchedule("once", (0,), 35, 5)
+    sched = PruneSchedule("once", (0,), 5)
     adapted, _ = run_pada(pre, "TAG", sched, data, cfg)
     baseline, _ = run_dft(pre, data, cfg)
     assert adapted.tensors == baseline.tensors
@@ -143,17 +162,17 @@ def test_once_rate_zero_equals_dft():
 def test_no_persistent_mask_regrowth():
     pre = init_model(ARCH, 22)
     data = toy_labeled(seed=23)
-    sched = PruneSchedule("once", (40,), 200, 10)
-    adapted, log = run_pada(pre, "TAG", sched, data, tcfg(seed=24))
+    sched = PruneSchedule("once", (40,), 10)
+    adapted, log = run_pada(pre, "TAG", sched, data, tcfg(seed=24, updates=200))
     assert log.final["final_sparsity"] < log.events[0].sparsity_after
 
 
 def test_reproducible_bit_identical():
     pre = init_model(ARCH, 25)
     data = toy_labeled(seed=26)
-    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 60, 20)
-    a, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27))
-    b, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27))
+    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 20)
+    a, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27, updates=60))
+    b, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27, updates=60))
     assert a == b
     assert a.role == "adapted"
 
@@ -161,9 +180,9 @@ def test_reproducible_bit_identical():
 def test_invalid_schedule_rejected_by_run():
     pre = init_model(ARCH, 31)
     data = toy_labeled(seed=32)
-    sched = PruneSchedule("dynamic_iterative", (10, 20), 10, 5)
+    sched = PruneSchedule("dynamic_iterative", (10, 20), 5)
     with pytest.raises(ScheduleError):
-        run_pada(pre, "TAG", sched, data, tcfg(seed=33))
+        run_pada(pre, "TAG", sched, data, tcfg(seed=33, updates=10))
 
 
 def test_divergence_carries_global_step():
@@ -176,14 +195,14 @@ def test_divergence_carries_global_step():
     x = data.x.copy()
     x[17] = np.nan
     data = LabeledBatch(x, data.y)
-    cfg = tcfg(seed=0, batch=8)
+    cfg = tcfg(seed=0, batch=8, updates=400)
     # independent replay of the documented sampling contract:
     # one rng.integers(0, n, batch) call per update
     rng = np.random.default_rng(cfg.seed)
     expected = next(
         step for step in range(400) if 17 in rng.integers(0, data.n, size=cfg.batch)
     )
-    sched = PruneSchedule("iterative", (10, 10, 10), 400, 2)
+    sched = PruneSchedule("iterative", (10, 10, 10), 2)
     assert expected >= sched.interval  # fails in a later chunk, not the first
     with pytest.raises(TrainingDivergedError) as info:
         run_pada(pre, "TAG", sched, data, cfg)
@@ -217,9 +236,9 @@ def test_log_jsonl_roundtrip(tmp_path):
     pre = init_model(ARCH, 41)
     data = toy_labeled(seed=42)
     eval_data = toy_labeled(seed=43)
-    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 30, 10)
+    sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 10)
     _, log = run_pada(
-        pre, "TAG", sched, data, tcfg(seed=44), eval_data=eval_data
+        pre, "TAG", sched, data, tcfg(seed=44, updates=30), eval_data=eval_data
     )
     path = str(tmp_path / "log.jsonl")
     write_log_jsonl(log, path)
@@ -237,7 +256,7 @@ def test_taw_strategy_inside_run(tmp_path):
     pre = init_model(ARCH, 45)
     data = toy_labeled(seed=46)
     cfg = tcfg(seed=47, updates=30)
-    sched = PruneSchedule("once", (40,), 30, 10)
+    sched = PruneSchedule("once", (40,), 10)
     finetuned = finetune_supervised(pre, data, tcfg(seed=48, updates=20))
     mask_path = str(tmp_path / "taw.padm")
     a, _ = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned)

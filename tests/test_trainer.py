@@ -10,6 +10,7 @@ from pada.trainer import (
     TrainConfig,
     TrainingDivergedError,
     UnlabeledBatch,
+    dataset_loss,
     evaluate,
     finetune_supervised,
     forward,
@@ -251,10 +252,30 @@ def test_supervised_stages_refuse_unlabeled_data():
     for stage in (
         lambda: finetune_supervised(pre, data, cfg),
         lambda: run_dft(pre, data, cfg),
-        lambda: run_pada(pre, "TAG", PruneSchedule("once", (40,), 1, 1), data, cfg),
+        lambda: run_pada(pre, "TAG", PruneSchedule("once", (40,), 1), data, cfg),
     ):
         with pytest.raises(ValueError, match="LabeledBatch"):
             stage()
+
+
+def test_pretraining_refuses_labeled_data():
+    # a LabeledBatch would train the classification head instead
+    x = np.zeros((4, 6))
+    cfg = TrainConfig(lr=0.05, batch=2, updates=1, seed=0)
+    for data in (LabeledBatch(x, np.zeros(4, dtype=np.int64)), x):
+        with pytest.raises(ValueError, match="UnlabeledBatch"):
+            pretrain_denoising(ARCH, data, cfg)
+
+
+def test_dataset_loss_follows_the_data_type():
+    ps = init_model(ARCH, 30)
+    data = toy_labeled(32, seed=31)
+    w, act = weights64(ps), "tanh"
+    assert dataset_loss(ps, data) == loss_on_weights(w, data.x, data.y, "cross_entropy", act)
+    rows = UnlabeledBatch(data.x)
+    assert dataset_loss(ps, rows) == loss_on_weights(w, rows.x, rows.x, "mse_reconstruction", act)
+    with pytest.raises(ValueError, match="LabeledBatch or an UnlabeledBatch"):
+        dataset_loss(ps, data.x)
 
 
 def test_finetune_head_changes_and_improves():
