@@ -2,9 +2,11 @@
 
 Subcommands: pretrain, make-donor, run, compare-masks, report.  Every
 subcommand is deterministic given its config file and inputs; outputs are
-written atomically.  ``run`` runs every grid cell of one seed before the
-next seed, and fine-tunes on the target data once per seed: that model is
-the DFT cell's result and the one TAW's masks rank.
+written atomically.  ``run`` trains the grid one seed at a time; all cells
+of a seed train together in :func:`~pada.schedule.run_cells`.  The seed's
+fine-tune on the target data is both the DFT cell's result and the model
+TAW's masks rank.  When cells fail, ``run`` reports the first failing cell
+in table order, as if the cells had run one after another.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from .params import (
     load_checkpoint,
     save_checkpoint,
 )
-from .pruning import load_mask
+from .pruning import load_mask, save_mask
 from .schedule import (
     ConfigError,
     ScheduleError,
+    final_record,
     read_log_jsonl,
-    run_dft,
-    run_pada,
+    run_cells,
     write_log_jsonl,
 )
 from .trainer import TrainingDivergedError, finetune_supervised, pretrain_denoising
@@ -119,39 +121,32 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     if any(s == "CD-TAW" for s in cfg.strategies):
         donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
     task = gen_domain_shift(cfg.task_seed, cfg.task)
-    dft_eval = task.target_eval if cfg.include_dft else None
+    # TAW ranks its seed's DFT model, so DFT trains even when the table leaves it out
+    trained = cells if cfg.include_dft or "TAW" not in cfg.strategies else [("DFT", "-")] + cells
+    plan = [(s, None if s == "DFT" else cfg.schedule_for(f)) for s, f in trained]
 
     finals = []
     for seed in cfg.seeds:
         tcfg = cfg.target_cfg(seed)
-        finetuned = None  # trained by the first cell of this seed that needs it
-        for strategy, freq in cells:
+        outcomes = run_cells(pretrained, plan, task.target_labeled, tcfg, donor=donor)
+        for (strategy, freq), outcome in zip(trained, outcomes):
+            if strategy == "DFT" and not cfg.include_dft:
+                continue
             name = _cell_name(strategy, freq, seed)
             try:
-                if finetuned is None and strategy in ("DFT", "TAW"):
-                    finetuned, dft_log = run_dft(
-                        pretrained, task.target_labeled, tcfg, eval_data=dft_eval
-                    )
-                if strategy == "DFT":
-                    model, log = finetuned, dft_log
-                else:
-                    sched = cfg.schedule_for(freq)
-                    model, log = run_pada(
-                        pretrained,
-                        strategy,
-                        sched,
-                        task.target_labeled,
-                        tcfg,
-                        donor=donor,
-                        finetuned=finetuned,
-                        eval_data=task.target_eval,
-                        save_mask_to=os.path.join(run_dir, f"{name}.padm"),
-                    )
+                if isinstance(outcome, Exception):
+                    raise outcome
+                model, log, mask = outcome
+                log.final = final_record(
+                    model, tcfg.updates, strategy, freq, task.target_labeled, task.target_eval
+                )
+                log.final["seed"] = seed
+                if mask is not None:
+                    save_mask(mask, os.path.join(run_dir, f"{name}.padm"))
+                write_log_jsonl(log, os.path.join(run_dir, f"{name}.jsonl"))
+                save_checkpoint(model, os.path.join(run_dir, f"{name}.pada"))
             except Exception as exc:
                 raise RunFailure(f"run {name}: {exc}") from exc
-            log.final["seed"] = seed
-            write_log_jsonl(log, os.path.join(run_dir, f"{name}.jsonl"))
-            save_checkpoint(model, os.path.join(run_dir, f"{name}.pada"))
             finals.append(log.final)
 
     by_cell = _errors_by_cell(finals)

@@ -27,6 +27,17 @@ def _train_cfg(doc: dict, where: str, **extra) -> TrainConfig:
     return TrainConfig(**fields, **extra)
 
 
+def _config_seeds(value) -> list[int]:
+    """The config's seed sweep: a JSON list of integers (a bool or a fraction is no seed)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"seeds must be a JSON list of integers, got {value!r}")
+    for s in value:
+        integral = isinstance(s, int) or isinstance(s, float) and s.is_integer()
+        if isinstance(s, bool) or not integral:
+            raise ConfigError(f"seeds must be integers, got {s!r}")
+    return check_seeds(value)
+
+
 def check_seeds(seeds) -> list[int]:
     """The seed sweep as a list of ints; it must be nonempty and hold no duplicates."""
     seeds = [int(s) for s in seeds]
@@ -129,7 +140,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         strategies=strategies,
         frequencies=frequencies,
         include_dft=bool(doc.get("include_dft", True)),
-        seeds=check_seeds(_req(doc, "seeds", "")),
+        seeds=_config_seeds(_req(doc, "seeds", "")),
         out=str(_req(doc, "out", "")),
         pretrained_file=str(doc.get("pretrained", "pretrained.pada")),
         donor_file=str(doc.get("donor_checkpoint", "donor.pada")),

@@ -13,6 +13,13 @@ independent of the initial strategy).  A prune point landing exactly on
 update N is executed; training never exceeds N updates.  The final model
 carries no mask of any kind.  Logged losses use the loss the target data
 trains with, which its type decides.
+
+One executor, :func:`run_cells`, runs every cell of a seed.  All cells draw
+the same minibatches from ``default_rng(seed)``, so a wave of cells trains
+as one :class:`~pada.trainer.ModelStack` that stops at each of its cells'
+prune points.  TAW ranks the seed's DFT model, so the TAW cells form a second
+wave after the DFT, TAG and CD-TAW cells.  :func:`run_pada` and
+:func:`run_dft` are one-cell calls of the same executor.
 """
 
 from __future__ import annotations
@@ -22,10 +29,18 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .params import ParameterSet, atomic_write_text
-from .pruning import apply_zeroing, compute_ump_mask, save_mask, sparsity
+from .params import FormatError, ParameterSet, atomic_write_text
+from .pruning import Mask, apply_zeroing, compute_ump_mask, save_mask, sparsity
 from .strategies import initial_model
-from .trainer import LabeledBatch, TrainConfig, dataset_loss, evaluate, sgd_train
+from .trainer import (
+    LabeledBatch,
+    ModelStack,
+    TrainConfig,
+    TrainingDivergedError,
+    check_data,
+    dataset_loss,
+    evaluate,
+)
 
 FREQUENCIES = ("once", "iterative", "dynamic_iterative")
 
@@ -125,16 +140,144 @@ def write_log_jsonl(log: PadaRunLog, path: str) -> None:
 
 
 def read_log_jsonl(path: str) -> PadaRunLog:
+    """Inverse of :func:`write_log_jsonl`; anything else is a FormatError naming the line."""
     log = PadaRunLog()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            kind = rec.pop("kind")
-            if kind == "prune":
-                log.events.append(PruneEvent(**rec))
-            else:
-                log.final = rec
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                kind = rec.pop("kind", None) if isinstance(rec, dict) else None
+                if kind == "prune":
+                    log.events.append(PruneEvent(**rec))
+                elif kind == "final":
+                    log.final = rec
+                else:
+                    raise FormatError(f"{path}, line {lineno}: unknown record kind {kind!r}")
+            except (ValueError, TypeError) as exc:  # not JSON, or other prune fields
+                raise FormatError(f"{path}, line {lineno}: {exc}") from exc
     return log
+
+
+def run_cells(
+    pretrained: ParameterSet,
+    cells: list,
+    target_data: LabeledBatch,
+    cfg: TrainConfig,
+    donor: ParameterSet | None = None,
+    finetuned: ParameterSet | None = None,
+) -> list:
+    """Fine-tune every cell of one seed on the target data, in as few stacks as TAW allows.
+
+    ``cells`` are ``(strategy, schedule)`` pairs; a pair without a schedule
+    is direct fine-tuning (DFT).  Every cell trains N = ``cfg.updates``
+    updates from its own ``default_rng(cfg.seed)`` stream, so all cells draw
+    the same minibatches and a wave of cells advances as one
+    :class:`~pada.trainer.ModelStack`.  Wave 1 holds the DFT, TAG and CD-TAW
+    cells.  Wave 2 holds the TAW cells, whose initial masks rank
+    ``finetuned`` or, when that is None, wave 1's DFT model.  Cells with the
+    same strategy and r1 share one initial mask, ranked once.  The stack
+    stops at every prune point of its cells, where each cell that prunes
+    there is re-ranked and zeroed.
+
+    Returns one entry per cell, in order: ``(model, log, initial mask)``,
+    where the log holds the prune events (a DFT cell has neither events nor
+    mask), or the exception that ended the cell.  A failing cell, such as one
+    that diverges, never stops the others.
+    """
+    try:
+        if not isinstance(target_data, LabeledBatch):
+            raise ValueError("fine-tuning on the target requires a LabeledBatch")
+        check_data(pretrained, target_data)
+    except ValueError as exc:
+        return [exc] * len(cells)
+    outcomes: list = [None] * len(cells)
+    wave1 = [i for i, (strategy, _) in enumerate(cells) if strategy != "TAW"]
+    wave2 = [i for i, (strategy, _) in enumerate(cells) if strategy == "TAW"]
+    _run_wave(pretrained, cells, wave1, target_data, cfg, outcomes, donor, finetuned)
+    if wave2:
+        if finetuned is None:
+            dft = next((outcomes[i] for i in wave1 if cells[i][1] is None), None)
+            if isinstance(dft, Exception):  # the model TAW ranks was never finished
+                for i in wave2:
+                    outcomes[i] = dft
+                return outcomes
+            finetuned = dft[0] if dft is not None else None
+        _run_wave(pretrained, cells, wave2, target_data, cfg, outcomes, donor, finetuned)
+    return outcomes
+
+
+@dataclass
+class _Member:
+    """One cell of a wave: where it starts and what it has logged so far."""
+
+    cell: int  # index into the executor's cells
+    start: ParameterSet
+    log: PadaRunLog
+    mask: Mask | None
+    points: list  # pending (update, rate) prune points, in order
+
+
+def _run_wave(pretrained, cells, wave, target_data, cfg, outcomes, donor, finetuned) -> None:
+    """Train the cells ``wave`` indexes as one stack; store each outcome in ``outcomes``."""
+    n_total = cfg.updates
+    starts = {}  # (strategy, r1) -> (zeroed model, mask, update-0 event)
+    members = []
+    for i in wave:
+        strategy, sched = cells[i]
+        if sched is None:
+            members.append(_Member(i, pretrained, PadaRunLog(), None, []))
+            continue
+        try:
+            validate(sched, n_total)
+            r1 = sched.rates[0]
+            if (strategy, r1) not in starts:
+                model, mask = initial_model(
+                    pretrained, strategy, r1, finetuned=finetuned, donor=donor
+                )
+                event = _prune_event(0, r1, sparsity(pretrained), model, target_data)
+                starts[strategy, r1] = (model, mask, event)
+        except Exception as exc:
+            outcomes[i] = exc
+            continue
+        model, mask, event = starts[strategy, r1]
+        # rates[k] prunes at update k*n while k*n <= N; rates[0] was the strategy's
+        points = [
+            (k * sched.interval, rate)
+            for k, rate in enumerate(sched.rates)
+            if 0 < k and k * sched.interval <= n_total
+        ]
+        members.append(_Member(i, model, PadaRunLog([event]), mask, points))
+    if not members:
+        return
+
+    stack = ModelStack.of([m.start for m in members], "cross_entropy")
+    rng = np.random.default_rng(cfg.seed)
+    done = 0
+    while done < n_total and stack.ids:
+        stop = min([members[j].points[0][0] for j in stack.ids if members[j].points] + [n_total])
+        stack.train(target_data, cfg, stop - done, rng, step_offset=done)
+        done = stop
+        for j in stack.ids:
+            m = members[j]
+            if m.points and m.points[0][0] == done:
+                _, rate = m.points.pop(0)
+                model = stack.model(j, pretrained, "adapted")
+                before = sparsity(model)
+                model = apply_zeroing(model, compute_ump_mask(model, rate, source="in-loop"))
+                m.log.events.append(_prune_event(done, rate, before, model, target_data))
+                stack.set(j, model)
+    for j, step in stack.diverged.items():
+        outcomes[members[j].cell] = TrainingDivergedError(step)
+    for j in stack.ids:
+        m = members[j]
+        role = "finetuned_target" if cells[m.cell][1] is None else "adapted"
+        outcomes[m.cell] = (stack.model(j, pretrained, role), m.log, m.mask)
+
+
+def _result(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_pada(
@@ -150,52 +293,24 @@ def run_pada(
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Prune-assisted fine-tuning: strategy prune at update 0, then train to N.
 
-    N is ``cfg.updates``.  ``strategy`` is a kind from
-    :data:`~pada.strategies.STRATEGY_KINDS`; its initial mask prunes at the
-    schedule's first rate r1.  Event i lands at update i*n while rates remain
-    and i*n <= N; the logged "train_loss" is the loss over the full target
-    labeled set at that point.  Returns the adapted model (no persistent
-    mask) and the run log.
+    The one-cell call of :func:`run_cells`.  N is ``cfg.updates``.
+    ``strategy`` is a kind from :data:`~pada.strategies.STRATEGY_KINDS`; its
+    initial mask prunes at the schedule's first rate r1.  Event i lands at
+    update i*n while rates remain and i*n <= N; the logged "train_loss" is
+    the loss over the full target labeled set at that point.  Returns the
+    adapted model (no persistent mask) and the run log.
     TAW ranks ``finetuned`` (the target fine-tuned model), CD-TAW ``donor``.
     ``save_mask_to`` optionally writes the initial strategy mask as a .padm
     file for later similarity analysis.
     """
-    validate(sched, cfg.updates)
-    if not isinstance(target_data, LabeledBatch):
-        raise ValueError("prune-assisted fine-tuning requires a LabeledBatch")
-    n_total = cfg.updates
-    log = PadaRunLog()
-
-    s_before = sparsity(pretrained)
-    model, mask0 = initial_model(
-        pretrained, strategy, sched.rates[0], finetuned=finetuned, donor=donor
+    (outcome,) = run_cells(
+        pretrained, [(strategy, sched)], target_data, cfg, donor=donor, finetuned=finetuned
     )
+    model, log, mask = _result(outcome)
     if save_mask_to is not None:
-        save_mask(mask0, save_mask_to)
-    log.events.append(_prune_event(0, sched.rates[0], s_before, model, target_data))
-
-    rng = np.random.default_rng(cfg.seed)
-    done = 0
-    next_rate = 1  # rates[0] was consumed by the strategy at update 0
-    while done < n_total:
-        # train to the next prune point, or straight to N once no rate is left
-        pruning = next_rate < len(sched.rates)
-        chunk = min(sched.interval, n_total - done) if pruning else n_total - done
-        model, _ = sgd_train(model, target_data, cfg, chunk, rng, step_offset=done)
-        done += chunk
-        if pruning and done % sched.interval == 0:
-            s_before = sparsity(model)
-            mask = compute_ump_mask(model, sched.rates[next_rate], source="in-loop")
-            model = apply_zeroing(model, mask)
-            log.events.append(
-                _prune_event(done, sched.rates[next_rate], s_before, model, target_data)
-            )
-            next_rate += 1
-
-    # sgd_train/apply_zeroing built ``model`` fresh, so its tensors are ours
-    adapted = ParameterSet(model.tensors, "adapted", dict(model.meta))
-    log.final = _final_record(adapted, n_total, strategy, sched.freq, target_data, eval_data)
-    return adapted, log
+        save_mask(mask, save_mask_to)
+    log.final = final_record(model, cfg.updates, strategy, sched.freq, target_data, eval_data)
+    return model, log
 
 
 def run_dft(
@@ -204,14 +319,13 @@ def run_dft(
     cfg: TrainConfig,
     eval_data: LabeledBatch | None = None,
 ) -> tuple[ParameterSet, PadaRunLog]:
-    """Direct fine-tuning baseline: cfg.updates SGD steps, no pruning at all."""
-    if not isinstance(target_data, LabeledBatch):
-        raise ValueError("direct fine-tuning requires a LabeledBatch")
-    rng = np.random.default_rng(cfg.seed)
-    model, _ = sgd_train(pretrained, target_data, cfg, cfg.updates, rng)
-    model = ParameterSet(model.tensors, "finetuned_target", dict(model.meta))
-    log = PadaRunLog()
-    log.final = _final_record(model, cfg.updates, "DFT", "-", target_data, eval_data)
+    """Direct fine-tuning baseline: cfg.updates SGD steps, no pruning at all.
+
+    The one-cell call of :func:`run_cells`.
+    """
+    (outcome,) = run_cells(pretrained, [("DFT", None)], target_data, cfg)
+    model, log, _ = _result(outcome)
+    log.final = final_record(model, cfg.updates, "DFT", "-", target_data, eval_data)
     return model, log
 
 
@@ -222,7 +336,7 @@ def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEven
     return PruneEvent(update, rate, sparsity_before, after, loss)
 
 
-def _final_record(model, total_updates, strategy, freq, target_data, eval_data) -> dict:
+def final_record(model, total_updates, strategy, freq, target_data, eval_data) -> dict:
     """The "final" log record of a trained model (key order is the file format)."""
     final = {
         "total_updates": total_updates,

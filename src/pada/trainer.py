@@ -10,11 +10,16 @@ trains ``cls.*`` with cross-entropy on a :class:`LabeledBatch` and ``recon.*``
 with the denoising MSE on an :class:`UnlabeledBatch`.
 
 Weights are stored as float32 (the checkpoint-canonical dtype); all forward,
-loss and gradient arithmetic runs in float64.  The SGD kernel
-(:func:`loss_and_grads`, :func:`sgd_step`) works on plain name->array weight
-dicts; :func:`sgd_train` builds a ParameterSet only for the model it returns.
-:func:`loss_on_weights` exposes the float64 core so finite-difference gradient
-checks can perturb weights without float32 rounding.
+loss and gradient arithmetic runs in float64.  One training kernel,
+:class:`ModelStack`, trains S models of one structure at once: every step
+feeds all of them the same minibatch, every product is one ``np.matmul``
+over the stack, and each model ends bit-identical to training it alone.
+:func:`sgd_train` is its S = 1 call and builds a ParameterSet only for the
+model it returns; :func:`loss_and_grads` and :func:`sgd_step` expose its
+backward pass and its update on plain name->array weight dicts, and
+:func:`forward`, :func:`evaluate` and :func:`dataset_loss` use its forward
+pass.  :func:`loss_on_weights` exposes the float64 core so finite-difference
+gradient checks can perturb weights without float32 rounding.
 
 No operation freezes a parameter: SGD updates every weight, including ones a
 pruning pass just zeroed, which is what lets zeroed weights regrow.
@@ -30,10 +35,8 @@ import numpy as np
 from .params import ParameterSet, StructureMismatchError, Tensor
 
 ACTIVATIONS = ("tanh", "relu")
-HEADS = ("reconstruction", "classification")
 LOSSES = ("mse_reconstruction", "cross_entropy")
 
-_HEAD_PREFIX = {"reconstruction": "recon", "classification": "cls"}
 _LOSS_HEAD = {"mse_reconstruction": "recon", "cross_entropy": "cls"}
 
 
@@ -149,11 +152,6 @@ def init_model(arch: ModelArch, seed) -> ParameterSet:
     return ParameterSet(tensors, "pretrained", {"activation": arch.activation})
 
 
-def weights64(ps: ParameterSet) -> dict[str, np.ndarray]:
-    """Exact float64 copies of every tensor, keyed by name."""
-    return {t.name: t.data.astype(np.float64) for t in ps.tensors}
-
-
 def _activation_of(ps: ParameterSet) -> str:
     act = ps.meta.get("activation", "tanh")
     if act not in ACTIVATIONS:
@@ -174,44 +172,207 @@ def _act_grad_from_output(a: np.ndarray, activation: str) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
 
 
-def _forward64(weights, x64, activation, head_prefix):
-    acts = [x64]
-    i = 0
-    while f"layers.{i}.weight" in weights:
-        z = acts[-1] @ weights[f"layers.{i}.weight"].T + weights[f"layers.{i}.bias"]
-        acts.append(_apply_act(z, activation))
-        i += 1
-    if i == 0:
+def _trunk_depth(names, head: str) -> int:
+    """Number of trunk layers, after checking the tensors a forward pass reads exist."""
+    depth = 0
+    while f"layers.{depth}.weight" in names:
+        depth += 1
+    if depth == 0:
         raise ValueError("parameter set has no trunk layers (layers.0.weight missing)")
-    wname, bname = f"{head_prefix}.weight", f"{head_prefix}.bias"
-    if wname not in weights:
-        raise ValueError(f"parameter set has no {wname} head tensor")
-    out = acts[-1] @ weights[wname].T + weights[bname]
+    if f"{head}.weight" not in names:
+        raise ValueError(f"parameter set has no {head}.weight head tensor")
+    return depth
+
+
+def _forward(w, x, activation: str, head: str, depth: int):
+    """Outputs of S stacked models on one batch, plus every layer's activations.
+
+    ``w`` maps names to float64 arrays with a leading stack axis of S models;
+    all of them read the same (batch, input) matrix ``x``.  ``np.matmul`` over
+    the stack computes each slice exactly as the 2-D product of that model
+    alone would.
+    """
+    acts = [x]
+    for i in range(depth):
+        z = np.matmul(acts[-1], w[f"layers.{i}.weight"].transpose(0, 2, 1))
+        z += w[f"layers.{i}.bias"][:, None, :]
+        acts.append(_apply_act(z, activation))
+    out = np.matmul(acts[-1], w[f"{head}.weight"].transpose(0, 2, 1))
+    out += w[f"{head}.bias"][:, None, :]
     return out, acts
 
 
 def _loss_from_outputs(out: np.ndarray, target, kind: str):
-    """Return (loss, d_loss/d_out). Target: labels for CE, a real matrix for MSE."""
+    """Per-model losses (S,) and d_loss/d_out of stacked outputs (S, batch, k).
+
+    Every model shares ``target``: labels for CE, a real matrix for MSE.  Each
+    model's loss is a mean over its own batch (and, for MSE, its outputs).
+    """
+    rows = out.shape[1]
     if kind == "cross_entropy":
         y = np.asarray(target, dtype=np.int64)
-        if y.ndim != 1 or y.shape[0] != out.shape[0]:
+        if y.ndim != 1 or y.shape[0] != rows:
             raise ValueError("cross_entropy requires one integer label per row")
-        zmax = out.max(axis=1, keepdims=True)
+        zmax = out.max(axis=2, keepdims=True)
         ez = np.exp(out - zmax)
-        logsump = np.log(ez.sum(axis=1)) + zmax[:, 0]
-        loss = float(np.mean(logsump - out[np.arange(out.shape[0]), y]))
-        p = ez / ez.sum(axis=1, keepdims=True)
-        dout = p
-        dout[np.arange(out.shape[0]), y] -= 1.0
-        dout /= out.shape[0]
+        sums = ez.sum(axis=2, keepdims=True)
+        picked = np.arange(rows)
+        nll = np.log(sums[:, :, 0]) + zmax[:, :, 0] - out[:, picked, y]
+        losses = np.add.reduce(nll, axis=1) / rows
+        dout = ez / sums
+        dout[:, picked, y] -= 1.0
+        dout /= rows
     else:  # mse_reconstruction; callers check the kind
         t = np.asarray(target, dtype=np.float64)
-        if t.shape != out.shape:
-            raise ValueError(f"reconstruction target shape {t.shape} != output {out.shape}")
+        if t.shape != out.shape[1:]:
+            raise ValueError(f"reconstruction target shape {t.shape} != output {out.shape[1:]}")
         diff = out - t
-        loss = float(np.mean(diff * diff))
-        dout = 2.0 * diff / diff.size
-    return loss, dout
+        losses = np.add.reduce((diff * diff).reshape(len(out), -1), axis=1) / t.size
+        dout = 2.0 * diff / t.size
+    return losses, dout
+
+
+def _sgd_update(w: np.ndarray, g: np.ndarray, lr: float, work: np.ndarray) -> None:
+    """In place ``w = f32(f64(w) - lr * f64(g))``; ``work`` is float64 scratch like ``w``."""
+    np.multiply(g, lr, out=work, dtype=np.float64)
+    np.subtract(w, work, out=work, dtype=np.float64)
+    np.copyto(w, work)
+
+
+class ModelStack:
+    """S same-structure models trained as one: one SGD step advances them all.
+
+    A step feeds one minibatch to every model, runs forward and backward in
+    float64 with ``np.matmul`` over a leading stack axis, rounds the
+    gradients to float32 and updates the float32 masters in place,
+    ``f32(f64(w) - lr * f64(g))``: each slice gets exactly the bits it would
+    get trained alone.  Only the trunk and the head the loss reads are
+    trained; the other head's gradient is exactly 0, and ``w - lr * 0 == w``.
+    The trained masters of a slice are one row of ``flat``, next to a float64
+    working copy and a float32 gradient of the same shape, allocated once.
+    So copying the masters to the working copy, rounding the gradients and
+    the update are one ufunc call each per step, and no step allocates a
+    weight-sized array.  ``master``, ``work`` and ``grad`` view these rows
+    per tensor.
+
+    Slices carry ids ``0..S-1`` for their whole life: a slice whose loss turns
+    non-finite leaves the stack before that step's update, and ``diverged``
+    maps its id to the global update index.
+    """
+
+    def __init__(self, weights: list, kind: str, activation: str = "tanh"):
+        if kind not in LOSSES:
+            raise ValueError(f"unknown loss kind {kind!r}")
+        self.kind, self.activation, self.head = kind, activation, _LOSS_HEAD[kind]
+        self.depth = _trunk_depth(weights[0], self.head)
+        names = list(weights[0])
+        self.trained = [n for n in names if n.startswith(("layers.", f"{self.head}."))]
+        self.shapes = {n: np.shape(weights[0][n]) for n in self.trained}
+        rows = [np.concatenate([np.ravel(w[n]) for n in self.trained]) for w in weights]
+        self.flat = np.stack(rows)
+        self.flat_grad = np.empty(self.flat.shape, np.float32)
+        self.fixed = {n: np.stack([w[n] for w in weights]) for n in names if n not in self.trained}
+        self.ids = list(range(len(weights)))
+        self.diverged: dict[int, int] = {}
+        self._views()
+
+    def _views(self) -> None:
+        self.flat_work = np.empty(self.flat.shape)
+        self.master, self.work, self.grad = dict(self.fixed), {}, {}
+        start = 0
+        for name in self.trained:
+            shape = (len(self.flat), *self.shapes[name])
+            cols = slice(start, start + math.prod(self.shapes[name]))
+            self.master[name] = self.flat[:, cols].reshape(shape)
+            self.work[name] = self.flat_work[:, cols].reshape(shape)
+            self.grad[name] = self.flat_grad[:, cols].reshape(shape)
+            start = cols.stop
+
+    @classmethod
+    def of(cls, models: list, kind: str) -> "ModelStack":
+        """Stack of parameter sets; the first one's metadata names the activation."""
+        weights = [{t.name: t.data for t in ps.tensors} for ps in models]
+        return cls(weights, kind, _activation_of(models[0]))
+
+    def grads(self, x: np.ndarray, target) -> np.ndarray:
+        """Per-slice losses at one batch; leaves the float32 gradients in ``grad``."""
+        w = self.work
+        np.copyto(self.flat_work, self.flat)
+        out, acts = _forward(w, x, self.activation, self.head, self.depth)
+        losses, dout = _loss_from_outputs(out, target, self.kind)
+        # each gradient overwrites its tensor's working copy, which the
+        # backward pass has read for the last time by then
+        da = np.matmul(dout, w[f"{self.head}.weight"])
+        self._store(self.head, dout, acts[-1])
+        for i in reversed(range(self.depth)):
+            dz = da * _act_grad_from_output(acts[i + 1], self.activation)
+            if i:
+                da = np.matmul(dz, w[f"layers.{i}.weight"])
+            self._store(f"layers.{i}", dz, acts[i])
+        np.copyto(self.flat_grad, self.flat_work)
+        return losses
+
+    def _store(self, layer: str, d: np.ndarray, a: np.ndarray) -> None:
+        """Weight and bias gradients of ``layer`` from its output grads and its inputs."""
+        np.matmul(d.transpose(0, 2, 1), a, out=self.work[f"{layer}.weight"])
+        np.add.reduce(d, axis=1, out=self.work[f"{layer}.bias"])
+
+    def train(self, data, cfg: "TrainConfig", updates: int, rng, step_offset: int = 0) -> list:
+        """Run ``updates`` SGD steps, drawing one batch per step from ``rng`` for every slice.
+
+        The draws are those of :func:`sgd_train`, so a stack consumes ``rng``
+        as one model trained alone would.  Returns each step's losses of the
+        slices in the stack at that step.
+        """
+        labeled = self.kind == "cross_entropy"
+        losses = []
+        # diverging slices may overflow to inf; the finiteness check below
+        # is the mechanism that turns that into a divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(updates):
+                if not self.ids:
+                    break
+                idx = rng.integers(0, data.n, size=cfg.batch)
+                xb = data.x[idx]
+                if labeled:
+                    x_in, target = xb, data.y[idx]
+                else:
+                    x_in = xb + rng.normal(0.0, cfg.denoise_std, size=xb.shape)
+                    target = xb
+                step_losses = self.grads(x_in, target)
+                losses.append(step_losses)
+                finite = np.isfinite(step_losses)
+                if not finite.all():
+                    for pos in np.flatnonzero(~finite):
+                        self.diverged[self.ids[pos]] = step_offset + step
+                    self._keep(np.flatnonzero(finite))
+                _sgd_update(self.flat, self.flat_grad, cfg.lr, self.flat_work)
+        return losses
+
+    def _keep(self, positions: np.ndarray) -> None:
+        self.ids = [self.ids[p] for p in positions]
+        self.flat, self.flat_grad = self.flat[positions], self.flat_grad[positions]
+        self.fixed = {n: m[positions] for n, m in self.fixed.items()}
+        self._views()
+
+    def model(self, sid: int, template: ParameterSet, role: str) -> ParameterSet:
+        """A copy of slice ``sid`` with ``template``'s names, prunable flags and metadata."""
+        pos = self.ids.index(sid)
+        tensors = [
+            Tensor(t.name, self.master[t.name][pos].copy(), t.prunable) for t in template.tensors
+        ]
+        return ParameterSet(tensors, role, dict(template.meta))
+
+    def set(self, sid: int, ps: ParameterSet) -> None:
+        """Overwrite slice ``sid`` with the values of ``ps``."""
+        pos = self.ids.index(sid)
+        for t in ps.tensors:
+            self.master[t.name][pos] = t.data
+
+
+def _stack_of_one(weights) -> dict:
+    """Float64 copies of a name->array dict, each with a leading stack axis of 1."""
+    return {name: np.asarray(arr, dtype=np.float64)[None] for name, arr in weights.items()}
 
 
 def _check_input(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
@@ -222,13 +383,12 @@ def _check_input(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
     return x64
 
 
-def forward(ps: ParameterSet, x: np.ndarray, head: str = "classification") -> np.ndarray:
-    """Batch forward pass through the trunk and the selected head (float64 out)."""
-    if head not in HEADS:
-        raise ValueError(f"unknown head kind {head!r}")
+def forward(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
+    """Batch forward pass through the trunk and the classification head (float64 out)."""
     x64 = _check_input(ps, x)
-    out, _ = _forward64(weights64(ps), x64, _activation_of(ps), _HEAD_PREFIX[head])
-    return out
+    w = _stack_of_one({t.name: t.data for t in ps.tensors})
+    out, _ = _forward(w, x64, _activation_of(ps), "cls", _trunk_depth(w, "cls"))
+    return out[0]
 
 
 def loss_on_weights(weights, x, target, kind: str, activation: str = "tanh") -> float:
@@ -237,59 +397,48 @@ def loss_on_weights(weights, x, target, kind: str, activation: str = "tanh") -> 
     This is the exact function :func:`loss_and_grads` differentiates, exposed
     so finite-difference checks can perturb weights in full float64.
     """
+    head = _LOSS_HEAD[kind]
+    w = _stack_of_one(weights)
     x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = _forward64(weights, x64, activation, _LOSS_HEAD[kind])
-        loss, _ = _loss_from_outputs(out, target, kind)
-    return loss
+        out, _ = _forward(w, x64, activation, head, _trunk_depth(w, head))
+        losses, _ = _loss_from_outputs(out, target, kind)
+    return float(losses[0])
 
 
 def loss_and_grads(weights, x, target, kind: str, activation: str = "tanh"):
     """Loss plus analytic gradients of :func:`loss_on_weights`, as a name->float32 dict.
 
-    Tensors outside the active head's path get zero gradients.  Raises
-    :class:`NonFiniteLossError` when the loss is inf or NaN.
+    The S = 1 call of :class:`ModelStack`'s backward pass; ``weights`` may
+    hold float32 or float64 arrays.  Tensors outside the active head's path
+    get zero gradients.  Raises :class:`NonFiniteLossError` when the loss is
+    inf or NaN.
     """
-    if kind not in LOSSES:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    head = _LOSS_HEAD[kind]
-    w = {name: arr.astype(np.float64, copy=False) for name, arr in weights.items()}
-    # diverging runs may overflow to inf here; the finiteness check below is
-    # the mechanism that turns that into an error
+    stack = ModelStack([weights], kind, activation)
     with np.errstate(over="ignore", invalid="ignore"):
-        out, acts = _forward64(w, x64, activation, head)
-        loss, dout = _loss_from_outputs(out, target, kind)
+        loss = float(stack.grads(np.atleast_2d(np.asarray(x, dtype=np.float64)), target)[0])
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"non-finite loss {loss!r}")
-
-    g = {f"{head}.weight": dout.T @ acts[-1], f"{head}.bias": dout.sum(axis=0)}
-    da = dout @ w[f"{head}.weight"]
-    n_layers = len(acts) - 1
-    for i in reversed(range(n_layers)):
-        dz = da * _act_grad_from_output(acts[i + 1], activation)
-        g[f"layers.{i}.weight"] = dz.T @ acts[i]
-        g[f"layers.{i}.bias"] = dz.sum(axis=0)
-        da = dz @ w[f"layers.{i}.weight"]
-    grads = {
-        name: g[name].astype(np.float32) if name in g else np.zeros(arr.shape, np.float32)
-        for name, arr in w.items()
+    return loss, {
+        name: stack.grad[name][0] if name in stack.grad else np.zeros(arr.shape, np.float32)
+        for name, arr in weights.items()
     }
-    return loss, grads
 
 
 def sgd_step(weights, grads, lr: float):
     """w' = w - lr * g for EVERY weight, zeroed or not (nothing is frozen).
 
-    Takes and returns name->float32 dicts; the inputs are left unmodified.
+    The S = 1 call of :class:`ModelStack`'s update.  Takes and returns
+    name->float32 dicts; the inputs are left unmodified.
     """
     if weights.keys() != grads.keys():
         raise StructureMismatchError(f"gradient keys {sorted(grads)} != weights {sorted(weights)}")
+    out = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        return {
-            name: (w.astype(np.float64) - lr * grads[name].astype(np.float64)).astype(np.float32)
-            for name, w in weights.items()
-        }
+        for name, w in weights.items():
+            out[name] = np.array(w, dtype=np.float32)
+            _sgd_update(out[name], grads[name], lr, np.empty(out[name].shape))
+    return out
 
 
 def _loss_kind(data) -> str:
@@ -297,6 +446,18 @@ def _loss_kind(data) -> str:
     if not isinstance(data, (LabeledBatch, UnlabeledBatch)):
         raise ValueError(f"expected a LabeledBatch or an UnlabeledBatch, not {type(data).__name__}")
     return "cross_entropy" if isinstance(data, LabeledBatch) else "mse_reconstruction"
+
+
+def check_data(ps: ParameterSet, data) -> str:
+    """Refuse data ``ps`` cannot train on: wrong type, no rows, wrong width.
+
+    Returns the loss kind the data trains with.
+    """
+    kind = _loss_kind(data)
+    if data.n < 1:
+        raise ValueError("training data is empty")
+    _check_input(ps, data.x)
+    return kind
 
 
 def sgd_train(
@@ -309,51 +470,29 @@ def sgd_train(
 ):
     """Run ``updates`` SGD steps, sampling batches with replacement from ``rng``.
 
-    The data type picks the loss: a :class:`LabeledBatch` trains the
-    classification head with cross-entropy; an :class:`UnlabeledBatch` trains
-    the reconstruction head by denoising, where the clean rows are the targets
-    and the inputs get fresh ``cfg.denoise_std`` Gaussian corruption each
-    step.  Returns a new parameter set, sharing no buffer with ``ps``, and
-    the per-step training losses.
+    The S = 1 call of :meth:`ModelStack.train`.  The data type picks the
+    loss: a :class:`LabeledBatch` trains the classification head with
+    cross-entropy; an :class:`UnlabeledBatch` trains the reconstruction head
+    by denoising, where the clean rows are the targets and the inputs get
+    fresh ``cfg.denoise_std`` Gaussian corruption each step.  Returns a new
+    parameter set, sharing no buffer with ``ps``, and the per-step training
+    losses.
     The rng is consumed identically regardless of how callers chunk the
     updates, so chunked and single-call training produce bit-identical weights.
     """
-    kind = _loss_kind(data)
-    labeled = kind == "cross_entropy"
-    n = data.n
-    if n < 1:
-        raise ValueError("training data is empty")
-    _check_input(ps, data.x)
-    activation = _activation_of(ps)
-    weights = {t.name: t.data for t in ps.tensors}
-    losses = []
-    for step in range(updates):
-        idx = rng.integers(0, n, size=cfg.batch)
-        xb = data.x[idx]
-        if labeled:
-            x_in, target = xb, data.y[idx]
-        else:
-            x_in = xb + rng.normal(0.0, cfg.denoise_std, size=xb.shape)
-            target = xb
-        try:
-            loss, grads = loss_and_grads(weights, x_in, target, kind, activation)
-        except NonFiniteLossError as exc:
-            raise TrainingDivergedError(step_offset + step) from exc
-        losses.append(loss)
-        weights = sgd_step(weights, grads, cfg.lr)
-    # sgd_step returns fresh arrays; without updates these are still ps's own
-    tensors = [
-        Tensor(t.name, weights[t.name] if updates else t.data.copy(), t.prunable)
-        for t in ps.tensors
-    ]
-    return ParameterSet(tensors, ps.role, dict(ps.meta)), losses
+    stack = ModelStack.of([ps], check_data(ps, data))
+    losses = stack.train(data, cfg, updates, rng, step_offset)
+    if stack.diverged:
+        raise TrainingDivergedError(stack.diverged[0])
+    return stack.model(0, ps, ps.role), [float(step[0]) for step in losses]
 
 
 def dataset_loss(ps: ParameterSet, data) -> float:
     """Forward-only loss over a whole dataset, the loss :func:`sgd_train` trains it with."""
     kind = _loss_kind(data)
     target = data.y if kind == "cross_entropy" else data.x
-    return loss_on_weights(weights64(ps), data.x, target, kind, _activation_of(ps))
+    weights = {t.name: t.data for t in ps.tensors}
+    return loss_on_weights(weights, data.x, target, kind, _activation_of(ps))
 
 
 def pretrain_denoising(arch: ModelArch, data: UnlabeledBatch, cfg: TrainConfig) -> ParameterSet:
@@ -397,6 +536,6 @@ def evaluate(ps: ParameterSet, data: LabeledBatch) -> float:
         raise ValueError("parameter set has no classification head (cls.weight)")
     if data.n < 1:
         raise ValueError("evaluation data is empty")
-    logits = forward(ps, data.x, "classification")
+    logits = forward(ps, data.x)
     preds = logits.argmax(axis=1)
     return float(np.mean(preds != data.y))

@@ -36,7 +36,6 @@ from pada.trainer import (
     loss_and_grads,
     loss_on_weights,
     sgd_step,
-    weights64,
 )
 
 ARCH = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6, activation="tanh")
@@ -130,6 +129,11 @@ def test_schedule_validation_presets():
         validate(PruneSchedule("iterative", (30, 25, 20), 100), 1000)
     validate(PruneSchedule("dynamic_iterative", (30, 25, 20, 10), 1000), 9000)
     ok("schedule validation: bad dynamic/iterative rejected, BASE dynamic preset accepted")
+
+
+def weights64(ps):
+    """Exact float64 copies of every tensor, keyed by name."""
+    return {t.name: t.data.astype(np.float64) for t in ps.tensors}
 
 
 def _finite_difference_max_rel_err(ps, x, target, kind, n_coords=120, eps=1e-4, seed=0):

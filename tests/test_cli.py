@@ -414,3 +414,130 @@ def test_default_config_is_the_demo_config():
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "config_default.json")
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh) == default_config()
+
+
+@pytest.mark.parametrize("seeds", ["10", 10, [True], [1.7], [0, "1"], [float("inf")]])
+def test_config_seeds_must_be_a_list_of_integers(tmp_path, capsys, seeds):
+    doc = small_config(str(tmp_path / "exp"))
+    doc["seeds"] = seeds
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["pretrain", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config: seeds must be")
+    assert not os.path.exists(doc["out"])
+
+
+def test_config_seeds_accept_integral_numbers(tmp_path):
+    doc = small_config(str(tmp_path / "exp"))
+    doc["seeds"] = [0, 2.0, -3]
+    assert parse_config(doc).seeds == [0, 2, -3]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"kind": "layer", "name": "layers.0.weight"}\n', "unknown record kind 'layer'"),
+        ('{"update": 5}\n', "unknown record kind None"),
+        ('{"kind": "prune", "update": 5}\n', "missing 4 required positional arguments"),
+        ('{"kind": "prune", "upd', "Unterminated string"),
+    ],
+)
+def test_report_refuses_malformed_log_records(tmp_path, capsys, line, message):
+    cfg = prep(tmp_path, seeds=(0,))
+    cmd_run(cfg)
+    path = os.path.join(cfg.out, "runs", "tag_once_seed0.jsonl")
+    with open(path, "a", encoding="utf-8") as fh:  # after one prune record and the final one
+        fh.write(line)
+    assert main(["report", cfg.out]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("format:")
+    assert "tag_once_seed0.jsonl, line 3: " in err and message in err
+
+
+def one_cell_at_a_time(tmp_dir):
+    """A drop-in for ``run_cells`` that calls run_dft/run_pada once per cell, in order."""
+    from pada.pruning import load_mask
+    from pada.schedule import run_dft, run_pada
+
+    def run_cells(pretrained, cells, target_data, cfg, donor=None, finetuned=None):
+        outcomes = []
+        for strategy, sched in cells:
+            try:
+                if sched is None:
+                    finetuned, log = run_dft(pretrained, target_data, cfg)
+                    outcomes.append((finetuned, log, None))
+                    continue
+                path = os.path.join(tmp_dir, "initial.padm")
+                model, log = run_pada(
+                    pretrained, strategy, sched, target_data, cfg,
+                    donor=donor, finetuned=finetuned, save_mask_to=path,
+                )
+                outcomes.append((model, log, load_mask(path)))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    return run_cells
+
+
+def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
+    import pada.cli
+
+    cfg = prep(tmp_path, seeds=(0, 1))
+
+    def outputs():
+        cmd_run(cfg, force=True)
+        run_dir = os.path.join(cfg.out, "runs")
+        files = {f"runs/{n}": os.path.join(run_dir, n) for n in os.listdir(run_dir)}
+        files.update({n: os.path.join(cfg.out, n) for n in ("table.csv", "table.json")})
+        return {name: open(path, "rb").read() for name, path in files.items()}
+
+    stacked = outputs()
+    monkeypatch.setattr(pada.cli, "run_cells", one_cell_at_a_time(str(tmp_path)))
+    serial = outputs()
+    # per seed: 10 logs, 10 models and the 9 initial masks of the PADA cells
+    assert len(stacked) == 2 * (10 + 10 + 9) + 2
+    assert sorted(stacked) == sorted(serial)
+    for name in stacked:
+        assert stacked[name] == serial[name], name
+
+
+def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, capsys):
+    # at this learning rate the TAW cells and CD-TAW iterative diverge, the
+    # latter one update before the TAW cells; serially, TAW once fails first
+    from pada.data import gen_domain_shift
+    from pada.schedule import run_dft, run_pada
+
+    doc = small_config(str(tmp_path / "exp"), seeds=(1,))
+    doc["arch"]["activation"] = "relu"
+    doc["target"]["lr"] = 3000.0
+    doc["strategies"] = ["TAW", "CD-TAW"]
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    cmd_make_donor(cfg)
+    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
+    donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
+    target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
+    tcfg = cfg.target_cfg(1)
+    finetuned, _ = run_dft(pre, target, tcfg)
+    failures = []
+    for strategy, freq in cfg.cells()[1:]:
+        try:
+            run_pada(pre, strategy, cfg.schedule_for(freq), target, tcfg,
+                     donor=donor, finetuned=finetuned)
+        except Exception as exc:
+            failures.append((strategy, freq, exc))
+    (strategy, freq, first), later = failures[0], failures[1:]
+    assert strategy == "TAW"
+    assert any(s == "CD-TAW" and exc.step < first.step for s, _, exc in later)
+
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"training: run {strategy.lower()}_{freq}_seed1: {first}"

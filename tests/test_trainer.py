@@ -6,6 +6,7 @@ from pada.pruning import apply_zeroing, compute_ump_mask
 from pada.trainer import (
     LabeledBatch,
     ModelArch,
+    ModelStack,
     NonFiniteLossError,
     TrainConfig,
     TrainingDivergedError,
@@ -20,7 +21,6 @@ from pada.trainer import (
     pretrain_denoising,
     sgd_step,
     sgd_train,
-    weights64,
 )
 
 ARCH = ModelArch(input_dim=6, hidden=(10, 8), num_classes=4, activation="tanh")
@@ -39,6 +39,20 @@ def weights_of(ps):
     return {t.name: t.data for t in ps.tensors}
 
 
+def weights64(ps):
+    """Exact float64 copies of every tensor, keyed by name."""
+    return {t.name: t.data.astype(np.float64) for t in ps.tensors}
+
+
+def recon_output(ps, x):
+    """The reconstruction head's output on ``x``, computed by hand (tanh trunk)."""
+    w = weights64(ps)
+    a = x
+    for i in range(len(ARCH.hidden)):
+        a = np.tanh(a @ w[f"layers.{i}.weight"].T + w[f"layers.{i}.bias"])
+    return a @ w["recon.weight"].T + w["recon.bias"]
+
+
 def zero_all(ps):
     out = ps.copy()
     for t in out.tensors:
@@ -49,8 +63,9 @@ def zero_all(ps):
 def test_forward_zero_weights_tanh_zero_output():
     ps = zero_all(init_model(ARCH, 0))
     x = np.random.default_rng(1).normal(size=(5, 6))
-    assert np.all(forward(ps, x, "classification") == 0.0)
-    assert np.all(forward(ps, x, "reconstruction") == 0.0)
+    assert np.all(forward(ps, x) == 0.0)
+    # the reconstruction head's squared error against an all-zero target
+    assert loss_on_weights(weights_of(ps), x, np.zeros_like(x), "mse_reconstruction") == 0.0
 
 
 def test_forward_hand_computed_matrix_vector():
@@ -65,7 +80,7 @@ def test_forward_hand_computed_matrix_vector():
     )
     ps["cls.bias"].data = np.array([0.5, 0.0, -1.0], dtype=np.float32)
     x = np.array([[1.0, 2.0, 0.5]])
-    out = forward(ps, x, "classification")
+    out = forward(ps, x)
     # rows of W dot x: [1+4+1.5, 0-2+0.5, 2+1-1] then + bias
     np.testing.assert_allclose(out, [[6.5 + 0.5, -1.5 + 0.0, 2.0 - 1.0]], atol=1e-6)
 
@@ -100,7 +115,7 @@ def test_mse_doubling_error_quadruples_loss():
     ps = init_model(ARCH, 4)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(10, 6))
-    out = forward(ps, x, "reconstruction")
+    out = recon_output(ps, x)
     e = rng.normal(size=out.shape)
     loss1, _ = loss_and_grads(weights_of(ps), x, out - e, "mse_reconstruction")
     loss2, _ = loss_and_grads(weights_of(ps), x, out - 2 * e, "mse_reconstruction")
@@ -439,3 +454,22 @@ def test_sgd_train_builds_objects_once_per_call(monkeypatch):
     # one result set of len(ps) tensors, however many updates ran
     assert seen[0] == seen[1] == {"Tensor": len(ps), "ParameterSet": 1}
     assert calls == []
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_stack_trains_each_model_as_if_alone(labeled):
+    # one stack of two different models, one of them freshly zeroed, under
+    # both losses: every slice ends bit-identical to training it alone
+    arch = ModelArch(input_dim=6, hidden=(40, 24), num_classes=4, activation="tanh")
+    rows = toy_labeled(64, seed=56, arch=arch)
+    data = rows if labeled else UnlabeledBatch(rows.x)
+    kind = "cross_entropy" if labeled else "mse_reconstruction"
+    cfg = TrainConfig(lr=0.05, batch=8, updates=30, seed=57, denoise_std=0.2)
+    other = init_model(arch, 59)
+    models = [init_model(arch, 58), apply_zeroing(other, compute_ump_mask(other, 40.0))]
+    stack = ModelStack.of(models, kind)
+    losses = stack.train(data, cfg, cfg.updates, np.random.default_rng(cfg.seed))
+    for j, ps in enumerate(models):
+        alone, alone_losses = sgd_train(ps, data, cfg, cfg.updates, np.random.default_rng(cfg.seed))
+        assert stack.model(j, ps, ps.role) == alone
+        assert [float(step[j]) for step in losses] == alone_losses
