@@ -17,7 +17,7 @@ from pada import (
     load_mask,
     save_checkpoint,
     save_mask,
-    shapes_compatible,
+    structural_mismatch,
 )
 
 # A model is an ordered list of named float32 tensors.  Rank-2 tensors
@@ -41,7 +41,7 @@ with tempfile.TemporaryDirectory(prefix="pada-demo-") as workdir:
 
     loaded = load_checkpoint(path)
     print("round-trip equal (bit-exact):", loaded == ps)
-    print("structures compatible:", shapes_compatible(loaded, ps))
+    print("structures compatible:", structural_mismatch(loaded, ps) is None)
 
     # Masks cover only the prunable tensors and serialize as packed bits.
     mask = compute_ump_mask(ps, 50.0, source="TAG")

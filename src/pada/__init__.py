@@ -17,10 +17,9 @@ from .params import (
     Tensor,
     TruncatedFileError,
     UnsupportedVersionError,
-    flat_prunable_view,
     load_checkpoint,
     save_checkpoint,
-    shapes_compatible,
+    structural_mismatch,
 )
 from .pruning import (
     Mask,
@@ -50,18 +49,15 @@ from .trainer import (
 from .data import DomainShiftSpec, DomainShiftTask, apply_shift, gen_domain_shift
 from .strategies import cdtaw_mask, initial_model, tag_mask, taw_mask
 from .schedule import (
-    BASE_RATE_PRESETS,
     LARGE_RATE_PRESETS,
-    ConfigError,
     PadaRunLog,
     PruneEvent,
     PruneSchedule,
     ScheduleError,
-    preset_schedule,
     run_dft,
     run_pada,
     validate,
 )
-from .config import ExperimentConfig, default_config, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, default_config, load_config, parse_config
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .config import ExperimentConfig, check_seeds, load_config
+from .config import ConfigError, ExperimentConfig, check_seeds, load_config
 from .data import gen_domain_shift
 from .metrics import layerwise_report, report_to_csv, report_to_json
 from .params import (
@@ -28,8 +28,6 @@ from .params import (
 )
 from .pruning import load_mask, save_mask
 from .schedule import (
-    ConfigError,
-    ScheduleError,
     final_record,
     read_log_jsonl,
     run_cells,
@@ -242,8 +240,6 @@ def _category(exc: Exception) -> str:
         return "structure"
     if isinstance(exc, TrainingDivergedError):
         return "training"
-    if isinstance(exc, (ConfigError, ScheduleError)):
-        return "config"
     if isinstance(exc, OSError):
         return "io"
     if isinstance(exc, ValueError):

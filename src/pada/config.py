@@ -1,7 +1,7 @@
 """Experiment configuration: one JSON document fully captures a run.
 
 The document pins the synthetic task, the architecture, the per-stage train
-configs, the schedule presets per frequency, the strategy/frequency grid and
+configs, the schedule rates per frequency, the strategy/frequency grid and
 the seed sweep, so rerunning the same config reproduces every output byte.
 """
 
@@ -11,9 +11,13 @@ import json
 from dataclasses import dataclass
 
 from .data import DomainShiftSpec
-from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, ConfigError, PruneSchedule, validate
+from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, PruneSchedule, validate
 from .strategies import STRATEGY_KINDS
 from .trainer import TrainConfig, ModelArch
+
+
+class ConfigError(ValueError):
+    """Inconsistent run configuration (e.g. an unknown strategy or a missing field)."""
 
 
 def _req(doc: dict, key: str, where: str):
@@ -27,15 +31,19 @@ def _train_cfg(doc: dict, where: str, **extra) -> TrainConfig:
     return TrainConfig(**fields, **extra)
 
 
+def _int(value, field: str) -> int:
+    """A JSON integer; an integral float such as 2000.0 counts, a bool or a fraction does not."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _config_seeds(value) -> list[int]:
-    """The config's seed sweep: a JSON list of integers (a bool or a fraction is no seed)."""
+    """The config's seed sweep: a JSON list of integers."""
     if not isinstance(value, list):
         raise ConfigError(f"seeds must be a JSON list of integers, got {value!r}")
-    for s in value:
-        integral = isinstance(s, int) or isinstance(s, float) and s.is_integer()
-        if isinstance(s, bool) or not integral:
-            raise ConfigError(f"seeds must be integers, got {s!r}")
-    return check_seeds(value)
+    return check_seeds([_int(s, "seeds") for s in value])
 
 
 def check_seeds(seeds) -> list[int]:
@@ -90,7 +98,7 @@ class ExperimentConfig:
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain JSON document."""
     task_doc = dict(_req(doc, "task", ""))
-    task_seed = int(_req(task_doc, "seed", "task"))
+    task_seed = _int(_req(task_doc, "seed", "task"), "task.seed")
     task_doc.pop("seed")
     task = DomainShiftSpec(**task_doc)
 
@@ -107,11 +115,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     donor = _train_cfg(_req(doc, "donor", ""), "donor")
     tgt_doc = _req(doc, "target", "")
     target_lr = float(_req(tgt_doc, "lr", "target"))
-    target_batch = int(_req(tgt_doc, "batch", "target"))
+    target_batch = _int(_req(tgt_doc, "batch", "target"), "target.batch")
 
     sched_doc = _req(doc, "schedule", "")
-    total_updates = int(_req(sched_doc, "total_updates", "schedule"))
-    interval = int(_req(sched_doc, "interval", "schedule"))
+    total_updates = _int(_req(sched_doc, "total_updates", "schedule"), "schedule.total_updates")
+    interval = _int(_req(sched_doc, "interval", "schedule"), "schedule.interval")
     rates_doc = _req(sched_doc, "rates", "schedule")
     rates = {k: tuple(float(r) for r in v) for k, v in rates_doc.items()}
 
@@ -126,6 +134,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if f not in rates:
             raise ConfigError(f"missing config field: schedule.rates.{f}")
 
+    include_dft = doc.get("include_dft", True)
+    if not isinstance(include_dft, bool):
+        raise ConfigError(f"include_dft must be true or false, got {include_dft!r}")
     cfg = ExperimentConfig(
         task_seed=task_seed,
         task=task,
@@ -139,7 +150,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         rates=rates,
         strategies=strategies,
         frequencies=frequencies,
-        include_dft=bool(doc.get("include_dft", True)),
+        include_dft=include_dft,
         seeds=_config_seeds(_req(doc, "seeds", "")),
         out=str(_req(doc, "out", "")),
         pretrained_file=str(doc.get("pretrained", "pretrained.pada")),

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import atomic_write_text
 from .trainer import LabeledBatch, UnlabeledBatch
 
 
@@ -123,33 +122,3 @@ def gen_domain_shift(seed: int, spec: DomainShiftSpec = DomainShiftSpec()) -> Do
         target_eval=LabeledBatch(apply_shift(spec, xe, rng), ye),
     )
 
-
-def export_csv(batch, path: str) -> None:
-    """Dump a batch to CSV with a header row and round-trip-exact floats."""
-    x = batch.x
-    labeled = isinstance(batch, LabeledBatch)
-    header = ",".join(f"f{i}" for i in range(x.shape[1]))
-    if labeled:
-        header += ",label"
-    lines = [header]
-    for i in range(x.shape[0]):
-        row = ",".join(repr(float(v)) for v in x[i])
-        if labeled:
-            row += f",{int(batch.y[i])}"
-        lines.append(row)
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def import_csv(path: str):
-    """Inverse of :func:`export_csv`; returns a Labeled- or UnlabeledBatch."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
-    labeled = header[-1] == "label"
-    rows = [ln.split(",") for ln in lines[1:]]
-    if labeled:
-        x = np.array([[float(v) for v in r[:-1]] for r in rows], dtype=np.float64)
-        y = np.array([int(r[-1]) for r in rows], dtype=np.int64)
-        return LabeledBatch(x, y)
-    x = np.array([[float(v) for v in r] for r in rows], dtype=np.float64)
-    return UnlabeledBatch(x)

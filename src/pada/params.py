@@ -153,23 +153,11 @@ def _check_meta(meta: dict[str, str]) -> None:
         raise ValueError("metadata key 'role' is reserved; set ParameterSet.role instead")
 
 
-def flat_prunable_view(ps: ParameterSet) -> list[tuple[int, int, float]]:
-    """Enumerate prunable elements as (tensor index, row-major element index, value).
-
-    The ordering is a pure function of the structure: tensors in insertion
-    order, elements in row-major order.  Length equals ``ps.d_prunable``.
-    """
-    out = []
-    for ti, t in enumerate(ps.tensors):
-        if not t.prunable:
-            continue
-        flat = t.data.ravel()
-        out.extend((ti, ei, float(v)) for ei, v in enumerate(flat))
-    return out
-
-
 def flat_prunable_values(ps: ParameterSet) -> np.ndarray:
-    """Concatenated float32 values of all prunable tensors in view order."""
+    """Concatenated float32 values of all prunable tensors, ``ps.d_prunable`` of them.
+
+    Tensors come in insertion order, the elements of each in row-major order.
+    """
     parts = [t.data.ravel() for t in ps.tensors if t.prunable]
     if not parts:
         return np.empty(0, dtype=np.float32)
@@ -188,11 +176,6 @@ def structural_mismatch(a: ParameterSet, b: ParameterSet) -> str | None:
         if ta.prunable != tb.prunable:
             return f"tensor {i} ({ta.name!r}): prunable {ta.prunable} vs {tb.prunable}"
     return None
-
-
-def shapes_compatible(a: ParameterSet, b: ParameterSet) -> bool:
-    """True iff same tensor names, order, shapes and prunable flags (values may differ)."""
-    return structural_mismatch(a, b) is None
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .params import FormatError, ParameterSet, atomic_write_text
-from .pruning import Mask, apply_zeroing, compute_ump_mask, save_mask, sparsity
+from .pruning import Mask, apply_zeroing, compute_ump_mask, sparsity
 from .strategies import initial_model
 from .trainer import (
     LabeledBatch,
@@ -44,28 +44,18 @@ from .trainer import (
 
 FREQUENCIES = ("once", "iterative", "dynamic_iterative")
 
-# Rate presets reported for the two pre-trained model scales, keyed by
-# frequency: one rate for "once", constant rates for "iterative", strictly
-# decaying rates for "dynamic_iterative".
+# Rates reported for the large pre-trained model scale, keyed by frequency:
+# one rate for "once", constant rates for "iterative", strictly decaying
+# rates for "dynamic_iterative".
 LARGE_RATE_PRESETS = {
     "once": (40.0,),
     "iterative": (30.0, 30.0, 30.0),
     "dynamic_iterative": (40.0, 20.0, 10.0),
 }
-BASE_RATE_PRESETS = {
-    "once": (30.0,),
-    "iterative": (30.0, 30.0, 30.0),
-    "dynamic_iterative": (30.0, 25.0, 20.0, 10.0),
-}
-RATE_PRESETS = {"large": LARGE_RATE_PRESETS, "base": BASE_RATE_PRESETS}
 
 
 class ScheduleError(ValueError):
     """A PruneSchedule violates one of its invariants."""
-
-
-class ConfigError(ValueError):
-    """Inconsistent run configuration (e.g. an unknown strategy or a missing field)."""
 
 
 @dataclass(frozen=True)
@@ -78,15 +68,6 @@ class PruneSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-
-
-def preset_schedule(size: str, freq: str, interval: int) -> PruneSchedule:
-    """Schedule with the preset rates for a model scale ("large" or "base")."""
-    if size not in RATE_PRESETS:
-        raise ScheduleError(f"unknown preset size {size!r}, expected one of {tuple(RATE_PRESETS)}")
-    if freq not in FREQUENCIES:
-        raise ScheduleError(f"unknown pruning frequency {freq!r}")
-    return PruneSchedule(freq, RATE_PRESETS[size][freq], interval)
 
 
 def validate(sched: PruneSchedule, updates: int) -> None:
@@ -289,7 +270,6 @@ def run_pada(
     donor: ParameterSet | None = None,
     finetuned: ParameterSet | None = None,
     eval_data: LabeledBatch | None = None,
-    save_mask_to: str | None = None,
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Prune-assisted fine-tuning: strategy prune at update 0, then train to N.
 
@@ -300,15 +280,13 @@ def run_pada(
     the loss over the full target labeled set at that point.  Returns the
     adapted model (no persistent mask) and the run log.
     TAW ranks ``finetuned`` (the target fine-tuned model), CD-TAW ``donor``.
-    ``save_mask_to`` optionally writes the initial strategy mask as a .padm
-    file for later similarity analysis.
+    The initial mask is :func:`~pada.strategies.initial_model`'s for the same
+    pretrained model, strategy and r1.
     """
     (outcome,) = run_cells(
         pretrained, [(strategy, sched)], target_data, cfg, donor=donor, finetuned=finetuned
     )
-    model, log, mask = _result(outcome)
-    if save_mask_to is not None:
-        save_mask(mask, save_mask_to)
+    model, log, _ = _result(outcome)
     log.final = final_record(model, cfg.updates, strategy, sched.freq, target_data, eval_data)
     return model, log
 

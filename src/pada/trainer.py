@@ -466,7 +466,6 @@ def sgd_train(
     cfg: TrainConfig,
     updates: int,
     rng: np.random.Generator,
-    step_offset: int = 0,
 ):
     """Run ``updates`` SGD steps, sampling batches with replacement from ``rng``.
 
@@ -476,12 +475,13 @@ def sgd_train(
     by denoising, where the clean rows are the targets and the inputs get
     fresh ``cfg.denoise_std`` Gaussian corruption each step.  Returns a new
     parameter set, sharing no buffer with ``ps``, and the per-step training
-    losses.
+    losses.  A non-finite loss raises :class:`TrainingDivergedError` with
+    the step's index within this call.
     The rng is consumed identically regardless of how callers chunk the
     updates, so chunked and single-call training produce bit-identical weights.
     """
     stack = ModelStack.of([ps], check_data(ps, data))
-    losses = stack.train(data, cfg, updates, rng, step_offset)
+    losses = stack.train(data, cfg, updates, rng)
     if stack.diverged:
         raise TrainingDivergedError(stack.diverged[0])
     return stack.model(0, ps, ps.role), [float(step[0]) for step in losses]

@@ -7,6 +7,7 @@ lines.  Everything here is seeded and deterministic.
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,17 +230,17 @@ def test_cmd_run_determinism(tmp_path):
     cmd_make_donor(cfg)
     table_csv, table_json = cmd_run(cfg)
     blobs = {
-        table_csv: open(table_csv, "rb").read(),
-        table_json: open(table_json, "rb").read(),
+        table_csv: Path(table_csv).read_bytes(),
+        table_json: Path(table_json).read_bytes(),
     }
     run_dir = os.path.join(cfg.out, "runs")
     for f in sorted(os.listdir(run_dir)):
         if f.endswith(".pada"):
             p = os.path.join(run_dir, f)
-            blobs[p] = open(p, "rb").read()
+            blobs[p] = Path(p).read_bytes()
     cmd_run(cfg, force=True)
     for path, blob in blobs.items():
-        assert open(path, "rb").read() == blob, f"{path} changed between identical runs"
+        assert Path(path).read_bytes() == blob, f"{path} changed between identical runs"
     ok(f"cmd_run determinism: {len(blobs)} output files byte-identical across reruns")
 
 
@@ -255,7 +256,7 @@ def test_end_to_end_noninferiority(tmp_path):
     _, table_json = cmd_run(cfg)
     rows = {
         (r["strategy"], r["frequency"]): r["mean_error"]
-        for r in json.loads(open(table_json).read())["rows"]
+        for r in json.loads(Path(table_json).read_text())["rows"]
     }
     dft = rows[("DFT", "-")]
     taw = rows[("TAW", "dynamic_iterative")]

@@ -1,14 +1,15 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pada.cli import cmd_compare_masks, cmd_make_donor, cmd_pretrain, cmd_report, cmd_run, main
-from pada.config import default_config, parse_config
+from pada.config import ConfigError, default_config, parse_config
 from pada.params import load_checkpoint, save_checkpoint
 from pada.pruning import Mask, MaskEntry, save_mask
-from pada.schedule import ConfigError, read_log_jsonl
+from pada.schedule import read_log_jsonl
 
 
 def small_config(out, seeds=(0, 1)):
@@ -58,10 +59,10 @@ def prep(tmp_path, name="exp", seeds=(0, 1)):
 def test_full_grid_table_has_ten_rows(tmp_path):
     cfg = prep(tmp_path)
     table_csv, table_json = cmd_run(cfg)
-    lines = open(table_csv).read().splitlines()
+    lines = Path(table_csv).read_text().splitlines()
     assert lines[0] == "strategy,frequency,mean_error,seed_0,seed_1"
     assert len(lines) == 1 + 10  # DFT + 3 strategies x 3 frequencies
-    doc = json.loads(open(table_json).read())
+    doc = json.loads(Path(table_json).read_text())
     assert [r["strategy"] for r in doc["rows"][:2]] == ["DFT", "TAG"]
     assert doc["seeds"] == [0, 1]
     for row in doc["rows"]:
@@ -72,19 +73,19 @@ def test_full_grid_table_has_ten_rows(tmp_path):
 def test_rerun_is_byte_identical(tmp_path):
     cfg = prep(tmp_path)
     table_csv, table_json = cmd_run(cfg)
-    first_csv = open(table_csv, "rb").read()
-    first_json = open(table_json, "rb").read()
+    first_csv = Path(table_csv).read_bytes()
+    first_json = Path(table_json).read_bytes()
     run_dir = os.path.join(cfg.out, "runs")
     first_ckpts = {
-        f: open(os.path.join(run_dir, f), "rb").read()
+        f: Path(run_dir, f).read_bytes()
         for f in sorted(os.listdir(run_dir))
         if f.endswith(".pada")
     }
     cmd_run(cfg, force=True)
-    assert open(table_csv, "rb").read() == first_csv
-    assert open(table_json, "rb").read() == first_json
+    assert Path(table_csv).read_bytes() == first_csv
+    assert Path(table_json).read_bytes() == first_json
     for f, blob in first_ckpts.items():
-        assert open(os.path.join(run_dir, f), "rb").read() == blob
+        assert Path(run_dir, f).read_bytes() == blob
 
 
 def test_prune_event_timestamps_match_schedule_contract(tmp_path):
@@ -114,7 +115,7 @@ def test_pretrain_deterministic_bytes(tmp_path):
     cfg_b = parse_config(small_config(str(tmp_path / "b")))
     path_a = cmd_pretrain(cfg_a)
     path_b = cmd_pretrain(cfg_b)
-    assert open(path_a, "rb").read() == open(path_b, "rb").read()
+    assert Path(path_a).read_bytes() == Path(path_b).read_bytes()
 
 
 def test_missing_config_field_is_named(tmp_path):
@@ -162,15 +163,15 @@ def test_compare_masks_worked_example(tmp_path):
     save_mask(ma, pa)
     save_mask(mb, pb)
     csv_path, json_path = cmd_compare_masks(pa, pb, str(tmp_path / "rep"))
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text())
     assert abs(doc["global"]["iou"] - 1.0 / 3.0) < 1e-12
     assert doc["global"]["mma"] == 0.5
     assert doc["mask_a"]["source"] == "TAG"
-    global_line = open(csv_path).read().splitlines()[1]
+    global_line = Path(csv_path).read_text().splitlines()[1]
     assert global_line.startswith("_global_,")
 
     csv2, json2 = cmd_compare_masks(pa, pa, str(tmp_path / "same"))
-    doc2 = json.loads(open(json2).read())
+    doc2 = json.loads(Path(json2).read_text())
     assert doc2["global"]["iou"] == 1.0 and doc2["global"]["mma"] == 1.0
 
 
@@ -215,7 +216,7 @@ def test_main_seeds_override(tmp_path):
     assert main(["pretrain", "--config", cfg_path]) == 0
     assert main(["make-donor", "--config", cfg_path]) == 0
     assert main(["run", "--config", cfg_path, "--seeds", "5"]) == 0
-    header = open(os.path.join(doc["out"], "table.csv")).read().splitlines()[0]
+    header = Path(doc["out"], "table.csv").read_text().splitlines()[0]
     assert header == "strategy,frequency,mean_error,seed_5"
 
 
@@ -319,10 +320,10 @@ def test_report_aggregates(tmp_path):
     cfg = prep(tmp_path, seeds=(0,))
     cmd_run(cfg)
     events_csv, summary_json = cmd_report(cfg.out)
-    lines = open(events_csv).read().splitlines()
+    lines = Path(events_csv).read_text().splitlines()
     assert lines[0].startswith("run,strategy,frequency,seed,update,rate")
     assert len(lines) > 1
-    doc = json.loads(open(summary_json).read())
+    doc = json.loads(Path(summary_json).read_text())
     assert {c["strategy"] for c in doc["cells"]} == {"DFT", "TAG", "TAW", "CD-TAW"}
     assert all("error_rate" in r["final"] for r in doc["runs"])
 
@@ -339,11 +340,11 @@ def test_report_means_equal_table_means(tmp_path):
     _, summary_json = cmd_report(cfg.out)
     table = {
         (r["strategy"], r["frequency"]): r["mean_error"]
-        for r in json.loads(open(table_json).read())["rows"]
+        for r in json.loads(Path(table_json).read_text())["rows"]
     }
     summary = {
         (c["strategy"], c["frequency"]): c["mean_error"]
-        for c in json.loads(open(summary_json).read())["cells"]
+        for c in json.loads(Path(summary_json).read_text())["cells"]
     }
     assert summary == table
 
@@ -362,8 +363,8 @@ def test_report_reads_only_the_last_run(tmp_path):
     assert main(["report", doc["out"]]) == 0
     # the seed-0 logs of the first run are still on disk
     assert os.path.exists(os.path.join(doc["out"], "runs", "dft_seed0.jsonl"))
-    table = json.loads(open(os.path.join(doc["out"], "table.json")).read())
-    summary = json.loads(open(os.path.join(doc["out"], "summary.json")).read())
+    table = json.loads(Path(doc["out"], "table.json").read_text())
+    summary = json.loads(Path(doc["out"], "summary.json").read_text())
     assert [c["n_runs"] for c in summary["cells"]] == [1, 1, 1]
     assert {(c["strategy"], c["frequency"]): c["mean_error"] for c in summary["cells"]} == {
         (r["strategy"], r["frequency"]): r["mean_error"] for r in table["rows"]
@@ -371,7 +372,7 @@ def test_report_reads_only_the_last_run(tmp_path):
     assert [r["run"] for r in summary["runs"]] == [
         "dft_seed1", "tag_iterative_seed1", "tag_once_seed1"
     ]
-    events = open(os.path.join(doc["out"], "events.csv")).read().splitlines()[1:]
+    events = Path(doc["out"], "events.csv").read_text().splitlines()[1:]
     assert all(line.split(",")[3] == "1" for line in events)
 
 
@@ -437,6 +438,46 @@ def test_config_seeds_accept_integral_numbers(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("include_dft", "false"),
+        ("include_dft", 0),
+        ("schedule.interval", 2.5),
+        ("schedule.total_updates", 2000.7),
+        ("schedule.total_updates", True),
+        ("task.seed", "7"),
+        ("target.batch", 8.5),
+    ],
+)
+def test_config_refuses_coerced_values(tmp_path, capsys, field, value):
+    doc = small_config(str(tmp_path / "exp"))
+    *parents, key = field.split(".")
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["pretrain", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config: {field} must be ")
+    assert err.endswith(f", got {value!r}")
+    assert not os.path.exists(doc["out"])
+
+
+def test_config_integers_accept_integral_numbers(tmp_path):
+    doc = small_config(str(tmp_path / "exp"))
+    doc["task"]["seed"], doc["target"]["batch"] = 7.0, 8.0
+    doc["schedule"]["total_updates"], doc["schedule"]["interval"] = 60.0, 20.0
+    cfg = parse_config(doc)
+    assert cfg == parse_config(small_config(str(tmp_path / "exp")))
+    values = (cfg.task_seed, cfg.target_batch, cfg.total_updates, cfg.interval)
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         ('{"kind": "layer", "name": "layers.0.weight"}\n', "unknown record kind 'layer'"),
@@ -458,30 +499,28 @@ def test_report_refuses_malformed_log_records(tmp_path, capsys, line, message):
     assert "tag_once_seed0.jsonl, line 3: " in err and message in err
 
 
-def one_cell_at_a_time(tmp_dir):
+def one_cell_at_a_time(pretrained, cells, target_data, cfg, donor=None, finetuned=None):
     """A drop-in for ``run_cells`` that calls run_dft/run_pada once per cell, in order."""
-    from pada.pruning import load_mask
     from pada.schedule import run_dft, run_pada
+    from pada.strategies import initial_model
 
-    def run_cells(pretrained, cells, target_data, cfg, donor=None, finetuned=None):
-        outcomes = []
-        for strategy, sched in cells:
-            try:
-                if sched is None:
-                    finetuned, log = run_dft(pretrained, target_data, cfg)
-                    outcomes.append((finetuned, log, None))
-                    continue
-                path = os.path.join(tmp_dir, "initial.padm")
-                model, log = run_pada(
-                    pretrained, strategy, sched, target_data, cfg,
-                    donor=donor, finetuned=finetuned, save_mask_to=path,
-                )
-                outcomes.append((model, log, load_mask(path)))
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    return run_cells
+    outcomes = []
+    for strategy, sched in cells:
+        try:
+            if sched is None:
+                finetuned, log = run_dft(pretrained, target_data, cfg)
+                outcomes.append((finetuned, log, None))
+                continue
+            model, log = run_pada(
+                pretrained, strategy, sched, target_data, cfg, donor=donor, finetuned=finetuned
+            )
+            _, mask = initial_model(
+                pretrained, strategy, sched.rates[0], finetuned=finetuned, donor=donor
+            )
+            outcomes.append((model, log, mask))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
@@ -494,10 +533,10 @@ def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
         run_dir = os.path.join(cfg.out, "runs")
         files = {f"runs/{n}": os.path.join(run_dir, n) for n in os.listdir(run_dir)}
         files.update({n: os.path.join(cfg.out, n) for n in ("table.csv", "table.json")})
-        return {name: open(path, "rb").read() for name, path in files.items()}
+        return {name: Path(path).read_bytes() for name, path in files.items()}
 
     stacked = outputs()
-    monkeypatch.setattr(pada.cli, "run_cells", one_cell_at_a_time(str(tmp_path)))
+    monkeypatch.setattr(pada.cli, "run_cells", one_cell_at_a_time)
     serial = outputs()
     # per seed: 10 logs, 10 models and the 9 initial masks of the PADA cells
     assert len(stacked) == 2 * (10 + 10 + 9) + 2

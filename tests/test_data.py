@@ -6,12 +6,10 @@ import pytest
 from pada.data import (
     DomainShiftSpec,
     apply_shift,
-    export_csv,
     gen_domain_shift,
-    import_csv,
     rotation_matrix,
 )
-from pada.trainer import LabeledBatch, UnlabeledBatch
+from pada.trainer import LabeledBatch
 
 SMALL = DomainShiftSpec(
     num_classes=3,
@@ -84,23 +82,3 @@ def test_split_shapes_and_labels():
     for batch in (task.source_labeled, task.target_labeled, task.target_eval):
         assert batch.y.min() >= 0
         assert batch.y.max() < SMALL.num_classes
-
-
-def test_csv_roundtrip_labeled(tmp_path):
-    task = gen_domain_shift(9, SMALL)
-    path = str(tmp_path / "l.csv")
-    export_csv(task.target_labeled, path)
-    first = open(path).readline().strip()
-    assert first == ",".join(f"f{i}" for i in range(8)) + ",label"
-    back = import_csv(path)
-    assert np.array_equal(back.x, task.target_labeled.x)  # repr round-trips exactly
-    assert np.array_equal(back.y, task.target_labeled.y)
-
-
-def test_csv_roundtrip_unlabeled(tmp_path):
-    batch = UnlabeledBatch(np.random.default_rng(2).normal(size=(12, 4)))
-    path = str(tmp_path / "u.csv")
-    export_csv(batch, path)
-    back = import_csv(path)
-    assert isinstance(back, UnlabeledBatch)
-    assert np.array_equal(back.x, batch.x)

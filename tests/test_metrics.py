@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,12 +143,12 @@ def test_report_export(tmp_path):
     report_to_csv(report, csv_path)
     report_to_json(report, json_path)
 
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "layer,iou,mma"
     assert lines[1].startswith("_global_,")
     assert len(lines) == 1 + 1 + 2
 
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text())
     assert doc["global"]["iou"] == report.global_iou
     assert [l["name"] for l in doc["layers"]] == ["layers.0.weight", "layers.1.weight"]
     # exact scores recomputable from the parsed layers

@@ -8,10 +8,9 @@ from pada.params import (
     Tensor,
     TruncatedFileError,
     UnsupportedVersionError,
-    flat_prunable_view,
+    flat_prunable_values,
     load_checkpoint,
     save_checkpoint,
-    shapes_compatible,
     structural_mismatch,
 )
 from pada.pruning import compute_ump_mask, load_mask, save_mask
@@ -187,15 +186,14 @@ def test_flat_view_order_and_length():
             Tensor("b", np.array([4.0, 5.0], dtype=np.float32), prunable=True),
         ]
     )
-    view = flat_prunable_view(ps)
-    assert len(view) == 5
-    assert [v for _, _, v in view] == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert [(ti, ei) for ti, ei, _ in view] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    values = flat_prunable_values(ps)
+    assert values.dtype == np.float32
+    assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_flat_view_all_nonprunable_is_empty():
     ps = ParameterSet([Tensor("b", np.ones(7, dtype=np.float32))])
-    assert flat_prunable_view(ps) == []
+    assert flat_prunable_values(ps).shape == (0,)
     assert ps.d_prunable == 0
 
 
@@ -214,29 +212,27 @@ def test_flat_view_length_matches_independent_recount():
             if t.prunable:
                 for _v in t.data.ravel():
                     expected += 1
-        assert len(flat_prunable_view(ps)) == expected == ps.d_prunable
+        assert len(flat_prunable_values(ps)) == expected == ps.d_prunable
 
 
 def test_shapes_compatible_basic():
     a = two_tensor_set()
-    assert shapes_compatible(a, a)
+    assert structural_mismatch(a, a) is None
     b = a.copy()
     b.tensors[1] = Tensor("layers.0.bias", np.zeros(3, dtype=np.float32))
-    assert not shapes_compatible(a, b)
     assert "shape" in structural_mismatch(a, b)
 
 
 def test_shapes_compatible_flags_participate():
     a = ParameterSet([Tensor("w", np.ones((2, 2), dtype=np.float32), prunable=True)])
     b = ParameterSet([Tensor("w", np.ones((2, 2), dtype=np.float32), prunable=False)])
-    assert not shapes_compatible(a, b)
     assert "prunable" in structural_mismatch(a, b)
 
 
 def test_shapes_compatible_values_may_differ():
     a = ParameterSet([Tensor("w", np.ones((2, 2), dtype=np.float32))])
     b = ParameterSet([Tensor("w", np.full((2, 2), 9.0, dtype=np.float32))])
-    assert shapes_compatible(a, b)
+    assert structural_mismatch(a, b) is None
 
 
 def test_shapes_compatible_is_equivalence_relation():
@@ -252,16 +248,19 @@ def test_shapes_compatible_is_equivalence_relation():
             )
         return ParameterSet(tensors)
 
+    def compatible(x, y):
+        return structural_mismatch(x, y) is None
+
     # same structural seed -> same structure with different values
     sets = [random_set(s) for s in (1, 1, 1, 2, 2, 3)]
     for x in sets:
-        assert shapes_compatible(x, x)
+        assert compatible(x, x)
     for x in sets:
         for y in sets:
-            assert shapes_compatible(x, y) == shapes_compatible(y, x)
+            assert compatible(x, y) == compatible(y, x)
             for z in sets:
-                if shapes_compatible(x, y) and shapes_compatible(y, z):
-                    assert shapes_compatible(x, z)
+                if compatible(x, y) and compatible(y, z):
+                    assert compatible(x, z)
 
 
 def test_tensor_invariants():

@@ -8,7 +8,7 @@ from pada.params import (
     ParameterSet,
     StructureMismatchError,
     Tensor,
-    flat_prunable_view,
+    flat_prunable_values,
     load_checkpoint,
 )
 from pada.pruning import (
@@ -99,7 +99,7 @@ def test_oracle_equivalence_and_exact_count():
         ps = random_multi_tensor_set(rng)
         rate = float(rng.uniform(0, 100))
         mask = compute_ump_mask(ps, rate)
-        values = [v for _, _, v in flat_prunable_view(ps)]
+        values = flat_prunable_values(ps).tolist()
         keep, z = oracle_keep(values, rate)
         assert mask_bits(mask).tolist() == keep
         assert mask.zero_bits == z == prune_count(rate, len(values))

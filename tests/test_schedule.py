@@ -4,15 +4,22 @@ import pytest
 from pada.schedule import (
     PruneSchedule,
     ScheduleError,
-    preset_schedule,
     read_log_jsonl,
     run_dft,
     run_pada,
     validate,
     write_log_jsonl,
 )
-from pada.pruning import compute_ump_mask, load_mask
-from pada.trainer import LabeledBatch, ModelArch, TrainConfig, finetune_supervised, init_model
+from pada.pruning import compute_ump_mask
+from pada.strategies import initial_model
+from pada.trainer import (
+    LabeledBatch,
+    ModelArch,
+    TrainConfig,
+    dataset_loss,
+    finetune_supervised,
+    init_model,
+)
 
 ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3, activation="tanh")
 
@@ -54,17 +61,6 @@ def test_validate_rejections_have_distinct_messages():
         validate(PruneSchedule("iterative", (30, 30), 0), 100)
     with pytest.raises(ScheduleError, match="exceed"):
         validate(PruneSchedule("iterative", (30, 30), 200), 100)
-
-
-def test_preset_schedules():
-    s = preset_schedule("large", "dynamic_iterative", 1000)
-    assert s.rates == (40.0, 20.0, 10.0)
-    s = preset_schedule("base", "dynamic_iterative", 1000)
-    assert s.rates == (30.0, 25.0, 20.0, 10.0)
-    s = preset_schedule("large", "once", 2400)
-    assert s.rates == (40.0,)
-    with pytest.raises(ScheduleError):
-        preset_schedule("huge", "once", 10)
 
 
 def test_event_timing_dynamic():
@@ -252,15 +248,18 @@ def test_log_jsonl_roundtrip(tmp_path):
     assert "error_rate" in back.final
 
 
-def test_taw_strategy_inside_run(tmp_path):
+def test_taw_strategy_inside_run():
     pre = init_model(ARCH, 45)
     data = toy_labeled(seed=46)
     cfg = tcfg(seed=47, updates=30)
     sched = PruneSchedule("once", (40,), 10)
     finetuned = finetune_supervised(pre, data, tcfg(seed=48, updates=20))
-    mask_path = str(tmp_path / "taw.padm")
-    a, _ = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned)
-    b, _ = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned, save_mask_to=mask_path)
+    a, log = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned)
+    b, _ = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned)
     assert a == b
     # the initial mask ranks the fine-tuned model, not the pre-trained one
-    assert load_mask(mask_path) == compute_ump_mask(finetuned, 40.0)
+    start, mask = initial_model(pre, "TAW", 40.0, finetuned=finetuned)
+    assert mask == compute_ump_mask(finetuned, 40.0)
+    assert mask != compute_ump_mask(pre, 40.0)
+    # and the run's update-0 event is that model's
+    assert log.events[0].train_loss == dataset_loss(start, data)
