@@ -6,6 +6,7 @@ and round-trips a pruning mask through the packed-bit mask format.
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +37,7 @@ print("prunable flags:", [t.prunable for t in ps], "-> d_prunable =", ps.d_pruna
 with tempfile.TemporaryDirectory(prefix="pada-demo-") as workdir:
     path = os.path.join(workdir, "model.pada")
     save_checkpoint(ps, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     print(f"\nwrote {path} ({len(raw)} bytes), first 16 bytes: {raw[:16].hex(' ')}")
 
     loaded = load_checkpoint(path)
@@ -48,5 +49,5 @@ with tempfile.TemporaryDirectory(prefix="pada-demo-") as workdir:
     print("\n50% magnitude mask over layers.0.weight:", mask.entries[0].bits.ravel().astype(int))
     mpath = os.path.join(workdir, "model.padm")
     save_mask(mask, mpath)
-    print("mask file magic:", open(mpath, "rb").read(4))
+    print("mask file magic:", Path(mpath).read_bytes()[:4])
     print("mask round-trip equal:", load_mask(mpath) == mask)

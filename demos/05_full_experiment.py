@@ -8,6 +8,7 @@ masks of one cell, all via the same entry points the `pada` command uses.
 import json
 import os
 import tempfile
+from pathlib import Path
 
 from pada.cli import cmd_compare_masks, cmd_make_donor, cmd_pretrain, cmd_report, cmd_run
 from pada.config import default_config, parse_config
@@ -26,7 +27,7 @@ with tempfile.TemporaryDirectory(prefix="pada-demo-") as workdir:
     table_csv, table_json = cmd_run(cfg)
     print("  ->", table_csv)
 
-    rows = json.loads(open(table_json).read())["rows"]
+    rows = json.loads(Path(table_json).read_text())["rows"]
     print(f"\n{'strategy':8s} {'frequency':18s} mean target error")
     for row in rows:
         print(f"{row['strategy']:8s} {row['frequency']:18s} {row['mean_error']:.4f}")
@@ -40,6 +41,6 @@ with tempfile.TemporaryDirectory(prefix="pada-demo-") as workdir:
         os.path.join(run_dir, pair[0]), os.path.join(run_dir, pair[1]),
         os.path.join(cfg.out, "mask_cmp"),
     )
-    report = json.loads(open(json_path).read())
+    report = json.loads(Path(json_path).read_text())
     print(f"\nTAG vs CD-TAW initial masks: IOU {report['global']['iou']:.3f} "
           f"MMA {report['global']['mma']:.3f} (per-layer rows in {csv_path})")

@@ -277,6 +277,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seeds_option(text: str) -> list[int]:
+    """The ``--seeds`` override as ints; empty items are skipped."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -292,7 +300,7 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
             else:
                 if args.seeds is not None:
-                    cfg.seeds = check_seeds(s for s in args.seeds.split(",") if s)
+                    cfg.seeds = check_seeds(_seeds_option(args.seeds))
                 csv_path, json_path = cmd_run(cfg, force=args.force)
                 print(f"wrote {csv_path}")
                 print(f"wrote {json_path}")

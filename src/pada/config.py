@@ -8,7 +8,7 @@ the seed sweep, so rerunning the same config reproduces every output byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .data import DomainShiftSpec
 from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, PruneSchedule, validate
@@ -100,6 +100,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     task_doc = dict(_req(doc, "task", ""))
     task_seed = _int(_req(task_doc, "seed", "task"), "task.seed")
     task_doc.pop("seed")
+    known = {f.name for f in fields(DomainShiftSpec)}
+    unknown = [key for key in task_doc if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config field: task.{unknown[0]}")
     task = DomainShiftSpec(**task_doc)
 
     arch_doc = _req(doc, "arch", "")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import StructureMismatchError, atomic_write_text
+from .params import StructureMismatchError, atomic_write_text, structural_mismatch
 from .pruning import Mask
 
 
@@ -24,18 +24,11 @@ def _layer_counts(ma: Mask, mb: Mask) -> list[tuple[int, int, int]]:
     Both zeroed is ``size - either retained``, so one pass over the bits
     feeds IOU and MMA alike.
     """
-    if len(ma.entries) != len(mb.entries):
-        raise StructureMismatchError(
-            f"masks cover {len(ma.entries)} vs {len(mb.entries)} tensors"
-        )
+    problem = structural_mismatch(ma.entries, mb.entries)
+    if problem is not None:
+        raise StructureMismatchError(f"masks do not align: {problem}")
     counts = []
-    for i, (a, b) in enumerate(zip(ma.entries, mb.entries)):
-        if a.name != b.name:
-            raise StructureMismatchError(f"entry {i}: name {a.name!r} vs {b.name!r}")
-        if a.shape != b.shape:
-            raise StructureMismatchError(
-                f"entry {i} ({a.name!r}): shape {a.shape} vs {b.shape}"
-            )
+    for a, b in zip(ma.entries, mb.entries):
         both = int(np.count_nonzero(a.bits & b.bits))
         either = int(np.count_nonzero(a.bits | b.bits))
         counts.append((both, either, a.bits.size))

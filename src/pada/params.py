@@ -164,17 +164,25 @@ def flat_prunable_values(ps: ParameterSet) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def structural_mismatch(a: ParameterSet, b: ParameterSet) -> str | None:
-    """Describe the first structural difference between two sets, or None."""
-    if len(a.tensors) != len(b.tensors):
-        return f"tensor count differs: {len(a.tensors)} vs {len(b.tensors)}"
-    for i, (ta, tb) in enumerate(zip(a.tensors, b.tensors)):
+def structural_mismatch(a, b) -> str | None:
+    """Describe the first structural difference between two layouts, or None.
+
+    ``a`` and ``b`` are parameter sets or ordered sequences of named, shaped
+    items (tensors, mask entries).  Position by position it compares the
+    item count, names and shapes, and prunable flags only where both items
+    carry one (mask entries do not).  Values are never compared.
+    """
+    a, b = list(a), list(b)
+    if len(a) != len(b):
+        return f"tensor count differs: {len(a)} vs {len(b)}"
+    for i, (ta, tb) in enumerate(zip(a, b)):
         if ta.name != tb.name:
             return f"tensor {i}: name {ta.name!r} vs {tb.name!r}"
         if ta.shape != tb.shape:
             return f"tensor {i} ({ta.name!r}): shape {ta.shape} vs {tb.shape}"
-        if ta.prunable != tb.prunable:
-            return f"tensor {i} ({ta.name!r}): prunable {ta.prunable} vs {tb.prunable}"
+        flags = getattr(ta, "prunable", None), getattr(tb, "prunable", None)
+        if None not in flags and flags[0] != flags[1]:
+            return f"tensor {i} ({ta.name!r}): prunable {flags[0]} vs {flags[1]}"
     return None
 
 

@@ -21,6 +21,7 @@ from .params import (
     Tensor,
     flat_prunable_values,
     read_container,
+    structural_mismatch,
     write_container,
 )
 
@@ -120,19 +121,6 @@ def compute_ump_mask(ps: ParameterSet, rate: float, source: str = "in-loop") -> 
     return Mask(entries, source=source, rate=float(rate))
 
 
-def mask_alignment_error(mask: Mask, ps: ParameterSet) -> str | None:
-    """Describe the first mask-vs-set structural mismatch, or None if aligned."""
-    prunable = ps.prunable_tensors()
-    if len(mask.entries) != len(prunable):
-        return f"mask covers {len(mask.entries)} tensors, set has {len(prunable)} prunable"
-    for i, (e, t) in enumerate(zip(mask.entries, prunable)):
-        if e.name != t.name:
-            return f"entry {i}: mask name {e.name!r} vs tensor {t.name!r}"
-        if e.shape != t.shape:
-            return f"entry {i} ({e.name!r}): mask shape {e.shape} vs tensor {t.shape}"
-    return None
-
-
 def apply_zeroing(ps: ParameterSet, mask: Mask) -> ParameterSet:
     """Return a copy of ``ps`` with 0.0 where the mask bit is 0.
 
@@ -140,7 +128,7 @@ def apply_zeroing(ps: ParameterSet, mask: Mask) -> ParameterSet:
     weight that happened to be zero, and subsequent gradient updates may make
     zeroed weights nonzero again.
     """
-    problem = mask_alignment_error(mask, ps)
+    problem = structural_mismatch(mask.entries, ps.prunable_tensors())
     if problem is not None:
         raise StructureMismatchError(f"mask does not align with parameter set: {problem}")
     by_name = {e.name: e for e in mask.entries}

@@ -17,7 +17,8 @@ trains with, which its type decides.
 One executor, :func:`run_cells`, runs every cell of a seed.  All cells draw
 the same minibatches from ``default_rng(seed)``, so a wave of cells trains
 as one :class:`~pada.trainer.ModelStack` that stops at each of its cells'
-prune points.  TAW ranks the seed's DFT model, so the TAW cells form a second
+prune points.  A cell keeps its stack slot for the whole wave, unread once
+it diverges.  TAW ranks the seed's DFT model, so the TAW cells form a second
 wave after the DFT, TAG and CD-TAW cells.  :func:`run_pada` and
 :func:`run_dft` are one-cell calls of the same executor.
 """
@@ -234,12 +235,13 @@ def _run_wave(pretrained, cells, wave, target_data, cfg, outcomes, donor, finetu
     stack = ModelStack.of([m.start for m in members], "cross_entropy")
     rng = np.random.default_rng(cfg.seed)
     done = 0
-    while done < n_total and stack.ids:
-        stop = min([members[j].points[0][0] for j in stack.ids if members[j].points] + [n_total])
+    alive = list(enumerate(members))  # (stack slot, member) pairs not yet diverged
+    while done < n_total and alive:
+        stop = min([m.points[0][0] for _, m in alive if m.points] + [n_total])
         stack.train(target_data, cfg, stop - done, rng, step_offset=done)
         done = stop
-        for j in stack.ids:
-            m = members[j]
+        alive = [(j, m) for j, m in alive if j not in stack.diverged]
+        for j, m in alive:
             if m.points and m.points[0][0] == done:
                 _, rate = m.points.pop(0)
                 model = stack.model(j, pretrained, "adapted")
@@ -249,8 +251,7 @@ def _run_wave(pretrained, cells, wave, target_data, cfg, outcomes, donor, finetu
                 stack.set(j, model)
     for j, step in stack.diverged.items():
         outcomes[members[j].cell] = TrainingDivergedError(step)
-    for j in stack.ids:
-        m = members[j]
+    for j, m in alive:
         role = "finetuned_target" if cells[m.cell][1] is None else "adapted"
         outcomes[m.cell] = (stack.model(j, pretrained, role), m.log, m.mask)
 

@@ -255,9 +255,11 @@ class ModelStack:
     weight-sized array.  ``master``, ``work`` and ``grad`` view these rows
     per tensor.
 
-    Slices carry ids ``0..S-1`` for their whole life: a slice whose loss turns
-    non-finite leaves the stack before that step's update, and ``diverged``
-    maps its id to the global update index.
+    Slices keep their slot ``0..S-1`` for life.  A slice whose loss turns
+    non-finite stays in its slot and keeps stepping, but is never read
+    again; ``diverged`` maps its slot to the global update index.  Each
+    slice is its own 2-D product and its own elementwise update, so a NaN
+    slice cannot change another slice's bits.
     """
 
     def __init__(self, weights: list, kind: str, activation: str = "tanh"):
@@ -267,22 +269,18 @@ class ModelStack:
         self.depth = _trunk_depth(weights[0], self.head)
         names = list(weights[0])
         self.trained = [n for n in names if n.startswith(("layers.", f"{self.head}."))]
-        self.shapes = {n: np.shape(weights[0][n]) for n in self.trained}
+        shapes = {n: np.shape(weights[0][n]) for n in self.trained}
         rows = [np.concatenate([np.ravel(w[n]) for n in self.trained]) for w in weights]
         self.flat = np.stack(rows)
-        self.flat_grad = np.empty(self.flat.shape, np.float32)
-        self.fixed = {n: np.stack([w[n] for w in weights]) for n in names if n not in self.trained}
-        self.ids = list(range(len(weights)))
-        self.diverged: dict[int, int] = {}
-        self._views()
-
-    def _views(self) -> None:
         self.flat_work = np.empty(self.flat.shape)
-        self.master, self.work, self.grad = dict(self.fixed), {}, {}
+        self.flat_grad = np.empty(self.flat.shape, np.float32)
+        self.master = {n: np.stack([w[n] for w in weights]) for n in names if n not in self.trained}
+        self.work, self.grad = {}, {}
+        self.diverged: dict[int, int] = {}
         start = 0
         for name in self.trained:
-            shape = (len(self.flat), *self.shapes[name])
-            cols = slice(start, start + math.prod(self.shapes[name]))
+            shape = (len(weights), *shapes[name])
+            cols = slice(start, start + math.prod(shapes[name]))
             self.master[name] = self.flat[:, cols].reshape(shape)
             self.work[name] = self.flat_work[:, cols].reshape(shape)
             self.grad[name] = self.flat_grad[:, cols].reshape(shape)
@@ -321,8 +319,9 @@ class ModelStack:
         """Run ``updates`` SGD steps, drawing one batch per step from ``rng`` for every slice.
 
         The draws are those of :func:`sgd_train`, so a stack consumes ``rng``
-        as one model trained alone would.  Returns each step's losses of the
-        slices in the stack at that step.
+        as one model trained alone would.  Returns each step's losses, one per
+        slot of all S; a diverged slot's entries are non-finite.  Stops early
+        once every slot has diverged.
         """
         labeled = self.kind == "cross_entropy"
         losses = []
@@ -330,8 +329,6 @@ class ModelStack:
         # is the mechanism that turns that into a divergence
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(updates):
-                if not self.ids:
-                    break
                 idx = rng.integers(0, data.n, size=cfg.batch)
                 xb = data.x[idx]
                 if labeled:
@@ -343,31 +340,24 @@ class ModelStack:
                 losses.append(step_losses)
                 finite = np.isfinite(step_losses)
                 if not finite.all():
-                    for pos in np.flatnonzero(~finite):
-                        self.diverged[self.ids[pos]] = step_offset + step
-                    self._keep(np.flatnonzero(finite))
+                    for slot in np.flatnonzero(~finite):
+                        self.diverged.setdefault(int(slot), step_offset + step)
+                    if len(self.diverged) == len(self.flat):
+                        break
                 _sgd_update(self.flat, self.flat_grad, cfg.lr, self.flat_work)
         return losses
 
-    def _keep(self, positions: np.ndarray) -> None:
-        self.ids = [self.ids[p] for p in positions]
-        self.flat, self.flat_grad = self.flat[positions], self.flat_grad[positions]
-        self.fixed = {n: m[positions] for n, m in self.fixed.items()}
-        self._views()
-
-    def model(self, sid: int, template: ParameterSet, role: str) -> ParameterSet:
-        """A copy of slice ``sid`` with ``template``'s names, prunable flags and metadata."""
-        pos = self.ids.index(sid)
+    def model(self, slot: int, template: ParameterSet, role: str) -> ParameterSet:
+        """A copy of slice ``slot`` with ``template``'s names, prunable flags and metadata."""
         tensors = [
-            Tensor(t.name, self.master[t.name][pos].copy(), t.prunable) for t in template.tensors
+            Tensor(t.name, self.master[t.name][slot].copy(), t.prunable) for t in template.tensors
         ]
         return ParameterSet(tensors, role, dict(template.meta))
 
-    def set(self, sid: int, ps: ParameterSet) -> None:
-        """Overwrite slice ``sid`` with the values of ``ps``."""
-        pos = self.ids.index(sid)
+    def set(self, slot: int, ps: ParameterSet) -> None:
+        """Overwrite slice ``slot`` with the values of ``ps``."""
         for t in ps.tensors:
-            self.master[t.name][pos] = t.data
+            self.master[t.name][slot] = t.data
 
 
 def _stack_of_one(weights) -> dict:

@@ -220,7 +220,15 @@ def test_main_seeds_override(tmp_path):
     assert header == "strategy,frequency,mean_error,seed_5"
 
 
-@pytest.mark.parametrize("seeds, message", [(",", "nonempty"), ("3,3", "duplicate")])
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        (",", "nonempty"),
+        ("3,3", "duplicate"),
+        ("1.5", "--seeds must be comma-separated integers, got '1.5'"),
+        ("a", "--seeds must be comma-separated integers, got 'a'"),
+    ],
+)
 def test_bad_seeds_override_is_config_error(tmp_path, capsys, seeds, message):
     doc = small_config(str(tmp_path / "exp"), seeds=(0,))
     cfg_path = str(tmp_path / "config.json")
@@ -477,6 +485,18 @@ def test_config_integers_accept_integral_numbers(tmp_path):
     assert all(type(v) is int for v in values)
 
 
+def test_config_refuses_unknown_task_field(tmp_path, capsys):
+    doc = small_config(str(tmp_path / "exp"))
+    doc["task"]["foo"] = 1
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["pretrain", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "config: unknown config field: task.foo"
+    assert not os.path.exists(doc["out"])
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -545,11 +565,13 @@ def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
         assert stacked[name] == serial[name], name
 
 
-def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, capsys):
-    # at this learning rate the TAW cells and CD-TAW iterative diverge, the
-    # latter one update before the TAW cells; serially, TAW once fails first
+def diverging_grid(tmp_path):
+    """Seed 1 of a relu TAW/CD-TAW grid at lr 3000, where some cells diverge.
+
+    Returns the config document, the parsed config and seed 1's
+    (pretrained, target data, train config, donor).
+    """
     from pada.data import gen_domain_shift
-    from pada.schedule import run_dft, run_pada
 
     doc = small_config(str(tmp_path / "exp"), seeds=(1,))
     doc["arch"]["activation"] = "relu"
@@ -561,7 +583,15 @@ def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, caps
     pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
     donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
     target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
-    tcfg = cfg.target_cfg(1)
+    return doc, cfg, (pre, target, cfg.target_cfg(1), donor)
+
+
+def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, capsys):
+    # at this learning rate the TAW cells and CD-TAW iterative diverge, the
+    # latter one update before the TAW cells; serially, TAW once fails first
+    from pada.schedule import run_dft, run_pada
+
+    doc, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
     finetuned, _ = run_dft(pre, target, tcfg)
     failures = []
     for strategy, freq in cfg.cells()[1:]:
@@ -580,3 +610,34 @@ def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, caps
     assert main(["run", "--config", cfg_path]) == 1
     err = capsys.readouterr().err.strip()
     assert err == f"training: run {strategy.lower()}_{freq}_seed1: {first}"
+
+
+def test_stacked_divergence_leaves_survivors_as_if_alone(tmp_path):
+    # wave 1: CD-TAW iterative diverges at update 5 beside DFT, CD-TAW once and
+    # CD-TAW dynamic; wave 2: TAW once and TAW dynamic diverge at update 6
+    # beside TAW iterative.  The survivors must not notice their dead slots.
+    from pada.schedule import run_cells
+    from pada.trainer import TrainingDivergedError
+
+    _, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
+    cells = [(s, None if s == "DFT" else cfg.schedule_for(f)) for s, f in cfg.cells()]
+    stacked = run_cells(pre, cells, target, tcfg, donor=donor)
+    serial = one_cell_at_a_time(pre, cells, target, tcfg, donor=donor)
+    diverged = {
+        cell: outcome.step
+        for cell, outcome in zip(cfg.cells(), stacked)
+        if isinstance(outcome, TrainingDivergedError)
+    }
+    assert diverged == {
+        ("CD-TAW", "iterative"): 5,
+        ("TAW", "once"): 6,
+        ("TAW", "dynamic_iterative"): 6,
+    }
+    for cell, a, b in zip(cfg.cells(), stacked, serial):
+        if isinstance(a, Exception):
+            assert type(b) is type(a) and b.step == a.step, cell
+            continue
+        (model_a, log_a, mask_a), (model_b, log_b, mask_b) = a, b
+        assert model_a == model_b, cell
+        assert log_a.events == log_b.events, cell
+        assert mask_a == mask_b, cell
