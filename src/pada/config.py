@@ -3,12 +3,15 @@
 The document pins the synthetic task, the architecture, the per-stage train
 configs, the schedule rates per frequency, the strategy/frequency grid and
 the seed sweep, so rerunning the same config reproduces every output byte.
+The dataclasses are the schema of the sections that build them (:func:`_section`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .data import DomainShiftSpec
 from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, PruneSchedule, validate
@@ -20,41 +23,71 @@ class ConfigError(ValueError):
     """Inconsistent run configuration (e.g. an unknown strategy or a missing field)."""
 
 
-def _req(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"missing config field: {where}.{key}" if where else f"missing config field: {key}")
-    return doc[key]
+# Each dataclass's field types, resolved once (get_type_hints re-evaluates the
+# string annotations on every call), and its fields with a default.
+_TYPES = {cls: get_type_hints(cls) for cls in (DomainShiftSpec, ModelArch, TrainConfig)}
+_DEFAULTED = {cls: {f.name for f in fields(cls) if f.default is not MISSING} for cls in _TYPES}
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a bool", dict: "an object"}
 
 
-def _train_cfg(doc: dict, where: str, **extra) -> TrainConfig:
-    fields = {key: _req(doc, key, where) for key in ("lr", "batch", "updates", "seed")}
-    return TrainConfig(**fields, **extra)
+def _value(value, tp, path: str):
+    """``value`` read as the annotation ``tp``, or a ConfigError naming ``path``.
+
+    An int must be integral (2000.0 counts) and a float finite, neither a bool.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    try:
+        if type(None) in args:  # X | None
+            return None if value is None else _value(value, args[0], path)
+        if origin in (list, tuple) and type(value) is list:
+            return origin(_value(item, args[0], path) for item in value)
+        if tp is int and (type(value) is int or type(value) is float and value.is_integer()):
+            return int(value)
+        if tp is float and type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+        if type(value) is tp:  # str, bool, dict
+            return value
+    except (ConfigError, OverflowError):  # an item refused, or an int too large for a float
+        pass
+    kind = _KINDS[args[0] if args else tp]
+    kind = f"{kind} or null" if type(None) in args else f"a list, each {kind}" if args else kind
+    raise ConfigError(f"{path} must be {kind}, got {value!r}")
 
 
-def _int(value, field: str) -> int:
-    """A JSON integer; an integral float such as 2000.0 counts, a bool or a fraction does not."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+def _object(doc, path: str, types: dict, optional=()) -> dict:
+    """Object ``doc`` at ``path`` read as ``types``; only the ``optional`` keys may be missing."""
+    doc = _value(doc, dict, path or "the config")
+    where = f"{path}." if path else ""
+    for key in [*doc, *types]:
+        if key not in types:
+            raise ConfigError(f"unknown config field: {where}{key}")
+        if key not in doc and key not in optional:
+            raise ConfigError(f"missing config field: {where}{key}")
+    return {key: _value(value, types[key], where + key) for key, value in doc.items()}
 
 
-def _config_seeds(value) -> list[int]:
-    """The config's seed sweep: a JSON list of integers."""
-    if not isinstance(value, list):
-        raise ConfigError(f"seeds must be a JSON list of integers, got {value!r}")
-    return check_seeds([_int(s, "seeds") for s in value])
+def _section(cls, doc, path: str, *keys, **given):
+    """Section ``path`` as a ``cls``: its keys (all fields unless named) typed by the annotations,
+    optional where the field has a default; ``given`` fills the rest.  A refused bound names it."""
+    values = _object(doc, path, {k: _TYPES[cls][k] for k in keys or _TYPES[cls]}, _DEFAULTED[cls])
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def check_seeds(seeds) -> list[int]:
-    """The seed sweep as a list of ints; it must be nonempty and hold no duplicates."""
-    seeds = [int(s) for s in seeds]
+def _distinct(values: list, what: str) -> list:
+    dups = sorted({v for v in values if values.count(v) > 1})
+    if dups:
+        raise ConfigError(f"duplicate {what}: {dups}")
+    return values
+
+
+def check_seeds(seeds: list[int]) -> list[int]:
+    """The seed sweep; it must be nonempty and hold no duplicates."""
     if not seeds:
         raise ConfigError("seed list must be nonempty")
-    dups = sorted({s for s in seeds if seeds.count(s) > 1})
-    if dups:
-        raise ConfigError(f"duplicate seeds in seed list: {dups}")
-    return seeds
+    return _distinct(seeds, "seeds in seed list")
 
 
 @dataclass
@@ -64,9 +97,7 @@ class ExperimentConfig:
     arch: ModelArch
     pretrain: TrainConfig
     donor: TrainConfig
-    target_lr: float
-    target_batch: int
-    total_updates: int  # N: the target fine-tune's TrainConfig.updates
+    target: TrainConfig  # updates is N; target_cfg sets the run seed
     interval: int
     rates: dict[str, tuple[float, ...]]
     strategies: list[str]
@@ -74,19 +105,14 @@ class ExperimentConfig:
     include_dft: bool
     seeds: list[int]
     out: str
-    pretrained_file: str = "pretrained.pada"
-    donor_file: str = "donor.pada"
+    pretrained_file: str
+    donor_file: str
 
     def schedule_for(self, freq: str) -> PruneSchedule:
         return PruneSchedule(freq, self.rates[freq], self.interval)
 
     def target_cfg(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            lr=self.target_lr,
-            batch=self.target_batch,
-            updates=self.total_updates,
-            seed=seed,
-        )
+        return replace(self.target, seed=seed)
 
     def cells(self) -> list[tuple[str, str]]:
         """(strategy, frequency) grid in table order; DFT first when included."""
@@ -95,74 +121,48 @@ class ExperimentConfig:
         return grid
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
+def parse_config(doc) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain JSON document."""
-    task_doc = dict(_req(doc, "task", ""))
-    task_seed = _int(_req(task_doc, "seed", "task"), "task.seed")
-    task_doc.pop("seed")
-    known = {f.name for f in fields(DomainShiftSpec)}
-    unknown = [key for key in task_doc if key not in known]
-    if unknown:
-        raise ConfigError(f"unknown config field: task.{unknown[0]}")
-    task = DomainShiftSpec(**task_doc)
-
-    arch_doc = _req(doc, "arch", "")
-    arch = ModelArch(
-        input_dim=task.input_dim,
-        hidden=tuple(_req(arch_doc, "hidden", "arch")),
-        num_classes=task.num_classes,
-        activation=arch_doc.get("activation", "tanh"),
-    )
-
-    pre_doc = _req(doc, "pretrain", "")
-    pretrain = _train_cfg(pre_doc, "pretrain", denoise_std=pre_doc.get("denoise_std", 0.1))
-    donor = _train_cfg(_req(doc, "donor", ""), "donor")
-    tgt_doc = _req(doc, "target", "")
-    target_lr = float(_req(tgt_doc, "lr", "target"))
-    target_batch = _int(_req(tgt_doc, "batch", "target"), "target.batch")
-
-    sched_doc = _req(doc, "schedule", "")
-    total_updates = _int(_req(sched_doc, "total_updates", "schedule"), "schedule.total_updates")
-    interval = _int(_req(sched_doc, "interval", "schedule"), "schedule.interval")
-    rates_doc = _req(sched_doc, "rates", "schedule")
-    rates = {k: tuple(float(r) for r in v) for k, v in rates_doc.items()}
-
-    strategies = list(_req(doc, "strategies", ""))
-    for s in strategies:
+    sections = dict.fromkeys(("task", "arch", "pretrain", "donor", "target", "schedule"), dict)
+    required = {"strategies": list[str], "frequencies": list[str], "seeds": list[int], "out": str}
+    optional = {"include_dft": bool, "pretrained": str, "donor_checkpoint": str}
+    top = _object(doc, "", sections | required | optional, optional)
+    task = {"seed": int} | _TYPES[DomainShiftSpec]
+    task = _object(top["task"], "task", task, _DEFAULTED[DomainShiftSpec])
+    task_seed = task.pop("seed")
+    task = _section(DomainShiftSpec, task, "task")
+    sched = {"total_updates": int, "interval": int, "rates": dict}
+    sched = _object(top["schedule"], "schedule", sched)
+    # the grid's frequencies need rates; the other frequencies may have them
+    rates = dict.fromkeys(FREQUENCIES, tuple[float, ...])
+    rates = _object(sched["rates"], "schedule.rates", rates, {*FREQUENCIES} - {*top["frequencies"]})
+    for s in top["strategies"]:
         if s not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy {s!r} in config")
-    frequencies = list(_req(doc, "frequencies", ""))
-    for f in frequencies:
+    for f in top["frequencies"]:
         if f not in FREQUENCIES:
             raise ConfigError(f"unknown frequency {f!r} in config")
-        if f not in rates:
-            raise ConfigError(f"missing config field: schedule.rates.{f}")
-
-    include_dft = doc.get("include_dft", True)
-    if not isinstance(include_dft, bool):
-        raise ConfigError(f"include_dft must be true or false, got {include_dft!r}")
-    cfg = ExperimentConfig(
+        validate(PruneSchedule(f, rates[f], sched["interval"]), sched["total_updates"])
+    return ExperimentConfig(
         task_seed=task_seed,
         task=task,
-        arch=arch,
-        pretrain=pretrain,
-        donor=donor,
-        target_lr=target_lr,
-        target_batch=target_batch,
-        total_updates=total_updates,
-        interval=interval,
+        arch=_section(ModelArch, top["arch"], "arch", "hidden", "activation",
+                      input_dim=task.input_dim, num_classes=task.num_classes),
+        pretrain=_section(TrainConfig, top["pretrain"], "pretrain"),
+        # the donor and target fine-tunes train on labels, so they read no denoise_std
+        donor=_section(TrainConfig, top["donor"], "donor", "lr", "batch", "updates", "seed"),
+        target=_section(TrainConfig, top["target"], "target", "lr", "batch",
+                        updates=sched["total_updates"], seed=0),
+        interval=sched["interval"],
         rates=rates,
-        strategies=strategies,
-        frequencies=frequencies,
-        include_dft=include_dft,
-        seeds=_config_seeds(_req(doc, "seeds", "")),
-        out=str(_req(doc, "out", "")),
-        pretrained_file=str(doc.get("pretrained", "pretrained.pada")),
-        donor_file=str(doc.get("donor_checkpoint", "donor.pada")),
+        strategies=_distinct(top["strategies"], "strategies"),
+        frequencies=_distinct(top["frequencies"], "frequencies"),
+        include_dft=top.get("include_dft", True),
+        seeds=check_seeds(top["seeds"]),
+        out=top["out"],
+        pretrained_file=top.get("pretrained", "pretrained.pada"),
+        donor_file=top.get("donor_checkpoint", "donor.pada"),
     )
-    for f in cfg.frequencies:
-        validate(cfg.schedule_for(f), cfg.total_updates)
-    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -9,6 +9,7 @@ and a packed-bit payload, stores pruning masks (see :mod:`pada.pruning`).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -313,10 +314,7 @@ def read_container(path: str, magic: bytes, label: str, payload_nbytes):
         shape = tuple(r.u32("tensor dims") for _ in range(rank))
         if 0 in shape:
             raise FormatError(f"{path}: tensor {name!r}: dims must be positive, got {shape}")
-        n = 1
-        for d in shape:
-            n *= d
-        payload = r.take(payload_nbytes(n), "tensor data")
+        payload = r.take(payload_nbytes(math.prod(shape)), "tensor data")
         records.append((name, prunable, shape, payload))
     metadata: dict[str, str] = {}
     pair_count = r.u32("metadata count")

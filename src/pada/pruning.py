@@ -75,12 +75,8 @@ class Mask:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mask):
             return NotImplemented
-        return (
-            len(self.entries) == len(other.entries)
-            and all(
-                a.name == b.name and a.shape == b.shape and np.array_equal(a.bits, b.bits)
-                for a, b in zip(self.entries, other.entries)
-            )
+        return structural_mismatch(self.entries, other.entries) is None and all(
+            np.array_equal(a.bits, b.bits) for a, b in zip(self.entries, other.entries)
         )
 
 
@@ -166,11 +162,8 @@ def load_mask(path: str) -> Mask:
     )
     entries = []
     for name, _prunable, shape, payload in records:
-        n = 1
-        for d in shape:
-            n *= d
         bits = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8), count=n, bitorder="little"
+            np.frombuffer(payload, dtype=np.uint8), count=math.prod(shape), bitorder="little"
         ).astype(bool)
         entries.append(MaskEntry(name, bits.reshape(shape)))
     try:

@@ -92,7 +92,7 @@ def test_prune_event_timestamps_match_schedule_contract(tmp_path):
     cfg = prep(tmp_path)
     cmd_run(cfg)
     run_dir = os.path.join(cfg.out, "runs")
-    n_total, interval = cfg.total_updates, cfg.interval
+    n_total, interval = cfg.target.updates, cfg.interval
     for fname in sorted(os.listdir(run_dir)):
         if not fname.endswith(".jsonl"):
             continue
@@ -481,7 +481,7 @@ def test_config_integers_accept_integral_numbers(tmp_path):
     doc["schedule"]["total_updates"], doc["schedule"]["interval"] = 60.0, 20.0
     cfg = parse_config(doc)
     assert cfg == parse_config(small_config(str(tmp_path / "exp")))
-    values = (cfg.task_seed, cfg.target_batch, cfg.total_updates, cfg.interval)
+    values = (cfg.task_seed, cfg.target.batch, cfg.target.updates, cfg.interval)
     assert all(type(v) is int for v in values)
 
 
