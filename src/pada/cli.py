@@ -185,18 +185,33 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
     return csv_path, json_path
 
 
+_CELL_KEYS = ("strategy", "frequency")
+
+
+def _listed_runs(table_json: str) -> list[str]:
+    """Sorted names of the runs a ``table.json`` lists; a malformed table is a FormatError."""
+    with open(table_json, "r", encoding="utf-8") as fh:
+        try:
+            table = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise FormatError(f"{table_json}: not JSON ({exc})") from exc
+    rows, seeds = (table.get(k) if type(table) is dict else None for k in ("rows", "seeds"))
+    if type(rows) is not list or type(seeds) is not list or any(type(s) is not int for s in seeds):
+        raise FormatError(
+            f"{table_json}: expected an object with a list of rows and of integer seeds"
+        )
+    for i, row in enumerate(rows):
+        if type(row) is not dict or not all(type(row.get(k)) is str for k in _CELL_KEYS):
+            raise FormatError(f"{table_json}: rows[{i}] needs a string strategy and frequency")
+    return sorted(_cell_name(row["strategy"], row["frequency"], s) for row in rows for s in seeds)
+
+
 def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     """Aggregate the .jsonl logs of the runs ``table.json`` lists into plot-ready files."""
     table_json = os.path.join(run_out, "table.json")
     if not os.path.isfile(table_json):
         raise ConfigError(f"no table.json under {run_out} (not a finished `pada run`)")
-    with open(table_json, "r", encoding="utf-8") as fh:
-        table = json.load(fh)
-    names = sorted(
-        _cell_name(row["strategy"], row["frequency"], seed)
-        for row in table["rows"]
-        for seed in table["seeds"]
-    )
+    names = _listed_runs(table_json)
     logs = [(n, read_log_jsonl(os.path.join(run_out, "runs", f"{n}.jsonl"))) for n in names]
     out_dir = out_dir or run_out
     os.makedirs(out_dir, exist_ok=True)
@@ -278,11 +293,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seeds_option(text: str) -> list[int]:
-    """The ``--seeds`` override as ints; empty items are skipped."""
+    """The ``--seeds`` override as non-negative ints; empty items are skipped."""
     try:
-        return [int(s) for s in text.split(",") if s]
+        seeds = [int(s) for s in text.split(",") if s]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"--seeds must be non-negative, got {text!r}")
+    return seeds
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import get_args, get_origin, get_type_hints
+from typing import NewType, get_args, get_origin, get_type_hints
 
 from .data import DomainShiftSpec
 from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, PruneSchedule, validate
@@ -23,17 +23,24 @@ class ConfigError(ValueError):
     """Inconsistent run configuration (e.g. an unknown strategy or a missing field)."""
 
 
+# A random seed: numpy's generators refuse a negative one, but only when a
+# stage starts, so the config refuses it first.
+Seed = NewType("Seed", int)
+
 # Each dataclass's field types, resolved once (get_type_hints re-evaluates the
 # string annotations on every call), and its fields with a default.
 _TYPES = {cls: get_type_hints(cls) for cls in (DomainShiftSpec, ModelArch, TrainConfig)}
+_TYPES[TrainConfig]["seed"] = Seed
 _DEFAULTED = {cls: {f.name for f in fields(cls) if f.default is not MISSING} for cls in _TYPES}
-_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a bool", dict: "an object"}
+_KINDS = {int: "an integer", Seed: "a non-negative integer", float: "a number", str: "a string",
+          bool: "a bool", dict: "an object"}
 
 
 def _value(value, tp, path: str):
     """``value`` read as the annotation ``tp``, or a ConfigError naming ``path``.
 
-    An int must be integral (2000.0 counts) and a float finite, neither a bool.
+    An int must be integral (2000.0 counts) and a float finite, neither a bool;
+    a Seed is an int that is not negative.
     """
     origin, args = get_origin(tp), get_args(tp)
     try:
@@ -41,7 +48,8 @@ def _value(value, tp, path: str):
             return None if value is None else _value(value, args[0], path)
         if origin in (list, tuple) and type(value) is list:
             return origin(_value(item, args[0], path) for item in value)
-        if tp is int and (type(value) is int or type(value) is float and value.is_integer()):
+        integral = type(value) is int or type(value) is float and value.is_integer()
+        if tp in (int, Seed) and integral and (tp is int or value >= 0):
             return int(value)
         if tp is float and type(value) in (int, float) and math.isfinite(value):
             return float(value)
@@ -124,10 +132,10 @@ class ExperimentConfig:
 def parse_config(doc) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain JSON document."""
     sections = dict.fromkeys(("task", "arch", "pretrain", "donor", "target", "schedule"), dict)
-    required = {"strategies": list[str], "frequencies": list[str], "seeds": list[int], "out": str}
+    required = {"strategies": list[str], "frequencies": list[str], "seeds": list[Seed], "out": str}
     optional = {"include_dft": bool, "pretrained": str, "donor_checkpoint": str}
     top = _object(doc, "", sections | required | optional, optional)
-    task = {"seed": int} | _TYPES[DomainShiftSpec]
+    task = {"seed": Seed} | _TYPES[DomainShiftSpec]
     task = _object(top["task"], "task", task, _DEFAULTED[DomainShiftSpec])
     task_seed = task.pop("seed")
     task = _section(DomainShiftSpec, task, "task")

@@ -354,7 +354,7 @@ def load_checkpoint(path: str) -> ParameterSet:
         ps = ParameterSet(tensors, role, metadata)
     except ValueError as exc:  # well-formed container, invalid content (e.g. an unknown role)
         raise FormatError(f"{path}: {exc}") from exc
-    # magnitude ranking would never prune a NaN (argsort puts it last)
+    # magnitude ranking would never prune a NaN (it ranks after +inf)
     bad = next((t.name for t in tensors if not np.isfinite(t.data).all()), None)
     if bad is not None:
         raise FormatError(f"{path}: tensor {bad!r} holds NaN or inf weights")

@@ -1,9 +1,13 @@
 """Unstructured magnitude pruning.
 
 Masks select an exact count of least-magnitude weights under a single global
-ranking across all prunable tensors.  Zeroing writes 0.0 at the selected
-positions and deliberately keeps no record of the mask: the weights stay
-trainable and may regrow under later gradient updates.
+ranking across all prunable tensors, ties broken by flat position.  The
+ranking is a linear-time selection, not a sort: it finds the threshold
+magnitude and prunes what lies below it plus the earliest ties at it, which
+picks exactly the weights a stable sort by magnitude would put first.
+Zeroing writes 0.0 at the selected positions and deliberately keeps no
+record of the mask: the weights stay trainable and may regrow under later
+gradient updates.
 """
 
 from __future__ import annotations
@@ -98,17 +102,27 @@ def compute_ump_mask(ps: ParameterSet, rate: float, source: str = "in-loop") -> 
     Ranking is global over all prunable tensors.  Ties at the threshold are
     broken by flat position (earlier elements pruned first), which makes the
     mask deterministic; exact zeros therefore rank first among equal
-    magnitudes in position order.
+    magnitudes in position order, -0.0 tying with 0.0, and NaN ranks after
+    +inf.  The selection takes linear time: ``np.partition`` finds the
+    z-th smallest magnitude, every weight below it is pruned, and then the
+    earliest weights equal to it, which is the first z of a stable sort.
     """
     if not 0.0 <= rate <= 100.0:
         raise ValueError(f"prune rate must be in [0, 100], got {rate}")
     prunable = _require_prunable(ps)
     values = flat_prunable_values(ps)
     z = prune_count(rate, values.size)
-    keep = np.ones(values.size, dtype=bool)
-    if z > 0:
-        order = np.argsort(np.abs(values), kind="stable")
-        keep[order[:z]] = False
+    if z == 0:
+        keep = np.ones(values.size, dtype=bool)
+    else:
+        mags = np.abs(values)
+        kth = np.partition(mags, z - 1)[z - 1]  # NaN sorts last, as in a sort
+        if np.isnan(kth):  # nothing compares equal to NaN
+            below, at = ~np.isnan(mags), np.isnan(mags)
+        else:
+            below, at = mags < kth, mags == kth
+        keep = ~below
+        keep[np.flatnonzero(at)[: z - np.count_nonzero(below)]] = False
     entries = []
     offset = 0
     for t in prunable:

@@ -227,6 +227,7 @@ def test_main_seeds_override(tmp_path):
         ("3,3", "duplicate"),
         ("1.5", "--seeds must be comma-separated integers, got '1.5'"),
         ("a", "--seeds must be comma-separated integers, got 'a'"),
+        ("0,-1", "--seeds must be non-negative, got '0,-1'"),
     ],
 )
 def test_bad_seeds_override_is_config_error(tmp_path, capsys, seeds, message):
@@ -392,6 +393,25 @@ def test_report_without_table_is_config_error(tmp_path, capsys):
     assert "table.json" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{'rows': []}", "not JSON (Expecting property name"),
+        ("{}", "expected an object with a list of rows and of integer seeds"),
+        ('{"seeds": [0], "rows": [{"strategy": "TAG"}]}', "rows[0] needs a string strategy"),
+        ("[]", "expected an object with a list of rows and of integer seeds"),
+    ],
+)
+def test_report_refuses_a_malformed_table_as_format_error(tmp_path, capsys, text, message):
+    os.makedirs(tmp_path / "exp" / "runs")
+    table_json = tmp_path / "exp" / "table.json"
+    table_json.write_text(text, encoding="utf-8")
+    assert main(["report", str(tmp_path / "exp")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"format: {table_json}: {message}")
+
+
 def test_taw_masks_rank_the_seed_fine_tune(tmp_path):
     from pada.data import gen_domain_shift
     from pada.pruning import compute_ump_mask, load_mask
@@ -441,8 +461,8 @@ def test_config_seeds_must_be_a_list_of_integers(tmp_path, capsys, seeds):
 
 def test_config_seeds_accept_integral_numbers(tmp_path):
     doc = small_config(str(tmp_path / "exp"))
-    doc["seeds"] = [0, 2.0, -3]
-    assert parse_config(doc).seeds == [0, 2, -3]
+    doc["seeds"] = [0, 2.0, 3]
+    assert parse_config(doc).seeds == [0, 2, 3]
 
 
 @pytest.mark.parametrize(

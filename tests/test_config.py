@@ -28,6 +28,8 @@ OPTIONAL = {
     "donor_checkpoint": "donor.pada",
 }
 ATTRIBUTES = {"pretrained": "pretrained_file", "donor_checkpoint": "donor_file"}
+# the keys holding a seed (a list of them, for ``seeds``), which may not be negative
+SEEDS = ("task.seed", "pretrain.seed", "donor.seed", "seeds")
 
 
 def _keys(doc, prefix=""):
@@ -99,6 +101,13 @@ def test_config_fuzz_refuses_each_malformed_key_with_one_line(tmp_path, capsys):
         if path not in OPTIONAL:
             doc = _edited(path, lambda parent, key: parent.pop(key))
             cases.append((doc, f"config: missing config field: {path}"))
+        if path in SEEDS:  # an integral float counts as an integer, so it is refused too
+            negative = -int(rng.integers(1, 1000))
+            wrong = [*value, float(negative)] if isinstance(value, list) else negative
+            doc = _edited(path, lambda parent, key, wrong=wrong: parent.__setitem__(key, wrong))
+            kind = "a non-negative integer"
+            kind = f"a list, each {kind}" if isinstance(value, list) else kind
+            cases.append((doc, f"config: {path} must be {kind}, got {wrong!r}"))
     objects = [""] + [path for path, value in _keys(default_config()) if isinstance(value, dict)]
     for path in objects:
         name = f"k{rng.integers(1000)}"

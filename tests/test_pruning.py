@@ -105,6 +105,33 @@ def test_oracle_equivalence_and_exact_count():
         assert mask.zero_bits == z == prune_count(rate, len(values))
 
 
+def test_selection_equals_a_stable_sort_at_large_d():
+    """Past the grid-wide size (75,264): ties, signed zeros, infinities and NaN, across tensors."""
+    rng = np.random.default_rng(11)
+    sizes = (40_000, 30_001, 30_002)
+    d = sum(sizes)
+    values = np.round(rng.normal(size=d), 1).astype(np.float32)  # ~40 magnitudes, heavy ties
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], dtype=np.float32)
+    values[rng.choice(d, 3_000, replace=False)] = rng.choice(special, 3_000)
+    # a magnitude found nowhere else, across the first tensor boundary and of both signs
+    values[sizes[0] - 10 : sizes[0] + 10] = np.float32(0.05) * rng.choice([-1, 1], 20)
+    mags = np.abs(values)
+    straddle = int(np.count_nonzero(mags < np.float32(0.05))) + 15  # 10 before the boundary
+    at_inf = int(np.count_nonzero(mags < np.inf)) + 7
+    offsets = np.cumsum((0,) + sizes)
+    ps = ParameterSet(
+        [Tensor(f"t{k}", values[offsets[k] : offsets[k + 1]], True) for k in range(len(sizes))]
+    )
+    for z in (0, 1, straddle, at_inf, d - 1, d):
+        rate = 100.0 * (z + 0.5) / d if z < d else 100.0
+        assert prune_count(rate, d) == z
+        keep = np.ones(d, dtype=bool)
+        keep[np.argsort(mags, kind="stable")[:z]] = False
+        mask = compute_ump_mask(ps, rate)
+        assert np.array_equal(mask_bits(mask), keep), z
+        assert mask.zero_bits == z
+
+
 def test_selection_idempotent_on_zeroed_set():
     rng = np.random.default_rng(5)
     for _ in range(50):
