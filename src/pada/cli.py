@@ -2,11 +2,12 @@
 
 Subcommands: pretrain, make-donor, run, compare-masks, report.  Every
 subcommand is deterministic given its config file and inputs; outputs are
-written atomically.  ``run`` trains the grid one seed at a time; all cells
-of a seed train together in :func:`~pada.schedule.run_cells`.  The seed's
-fine-tune on the target data is both the DFT cell's result and the model
-TAW's masks rank.  When cells fail, ``run`` reports the first failing cell
-in table order, as if the cells had run one after another.
+written atomically.  ``run`` trains every cell of every seed together in
+:func:`~pada.schedule.run_cells`, then writes the results seed by seed.  A
+seed's fine-tune on the target data is both its DFT cell's result and the
+model its TAW masks rank.  When cells fail, ``run`` reports the first
+failing cell in table order, seed by seed, as if the cells had run one
+after another.
 """
 
 from __future__ import annotations
@@ -121,31 +122,30 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     # TAW ranks its seed's DFT model, so DFT trains even when the table leaves it out
     trained = cells if cfg.include_dft or "TAW" not in cfg.strategies else [("DFT", "-")] + cells
-    plan = [(s, None if s == "DFT" else cfg.schedule_for(f)) for s, f in trained]
+    runs = [(seed, s, f) for seed in cfg.seeds for s, f in trained]
+    slots = [(seed, s, None if s == "DFT" else cfg.schedule_for(f)) for seed, s, f in runs]
+    outcomes = run_cells(pretrained, slots, task.target_labeled, cfg.target, donor=donor)
 
     finals = []
-    for seed in cfg.seeds:
-        tcfg = cfg.target_cfg(seed)
-        outcomes = run_cells(pretrained, plan, task.target_labeled, tcfg, donor=donor)
-        for (strategy, freq), outcome in zip(trained, outcomes):
-            if strategy == "DFT" and not cfg.include_dft:
-                continue
-            name = _cell_name(strategy, freq, seed)
-            try:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                model, log, mask = outcome
-                log.final = final_record(
-                    model, tcfg.updates, strategy, freq, task.target_labeled, task.target_eval
-                )
-                log.final["seed"] = seed
-                if mask is not None:
-                    save_mask(mask, os.path.join(run_dir, f"{name}.padm"))
-                write_log_jsonl(log, os.path.join(run_dir, f"{name}.jsonl"))
-                save_checkpoint(model, os.path.join(run_dir, f"{name}.pada"))
-            except Exception as exc:
-                raise RunFailure(f"run {name}: {exc}") from exc
-            finals.append(log.final)
+    for (seed, strategy, freq), outcome in zip(runs, outcomes):
+        if strategy == "DFT" and not cfg.include_dft:
+            continue
+        name = _cell_name(strategy, freq, seed)
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            model, log, mask = outcome
+            log.final = final_record(
+                model, cfg.target.updates, strategy, freq, task.target_labeled, task.target_eval
+            )
+            log.final["seed"] = seed
+            if mask is not None:
+                save_mask(mask, os.path.join(run_dir, f"{name}.padm"))
+            write_log_jsonl(log, os.path.join(run_dir, f"{name}.jsonl"))
+            save_checkpoint(model, os.path.join(run_dir, f"{name}.pada"))
+        except Exception as exc:
+            raise RunFailure(f"run {name}: {exc}") from exc
+        finals.append(log.final)
 
     by_cell = _errors_by_cell(finals)
     rows = []

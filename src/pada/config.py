@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import NewType, get_args, get_origin, get_type_hints
 
 from .data import DomainShiftSpec
@@ -105,7 +105,7 @@ class ExperimentConfig:
     arch: ModelArch
     pretrain: TrainConfig
     donor: TrainConfig
-    target: TrainConfig  # updates is N; target_cfg sets the run seed
+    target: TrainConfig  # updates is N; each run trains with its own seed
     interval: int
     rates: dict[str, tuple[float, ...]]
     strategies: list[str]
@@ -118,9 +118,6 @@ class ExperimentConfig:
 
     def schedule_for(self, freq: str) -> PruneSchedule:
         return PruneSchedule(freq, self.rates[freq], self.interval)
-
-    def target_cfg(self, seed: int) -> TrainConfig:
-        return replace(self.target, seed=seed)
 
     def cells(self) -> list[tuple[str, str]]:
         """(strategy, frequency) grid in table order; DFT first when included."""

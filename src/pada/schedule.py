@@ -14,13 +14,15 @@ update N is executed; training never exceeds N updates.  The final model
 carries no mask of any kind.  Logged losses use the loss the target data
 trains with, which its type decides.
 
-One executor, :func:`run_cells`, runs every cell of a seed.  All cells draw
-the same minibatches from ``default_rng(seed)``, so a wave of cells trains
-as one :class:`~pada.trainer.ModelStack` that stops at each of its cells'
-prune points.  A cell keeps its stack slot for the whole wave, unread once
-it diverges.  TAW ranks the seed's DFT model, so the TAW cells form a second
-wave after the DFT, TAG and CD-TAW cells.  :func:`run_pada` and
-:func:`run_dft` are one-cell calls of the same executor.
+One executor, :func:`run_cells`, runs every cell of every seed.  The cells
+of a seed draw the same minibatches from ``default_rng(seed)``, and prune
+points depend on the schedule alone, so a wave of cells over all seeds
+trains as one :class:`~pada.trainer.ModelStack`, with one minibatch per
+seed, that stops at each of its cells' prune points.  A cell keeps its stack
+slot for the whole wave, unread once it diverges.  TAW ranks its seed's DFT
+model, so the TAW cells of all seeds form a second wave after the DFT, TAG
+and CD-TAW cells.  :func:`run_pada` and :func:`run_dft` are one-cell calls
+of the same executor.
 """
 
 from __future__ import annotations
@@ -142,103 +144,119 @@ def read_log_jsonl(path: str) -> PadaRunLog:
 
 def run_cells(
     pretrained: ParameterSet,
-    cells: list,
+    slots: list,
     target_data: LabeledBatch,
     cfg: TrainConfig,
     donor: ParameterSet | None = None,
     finetuned: ParameterSet | None = None,
 ) -> list:
-    """Fine-tune every cell of one seed on the target data, in as few stacks as TAW allows.
+    """Fine-tune every slot on the target data, in as few stacks as TAW allows.
 
-    ``cells`` are ``(strategy, schedule)`` pairs; a pair without a schedule
-    is direct fine-tuning (DFT).  Every cell trains N = ``cfg.updates``
-    updates from its own ``default_rng(cfg.seed)`` stream, so all cells draw
-    the same minibatches and a wave of cells advances as one
-    :class:`~pada.trainer.ModelStack`.  Wave 1 holds the DFT, TAG and CD-TAW
-    cells.  Wave 2 holds the TAW cells, whose initial masks rank
-    ``finetuned`` or, when that is None, wave 1's DFT model.  Cells with the
-    same strategy and r1 share one initial mask, ranked once.  The stack
-    stops at every prune point of its cells, where each cell that prunes
+    ``slots`` are ``(seed, strategy, schedule)`` triples; a slot without a
+    schedule is direct fine-tuning (DFT).  Every slot trains N =
+    ``cfg.updates`` updates at ``cfg``'s learning rate and batch size, drawing
+    its minibatches from its own ``default_rng(seed)`` stream; ``cfg.seed``
+    is not read.  A wave of slots advances as one
+    :class:`~pada.trainer.ModelStack` with one minibatch per seed.  Wave 1
+    holds the DFT, TAG and CD-TAW slots.  Wave 2 holds the TAW slots, whose
+    initial masks rank ``finetuned`` or, when that is None, wave 1's DFT
+    model of their seed.  TAG and CD-TAW rank models no seed changes, so
+    their slots with the same strategy and r1 share one initial mask, ranked
+    once for all seeds; TAW slots share theirs within a seed.  The stack
+    stops at every prune point of its slots, where each slot that prunes
     there is re-ranked and zeroed.
 
-    Returns one entry per cell, in order: ``(model, log, initial mask)``,
-    where the log holds the prune events (a DFT cell has neither events nor
-    mask), or the exception that ended the cell.  A failing cell, such as one
-    that diverges, never stops the others.
+    Returns one entry per slot, in order: ``(model, log, initial mask)``,
+    where the log holds the prune events (a DFT slot has neither events nor
+    mask), or the exception that ended the slot.  A failing slot, such as
+    one that diverges, never stops the others.
     """
     try:
         if not isinstance(target_data, LabeledBatch):
             raise ValueError("fine-tuning on the target requires a LabeledBatch")
         check_data(pretrained, target_data)
     except ValueError as exc:
-        return [exc] * len(cells)
-    outcomes: list = [None] * len(cells)
-    wave1 = [i for i, (strategy, _) in enumerate(cells) if strategy != "TAW"]
-    wave2 = [i for i, (strategy, _) in enumerate(cells) if strategy == "TAW"]
-    _run_wave(pretrained, cells, wave1, target_data, cfg, outcomes, donor, finetuned)
-    if wave2:
-        if finetuned is None:
-            dft = next((outcomes[i] for i in wave1 if cells[i][1] is None), None)
+        return [exc] * len(slots)
+    outcomes: list = [None] * len(slots)
+    wave1 = [i for i, (_, strategy, _) in enumerate(slots) if strategy != "TAW"]
+    wave2 = [i for i, (_, strategy, _) in enumerate(slots) if strategy == "TAW"]
+    _run_wave(pretrained, slots, wave1, target_data, cfg, outcomes, donor, {})
+    if not wave2:
+        return outcomes
+    if finetuned is not None:
+        ranked = {slots[i][0]: finetuned for i in wave2}
+    else:
+        dfts = {}  # seed -> its DFT outcome
+        for i in wave1:
+            if slots[i][2] is None:
+                dfts.setdefault(slots[i][0], outcomes[i])
+        for i in wave2:
+            dft = dfts.get(slots[i][0])
             if isinstance(dft, Exception):  # the model TAW ranks was never finished
-                for i in wave2:
-                    outcomes[i] = dft
-                return outcomes
-            finetuned = dft[0] if dft is not None else None
-        _run_wave(pretrained, cells, wave2, target_data, cfg, outcomes, donor, finetuned)
+                outcomes[i] = dft
+        wave2 = [i for i in wave2 if outcomes[i] is None]
+        ranked = {seed: dft[0] for seed, dft in dfts.items() if not isinstance(dft, Exception)}
+    _run_wave(pretrained, slots, wave2, target_data, cfg, outcomes, donor, ranked)
     return outcomes
 
 
 @dataclass
 class _Member:
-    """One cell of a wave: where it starts and what it has logged so far."""
+    """One slot of a wave: where it starts and what it has logged so far."""
 
-    cell: int  # index into the executor's cells
+    slot: int  # index into the executor's slots
+    seed: int
     start: ParameterSet
     log: PadaRunLog
     mask: Mask | None
     points: list  # pending (update, rate) prune points, in order
 
 
-def _run_wave(pretrained, cells, wave, target_data, cfg, outcomes, donor, finetuned) -> None:
-    """Train the cells ``wave`` indexes as one stack; store each outcome in ``outcomes``."""
+def _run_wave(pretrained, slots, wave, target_data, cfg, outcomes, donor, ranked) -> None:
+    """Train the slots ``wave`` indexes as one stack; store each outcome in ``outcomes``.
+
+    ``ranked`` maps a seed to the model its TAW masks rank.
+    """
     n_total = cfg.updates
-    starts = {}  # (strategy, r1) -> (zeroed model, mask, update-0 event)
+    starts = {}  # mask key -> (zeroed model, mask, update-0 event)
     members = []
     for i in wave:
-        strategy, sched = cells[i]
+        seed, strategy, sched = slots[i]
         if sched is None:
-            members.append(_Member(i, pretrained, PadaRunLog(), None, []))
+            members.append(_Member(i, seed, pretrained, PadaRunLog(), None, []))
             continue
         try:
             validate(sched, n_total)
             r1 = sched.rates[0]
-            if (strategy, r1) not in starts:
+            key = (strategy, r1, seed) if strategy == "TAW" else (strategy, r1)
+            if key not in starts:
                 model, mask = initial_model(
-                    pretrained, strategy, r1, finetuned=finetuned, donor=donor
+                    pretrained, strategy, r1, finetuned=ranked.get(seed), donor=donor
                 )
                 event = _prune_event(0, r1, sparsity(pretrained), model, target_data)
-                starts[strategy, r1] = (model, mask, event)
+                starts[key] = (model, mask, event)
         except Exception as exc:
             outcomes[i] = exc
             continue
-        model, mask, event = starts[strategy, r1]
+        model, mask, event = starts[key]
         # rates[k] prunes at update k*n while k*n <= N; rates[0] was the strategy's
         points = [
             (k * sched.interval, rate)
             for k, rate in enumerate(sched.rates)
             if 0 < k and k * sched.interval <= n_total
         ]
-        members.append(_Member(i, model, PadaRunLog([event]), mask, points))
+        members.append(_Member(i, seed, model, PadaRunLog([event]), mask, points))
     if not members:
         return
 
     stack = ModelStack.of([m.start for m in members], "cross_entropy")
-    rng = np.random.default_rng(cfg.seed)
+    gens = {seed: np.random.default_rng(seed) for seed in dict.fromkeys(m.seed for m in members)}
+    rngs = [gens[m.seed] for m in members]
     done = 0
     alive = list(enumerate(members))  # (stack slot, member) pairs not yet diverged
     while done < n_total and alive:
         stop = min([m.points[0][0] for _, m in alive if m.points] + [n_total])
-        stack.train(target_data, cfg, stop - done, rng, step_offset=done)
+        stack.train(target_data, cfg, stop - done, rngs, step_offset=done)
         done = stop
         alive = [(j, m) for j, m in alive if j not in stack.diverged]
         for j, m in alive:
@@ -250,10 +268,10 @@ def _run_wave(pretrained, cells, wave, target_data, cfg, outcomes, donor, finetu
                 m.log.events.append(_prune_event(done, rate, before, model, target_data))
                 stack.set(j, model)
     for j, step in stack.diverged.items():
-        outcomes[members[j].cell] = TrainingDivergedError(step)
+        outcomes[members[j].slot] = TrainingDivergedError(step)
     for j, m in alive:
-        role = "finetuned_target" if cells[m.cell][1] is None else "adapted"
-        outcomes[m.cell] = (stack.model(j, pretrained, role), m.log, m.mask)
+        role = "finetuned_target" if slots[m.slot][2] is None else "adapted"
+        outcomes[m.slot] = (stack.model(j, pretrained, role), m.log, m.mask)
 
 
 def _result(outcome):
@@ -284,9 +302,8 @@ def run_pada(
     The initial mask is :func:`~pada.strategies.initial_model`'s for the same
     pretrained model, strategy and r1.
     """
-    (outcome,) = run_cells(
-        pretrained, [(strategy, sched)], target_data, cfg, donor=donor, finetuned=finetuned
-    )
+    slot = (cfg.seed, strategy, sched)
+    (outcome,) = run_cells(pretrained, [slot], target_data, cfg, donor=donor, finetuned=finetuned)
     model, log, _ = _result(outcome)
     log.final = final_record(model, cfg.updates, strategy, sched.freq, target_data, eval_data)
     return model, log
@@ -302,7 +319,7 @@ def run_dft(
 
     The one-cell call of :func:`run_cells`.
     """
-    (outcome,) = run_cells(pretrained, [("DFT", None)], target_data, cfg)
+    (outcome,) = run_cells(pretrained, [(cfg.seed, "DFT", None)], target_data, cfg)
     model, log, _ = _result(outcome)
     log.final = final_record(model, cfg.updates, "DFT", "-", target_data, eval_data)
     return model, log

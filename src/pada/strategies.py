@@ -8,7 +8,7 @@ strategy is named by its kind string, one of :data:`STRATEGY_KINDS`.
 * TAG ranks the pre-trained model's own weights.
 * TAW ranks the weights of the pre-trained model after fine-tuning on the
   target labeled data.  That model is the direct fine-tuning (DFT) baseline,
-  so ``pada run`` trains it once per seed and passes it in.
+  so ``pada run`` ranks each seed's DFT model for that seed's TAW cells.
 * CD-TAW ranks the weights of a separately fine-tuned donor model, making use
   of readily available fine-tuned checkpoints, and never reads the
   pre-trained values at all.

@@ -12,8 +12,9 @@ with the denoising MSE on an :class:`UnlabeledBatch`.
 Weights are stored as float32 (the checkpoint-canonical dtype); all forward,
 loss and gradient arithmetic runs in float64.  One training kernel,
 :class:`ModelStack`, trains S models of one structure at once: every step
-feeds all of them the same minibatch, every product is one ``np.matmul``
-over the stack, and each model ends bit-identical to training it alone.
+feeds each model the minibatch of its own random stream, models that share
+a stream share its minibatch, every product is one ``np.matmul`` over the
+stack, and each model ends bit-identical to training it alone.
 :func:`sgd_train` is its S = 1 call and builds a ParameterSet only for the
 model it returns; :func:`loss_and_grads` and :func:`sgd_step` expose its
 backward pass and its update on plain name->array weight dicts, and
@@ -159,17 +160,23 @@ def _activation_of(ps: ParameterSet) -> str:
     return act
 
 
-def _apply_act(z: np.ndarray, activation: str) -> np.ndarray:
+def _apply_act(a: np.ndarray, activation: str) -> None:
+    """The activation of ``a``, in place."""
     if activation == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        np.tanh(a, out=a)
+    else:
+        np.maximum(a, 0.0, out=a)
 
 
-def _act_grad_from_output(a: np.ndarray, activation: str) -> np.ndarray:
+def _times_act_grad(da: np.ndarray, a: np.ndarray, activation: str) -> None:
+    """``da *= f'(z)`` from the activation output ``a``, which it overwrites."""
     # relu' at z == 0 is taken as 0, consistent with a == 0 there
     if activation == "tanh":
-        return 1.0 - a * a
-    return (a > 0.0).astype(np.float64)
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+    else:
+        np.greater(a, 0.0, out=a)
+    np.multiply(da, a, out=da)
 
 
 def _trunk_depth(names, head: str) -> int:
@@ -184,52 +191,72 @@ def _trunk_depth(names, head: str) -> int:
     return depth
 
 
-def _forward(w, x, activation: str, head: str, depth: int):
-    """Outputs of S stacked models on one batch, plus every layer's activations.
+def _buffers(w, rows: int, head: str, depth: int) -> list:
+    """Scratch for :func:`_forward`: one (S, rows, width) array per trunk layer, then the head."""
+    shapes = [w[f"layers.{i}.weight"].shape for i in range(depth)] + [w[f"{head}.weight"].shape]
+    return [np.empty((models, rows, width)) for models, width, _ in shapes]
+
+
+def _forward(w, x, activation: str, head: str, bufs: list):
+    """Outputs of S stacked models, plus every layer's activations, written into ``bufs``.
 
     ``w`` maps names to float64 arrays with a leading stack axis of S models;
-    all of them read the same (batch, input) matrix ``x``.  ``np.matmul`` over
-    the stack computes each slice exactly as the 2-D product of that model
-    alone would.
+    ``x`` is one (batch, input) matrix every model reads, or one per model,
+    (S, batch, input).  ``bufs`` comes from :func:`_buffers`.  ``np.matmul``
+    over the stack computes each slice exactly as the 2-D product of that
+    model alone would.
     """
     acts = [x]
-    for i in range(depth):
-        z = np.matmul(acts[-1], w[f"layers.{i}.weight"].transpose(0, 2, 1))
-        z += w[f"layers.{i}.bias"][:, None, :]
-        acts.append(_apply_act(z, activation))
-    out = np.matmul(acts[-1], w[f"{head}.weight"].transpose(0, 2, 1))
+    for i, a in enumerate(bufs[:-1]):
+        np.matmul(acts[-1], w[f"layers.{i}.weight"].transpose(0, 2, 1), out=a)
+        a += w[f"layers.{i}.bias"][:, None, :]
+        _apply_act(a, activation)
+        acts.append(a)
+    out = bufs[-1]
+    np.matmul(acts[-1], w[f"{head}.weight"].transpose(0, 2, 1), out=out)
     out += w[f"{head}.bias"][:, None, :]
     return out, acts
 
 
-def _loss_from_outputs(out: np.ndarray, target, kind: str):
-    """Per-model losses (S,) and d_loss/d_out of stacked outputs (S, batch, k).
+def _loss_from_outputs(out: np.ndarray, target, kind: str) -> np.ndarray:
+    """Per-model losses (S,) of stacked outputs (S, batch, k); ``out`` becomes d_loss/d_out.
 
-    Every model shares ``target``: labels for CE, a real matrix for MSE.  Each
-    model's loss is a mean over its own batch (and, for MSE, its outputs).
+    ``target`` is one for every model or one per model: labels of shape
+    (batch,) or (S, batch) for CE, a real (batch, k) or (S, batch, k) matrix
+    for MSE.  Each model's loss is a mean over its own batch (and, for MSE,
+    its outputs).
     """
-    rows = out.shape[1]
+    models, rows = out.shape[:2]
     if kind == "cross_entropy":
         y = np.asarray(target, dtype=np.int64)
-        if y.ndim != 1 or y.shape[0] != rows:
+        if y.shape != (rows,) and y.shape != (models, rows):
             raise ValueError("cross_entropy requires one integer label per row")
-        zmax = out.max(axis=2, keepdims=True)
-        ez = np.exp(out - zmax)
-        sums = ez.sum(axis=2, keepdims=True)
-        picked = np.arange(rows)
-        nll = np.log(sums[:, :, 0]) + zmax[:, :, 0] - out[:, picked, y]
+        picked = (np.arange(models)[:, None], np.arange(rows), y)
+        # the row maxima one class at a time, 4x faster than out.max(axis=2)
+        # on few classes; a maximum is exact, so only the sign of a zero
+        # maximum may differ, and no result below depends on it
+        zmax = out[:, :, :1].copy()
+        for c in range(1, out.shape[2]):
+            np.maximum(zmax, out[:, :, c : c + 1], out=zmax)
+        out_y = out[picked]
+        np.subtract(out, zmax, out=out)
+        np.exp(out, out=out)
+        sums = out.sum(axis=2, keepdims=True)
+        nll = np.log(sums[:, :, 0]) + zmax[:, :, 0] - out_y
         losses = np.add.reduce(nll, axis=1) / rows
-        dout = ez / sums
-        dout[:, picked, y] -= 1.0
-        dout /= rows
+        out /= sums
+        out[picked] -= 1.0
+        out /= rows
     else:  # mse_reconstruction; callers check the kind
         t = np.asarray(target, dtype=np.float64)
-        if t.shape != out.shape[1:]:
+        if t.shape != out.shape[1:] and t.shape != out.shape:
             raise ValueError(f"reconstruction target shape {t.shape} != output {out.shape[1:]}")
-        diff = out - t
-        losses = np.add.reduce((diff * diff).reshape(len(out), -1), axis=1) / t.size
-        dout = 2.0 * diff / t.size
-    return losses, dout
+        size = rows * out.shape[2]
+        np.subtract(out, t, out=out)
+        losses = np.add.reduce((out * out).reshape(models, -1), axis=1) / size
+        out *= 2.0
+        out /= size
+    return losses
 
 
 def _sgd_update(w: np.ndarray, g: np.ndarray, lr: float, work: np.ndarray) -> None:
@@ -239,21 +266,49 @@ def _sgd_update(w: np.ndarray, g: np.ndarray, lr: float, work: np.ndarray) -> No
     np.copyto(w, work)
 
 
+def _minibatches(data, cfg: "TrainConfig", updates: int, gens: list, pick):
+    """Each step's (inputs, targets), with the draws :func:`sgd_train` makes.
+
+    Every generator draws one batch per step; ``pick`` (an index array over
+    the generators, or 0) selects each slot's batch from them.  On labeled
+    data a generator draws all ``updates`` steps' row indices in one call,
+    which yields the same integers as one call per step (numpy draws bounded
+    integers one after another, and the bit generator keeps the unused half
+    of a 64-bit draw in its own state).  Denoising draws each step's rows
+    and then its noise.
+    """
+    if isinstance(data, LabeledBatch):
+        draws = [g.integers(0, data.n, size=(updates, cfg.batch)) for g in gens]
+        for idx in np.stack(draws, axis=1):
+            idx = idx[pick]
+            yield data.x[idx], data.y[idx]
+        return
+    for _ in range(updates):
+        rows = [data.x[g.integers(0, data.n, size=cfg.batch)] for g in gens]
+        noisy = [xb + g.normal(0.0, cfg.denoise_std, size=xb.shape) for g, xb in zip(gens, rows)]
+        if len(gens) == 1:
+            yield noisy[0], rows[0]
+        else:
+            yield np.stack(noisy)[pick], np.stack(rows)[pick]
+
+
 class ModelStack:
     """S same-structure models trained as one: one SGD step advances them all.
 
-    A step feeds one minibatch to every model, runs forward and backward in
-    float64 with ``np.matmul`` over a leading stack axis, rounds the
-    gradients to float32 and updates the float32 masters in place,
-    ``f32(f64(w) - lr * f64(g))``: each slice gets exactly the bits it would
-    get trained alone.  Only the trunk and the head the loss reads are
-    trained; the other head's gradient is exactly 0, and ``w - lr * 0 == w``.
-    The trained masters of a slice are one row of ``flat``, next to a float64
-    working copy and a float32 gradient of the same shape, allocated once.
-    So copying the masters to the working copy, rounding the gradients and
-    the update are one ufunc call each per step, and no step allocates a
-    weight-sized array.  ``master``, ``work`` and ``grad`` view these rows
-    per tensor.
+    A step feeds each model its own minibatch, or one minibatch to all,
+    runs forward and backward in float64 with ``np.matmul`` over a leading
+    stack axis, rounds the gradients to float32 and updates the float32
+    masters in place, ``f32(f64(w) - lr * f64(g))``: each slice gets exactly
+    the bits it would get trained alone.  Only the trunk and the head the
+    loss reads are trained; the other head's gradient is exactly 0, and
+    ``w - lr * 0 == w``.  The trained masters of a slice are one row of
+    ``flat``, next to a float64 working copy and a float32 gradient of the
+    same shape, allocated once.  So copying the masters to the working copy,
+    rounding the gradients and the update are one ufunc call each per step,
+    and no step allocates a weight-sized array.  ``master``, ``work`` and
+    ``grad`` view these rows per tensor.  The activations, their gradients
+    and the output gradients of a step go to buffers the stack allocates at
+    its first step and reuses while the batch size stays the same.
 
     Slices keep their slot ``0..S-1`` for life.  A slice whose loss turns
     non-finite stays in its slot and keeps stepping, but is never read
@@ -277,6 +332,7 @@ class ModelStack:
         self.master = {n: np.stack([w[n] for w in weights]) for n in names if n not in self.trained}
         self.work, self.grad = {}, {}
         self.diverged: dict[int, int] = {}
+        self.bufs, self.da = [], []  # step buffers, see grads
         start = 0
         for name in self.trained:
             shape = (len(weights), *shapes[name])
@@ -293,19 +349,28 @@ class ModelStack:
         return cls(weights, kind, _activation_of(models[0]))
 
     def grads(self, x: np.ndarray, target) -> np.ndarray:
-        """Per-slice losses at one batch; leaves the float32 gradients in ``grad``."""
+        """Per-slice losses at one batch; leaves the float32 gradients in ``grad``.
+
+        ``x`` and ``target`` are one batch for every slice or one per slice,
+        as :func:`_forward` and :func:`_loss_from_outputs` take them.
+        """
         w = self.work
+        if not self.bufs or self.bufs[0].shape[1] != x.shape[-2]:
+            self.bufs = _buffers(w, x.shape[-2], self.head, self.depth)
+            self.da = [np.empty_like(a) for a in self.bufs[:-1]]
         np.copyto(self.flat_work, self.flat)
-        out, acts = _forward(w, x, self.activation, self.head, self.depth)
-        losses, dout = _loss_from_outputs(out, target, self.kind)
+        out, acts = _forward(w, x, self.activation, self.head, self.bufs)
+        losses = _loss_from_outputs(out, target, self.kind)
         # each gradient overwrites its tensor's working copy, which the
-        # backward pass has read for the last time by then
-        da = np.matmul(dout, w[f"{self.head}.weight"])
-        self._store(self.head, dout, acts[-1])
+        # backward pass has read for the last time by then; likewise each
+        # activation buffer becomes f'(z) once the layer reading it is stored
+        np.matmul(out, w[f"{self.head}.weight"], out=self.da[-1])
+        self._store(self.head, out, acts[-1])
         for i in reversed(range(self.depth)):
-            dz = da * _act_grad_from_output(acts[i + 1], self.activation)
+            dz = self.da[i]
+            _times_act_grad(dz, acts[i + 1], self.activation)
             if i:
-                da = np.matmul(dz, w[f"layers.{i}.weight"])
+                np.matmul(dz, w[f"layers.{i}.weight"], out=self.da[i - 1])
             self._store(f"layers.{i}", dz, acts[i])
         np.copyto(self.flat_grad, self.flat_work)
         return losses
@@ -315,27 +380,28 @@ class ModelStack:
         np.matmul(d.transpose(0, 2, 1), a, out=self.work[f"{layer}.weight"])
         np.add.reduce(d, axis=1, out=self.work[f"{layer}.bias"])
 
-    def train(self, data, cfg: "TrainConfig", updates: int, rng, step_offset: int = 0) -> list:
-        """Run ``updates`` SGD steps, drawing one batch per step from ``rng`` for every slice.
+    def train(self, data, cfg: "TrainConfig", updates: int, rngs: list, step_offset: int = 0):
+        """Run ``updates`` SGD steps; slot j draws its minibatches from ``rngs[j]``.
 
-        The draws are those of :func:`sgd_train`, so a stack consumes ``rng``
-        as one model trained alone would.  Returns each step's losses, one per
-        slot of all S; a diverged slot's entries are non-finite.  Stops early
-        once every slot has diverged.
+        Slots given the same generator train on the same minibatches.  Each
+        generator makes the draws of :func:`sgd_train`, so it is consumed as
+        by one model trained alone.  Returns each step's losses, one per slot
+        of all S; a diverged slot's entries are non-finite.  Stops early once
+        every slot has diverged; on labeled data the generators have drawn
+        the row indices of all ``updates`` steps by then.
         """
-        labeled = self.kind == "cross_entropy"
+        if len(rngs) != len(self.flat):
+            raise ValueError(f"{len(rngs)} generators for a stack of {len(self.flat)}")
+        gens = list({id(g): g for g in rngs}.values())
+        group = {id(g): k for k, g in enumerate(gens)}
+        # with one generator every slot reads the same (batch, ...) arrays
+        pick = np.array([group[id(g)] for g in rngs]) if len(gens) > 1 else 0
         losses = []
         # diverging slices may overflow to inf; the finiteness check below
         # is the mechanism that turns that into a divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(updates):
-                idx = rng.integers(0, data.n, size=cfg.batch)
-                xb = data.x[idx]
-                if labeled:
-                    x_in, target = xb, data.y[idx]
-                else:
-                    x_in = xb + rng.normal(0.0, cfg.denoise_std, size=xb.shape)
-                    target = xb
+            batches = _minibatches(data, cfg, updates, gens, pick)
+            for step, (x_in, target) in enumerate(batches):
                 step_losses = self.grads(x_in, target)
                 losses.append(step_losses)
                 finite = np.isfinite(step_losses)
@@ -377,7 +443,8 @@ def forward(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
     """Batch forward pass through the trunk and the classification head (float64 out)."""
     x64 = _check_input(ps, x)
     w = _stack_of_one({t.name: t.data for t in ps.tensors})
-    out, _ = _forward(w, x64, _activation_of(ps), "cls", _trunk_depth(w, "cls"))
+    bufs = _buffers(w, len(x64), "cls", _trunk_depth(w, "cls"))
+    out, _ = _forward(w, x64, _activation_of(ps), "cls", bufs)
     return out[0]
 
 
@@ -391,9 +458,9 @@ def loss_on_weights(weights, x, target, kind: str, activation: str = "tanh") -> 
     w = _stack_of_one(weights)
     x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = _forward(w, x64, activation, head, _trunk_depth(w, head))
-        losses, _ = _loss_from_outputs(out, target, kind)
-    return float(losses[0])
+        bufs = _buffers(w, len(x64), head, _trunk_depth(w, head))
+        out, _ = _forward(w, x64, activation, head, bufs)
+        return float(_loss_from_outputs(out, target, kind)[0])
 
 
 def loss_and_grads(weights, x, target, kind: str, activation: str = "tanh"):
@@ -471,7 +538,7 @@ def sgd_train(
     updates, so chunked and single-call training produce bit-identical weights.
     """
     stack = ModelStack.of([ps], check_data(ps, data))
-    losses = stack.train(data, cfg, updates, rng)
+    losses = stack.train(data, cfg, updates, [rng])
     if stack.diverged:
         raise TrainingDivergedError(stack.diverged[0])
     return stack.model(0, ps, ps.role), [float(step[0]) for step in losses]

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +422,7 @@ def test_taw_masks_rank_the_seed_fine_tune(tmp_path):
     cmd_run(cfg)
     pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
     target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
-    finetuned = finetune_supervised(pre, target, cfg.target_cfg(3))
+    finetuned = finetune_supervised(pre, target, replace(cfg.target, seed=3))
     for freq in cfg.frequencies:
         r1 = cfg.schedule_for(freq).rates[0]
         mask = load_mask(os.path.join(cfg.out, "runs", f"taw_{freq}_seed3.padm"))
@@ -539,34 +540,41 @@ def test_report_refuses_malformed_log_records(tmp_path, capsys, line, message):
     assert "tag_once_seed0.jsonl, line 3: " in err and message in err
 
 
-def one_cell_at_a_time(pretrained, cells, target_data, cfg, donor=None, finetuned=None):
-    """A drop-in for ``run_cells`` that calls run_dft/run_pada once per cell, in order."""
+def one_cell_at_a_time(pretrained, slots, target_data, cfg, donor=None, finetuned=None):
+    """A drop-in for ``run_cells`` that calls run_dft/run_pada once per slot, in order."""
     from pada.schedule import run_dft, run_pada
     from pada.strategies import initial_model
 
     outcomes = []
-    for strategy, sched in cells:
+    dft = {}  # seed -> its DFT model
+    for seed, strategy, sched in slots:
+        seed_cfg = replace(cfg, seed=seed)
         try:
             if sched is None:
-                finetuned, log = run_dft(pretrained, target_data, cfg)
-                outcomes.append((finetuned, log, None))
+                dft[seed], log = run_dft(pretrained, target_data, seed_cfg)
+                outcomes.append((dft[seed], log, None))
                 continue
+            ranked = finetuned if finetuned is not None else dft.get(seed)
+            if strategy == "TAW" and isinstance(ranked, Exception):
+                raise ranked  # the model TAW ranks was never finished
             model, log = run_pada(
-                pretrained, strategy, sched, target_data, cfg, donor=donor, finetuned=finetuned
+                pretrained, strategy, sched, target_data, seed_cfg, donor=donor, finetuned=ranked
             )
             _, mask = initial_model(
-                pretrained, strategy, sched.rates[0], finetuned=finetuned, donor=donor
+                pretrained, strategy, sched.rates[0], finetuned=ranked, donor=donor
             )
             outcomes.append((model, log, mask))
         except Exception as exc:
             outcomes.append(exc)
+            if sched is None:
+                dft[seed] = exc
     return outcomes
 
 
 def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
     import pada.cli
 
-    cfg = prep(tmp_path, seeds=(0, 1))
+    cfg = prep(tmp_path, seeds=(0, 1, 2))
 
     def outputs():
         cmd_run(cfg, force=True)
@@ -579,21 +587,42 @@ def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(pada.cli, "run_cells", one_cell_at_a_time)
     serial = outputs()
     # per seed: 10 logs, 10 models and the 9 initial masks of the PADA cells
-    assert len(stacked) == 2 * (10 + 10 + 9) + 2
+    assert len(stacked) == 3 * (10 + 10 + 9) + 2
     assert sorted(stacked) == sorted(serial)
     for name in stacked:
         assert stacked[name] == serial[name], name
 
 
-def diverging_grid(tmp_path):
-    """Seed 1 of a relu TAW/CD-TAW grid at lr 3000, where some cells diverge.
+def test_seed_independent_masks_are_ranked_once_per_grid(tmp_path, monkeypatch):
+    # TAG ranks the pretrained model and CD-TAW the donor, whatever the seed;
+    # TAW ranks each seed's own fine-tune
+    import pada.strategies
 
-    Returns the config document, the parsed config and seed 1's
-    (pretrained, target data, train config, donor).
+    cfg = prep(tmp_path, seeds=(0, 1, 2))
+    sources = []
+    real = pada.strategies.compute_ump_mask
+
+    def counting(ps, rate, source):
+        sources.append(source)
+        return real(ps, rate, source=source)
+
+    monkeypatch.setattr(pada.strategies, "compute_ump_mask", counting)
+    cmd_run(cfg)
+    r1s = {cfg.schedule_for(f).rates[0] for f in cfg.frequencies}
+    assert len(r1s) == 2
+    assert sources.count("TAG") == sources.count("CD-TAW") == len(r1s)
+    assert sources.count("TAW") == 3 * len(r1s)
+
+
+def diverging_grid(tmp_path):
+    """Seeds 1 and 6 of a relu TAW/CD-TAW grid at lr 3000, where some cells diverge.
+
+    Returns the config document, the parsed config and
+    (pretrained, target data, target train config, donor).
     """
     from pada.data import gen_domain_shift
 
-    doc = small_config(str(tmp_path / "exp"), seeds=(1,))
+    doc = small_config(str(tmp_path / "exp"), seeds=(1, 6))
     doc["arch"]["activation"] = "relu"
     doc["target"]["lr"] = 3000.0
     doc["strategies"] = ["TAW", "CD-TAW"]
@@ -603,7 +632,7 @@ def diverging_grid(tmp_path):
     pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
     donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
     target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
-    return doc, cfg, (pre, target, cfg.target_cfg(1), donor)
+    return doc, cfg, (pre, target, cfg.target, donor)
 
 
 def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, capsys):
@@ -612,6 +641,7 @@ def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, caps
     from pada.schedule import run_dft, run_pada
 
     doc, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
+    tcfg = replace(tcfg, seed=1)
     finetuned, _ = run_dft(pre, target, tcfg)
     failures = []
     for strategy, freq in cfg.cells()[1:]:
@@ -633,31 +663,39 @@ def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, caps
 
 
 def test_stacked_divergence_leaves_survivors_as_if_alone(tmp_path):
-    # wave 1: CD-TAW iterative diverges at update 5 beside DFT, CD-TAW once and
-    # CD-TAW dynamic; wave 2: TAW once and TAW dynamic diverge at update 6
-    # beside TAW iterative.  The survivors must not notice their dead slots.
+    # seed 1, wave 1: CD-TAW iterative diverges at update 5 beside DFT, CD-TAW
+    # once and CD-TAW dynamic; wave 2: TAW once and TAW dynamic diverge at
+    # update 6 beside TAW iterative.  Seed 6 shares both stacks: its DFT
+    # diverges at update 5 beside its surviving CD-TAW cells, and its TAW
+    # cells, which rank that DFT model, end with its failure.  The survivors
+    # of either seed must not notice the dead slots.
     from pada.schedule import run_cells
     from pada.trainer import TrainingDivergedError
 
     _, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
-    cells = [(s, None if s == "DFT" else cfg.schedule_for(f)) for s, f in cfg.cells()]
-    stacked = run_cells(pre, cells, target, tcfg, donor=donor)
-    serial = one_cell_at_a_time(pre, cells, target, tcfg, donor=donor)
+    runs = [(seed, s, f) for seed in cfg.seeds for s, f in cfg.cells()]
+    slots = [(seed, s, None if s == "DFT" else cfg.schedule_for(f)) for seed, s, f in runs]
+    stacked = run_cells(pre, slots, target, tcfg, donor=donor)
+    serial = one_cell_at_a_time(pre, slots, target, tcfg, donor=donor)
     diverged = {
-        cell: outcome.step
-        for cell, outcome in zip(cfg.cells(), stacked)
+        run: outcome.step
+        for run, outcome in zip(runs, stacked)
         if isinstance(outcome, TrainingDivergedError)
     }
     assert diverged == {
-        ("CD-TAW", "iterative"): 5,
-        ("TAW", "once"): 6,
-        ("TAW", "dynamic_iterative"): 6,
+        (1, "CD-TAW", "iterative"): 5,
+        (1, "TAW", "once"): 6,
+        (1, "TAW", "dynamic_iterative"): 6,
+        (6, "DFT", "-"): 5,
+        (6, "TAW", "once"): 5,
+        (6, "TAW", "iterative"): 5,
+        (6, "TAW", "dynamic_iterative"): 5,
     }
-    for cell, a, b in zip(cfg.cells(), stacked, serial):
+    for run, a, b in zip(runs, stacked, serial):
         if isinstance(a, Exception):
-            assert type(b) is type(a) and b.step == a.step, cell
+            assert type(b) is type(a) and b.step == a.step, run
             continue
         (model_a, log_a, mask_a), (model_b, log_b, mask_b) = a, b
-        assert model_a == model_b, cell
-        assert log_a.events == log_b.events, cell
-        assert mask_a == mask_b, cell
+        assert model_a == model_b, run
+        assert log_a.events == log_b.events, run
+        assert mask_a == mask_b, run

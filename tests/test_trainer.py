@@ -400,6 +400,19 @@ def test_chunked_training_matches_single_call():
     assert whole == chunked
 
 
+@pytest.mark.parametrize("n", [1, 24, 600, 2**31 + 1, 2**40 + 3])
+@pytest.mark.parametrize("batch", [1, 15, 16])
+def test_one_draw_of_a_segment_equals_one_draw_per_step(n, batch):
+    # the stacked kernel draws a segment's row indices in one call; that must
+    # be the stream of one call per step, including odd batches (half of a
+    # 64-bit draw left over) and ranges where bounded draws get rejected
+    steps = 50
+    whole = np.random.default_rng(63).integers(0, n, size=(steps, batch))
+    rng = np.random.default_rng(63)
+    per_step = np.stack([rng.integers(0, n, size=batch) for _ in range(steps)])
+    assert np.array_equal(whole, per_step)
+
+
 @pytest.mark.parametrize("updates", [0, 5])
 def test_sgd_train_result_shares_no_buffer_with_input(updates):
     data = toy_labeled(32, seed=50)
@@ -468,8 +481,34 @@ def test_stack_trains_each_model_as_if_alone(labeled):
     other = init_model(arch, 59)
     models = [init_model(arch, 58), apply_zeroing(other, compute_ump_mask(other, 40.0))]
     stack = ModelStack.of(models, kind)
-    losses = stack.train(data, cfg, cfg.updates, np.random.default_rng(cfg.seed))
+    losses = stack.train(data, cfg, cfg.updates, [np.random.default_rng(cfg.seed)] * 2)
     for j, ps in enumerate(models):
         alone, alone_losses = sgd_train(ps, data, cfg, cfg.updates, np.random.default_rng(cfg.seed))
         assert stack.model(j, ps, ps.role) == alone
         assert [float(step[j]) for step in losses] == alone_losses
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_stack_of_several_seeds_trains_each_model_as_if_alone(labeled):
+    # three generators over five slots, not grouped by generator and one
+    # slot alone: each slot gets its own generator's minibatches and ends
+    # bit-identical to training it alone on that generator's seed, and
+    # each generator is consumed as by one model trained alone
+    arch = ModelArch(input_dim=6, hidden=(40, 24), num_classes=4, activation="tanh")
+    rows = toy_labeled(64, seed=60, arch=arch)
+    data = rows if labeled else UnlabeledBatch(rows.x)
+    kind = "cross_entropy" if labeled else "mse_reconstruction"
+    cfg = TrainConfig(lr=0.05, batch=8, updates=30, seed=0, denoise_std=0.2)
+    other = init_model(arch, 62)
+    models = [init_model(arch, 61), apply_zeroing(other, compute_ump_mask(other, 40.0))]
+    seeds = [3, 4, 3, 5, 4]
+    slots = [(models[j % 2], seed) for j, seed in enumerate(seeds)]
+    gens = {seed: np.random.default_rng(seed) for seed in set(seeds)}
+    stack = ModelStack.of([ps for ps, _ in slots], kind)
+    losses = stack.train(data, cfg, cfg.updates, [gens[seed] for _, seed in slots])
+    for j, (ps, seed) in enumerate(slots):
+        rng = np.random.default_rng(seed)
+        alone, alone_losses = sgd_train(ps, data, cfg, cfg.updates, rng)
+        assert stack.model(j, ps, ps.role) == alone
+        assert [float(step[j]) for step in losses] == alone_losses
+        assert gens[seed].bit_generator.state == rng.bit_generator.state
