@@ -59,15 +59,31 @@ class DomainShiftSpec:
         return max(1, self.source_labeled // 50)
 
 
-@dataclass
 class DomainShiftTask:
-    """The four generated splits (P, J, L analogues plus a target eval set)."""
+    """The four generated splits (P, J, L analogues plus a target eval set).
 
-    spec: DomainShiftSpec
-    source_unlabeled: UnlabeledBatch
-    source_labeled: LabeledBatch
-    target_labeled: LabeledBatch
-    target_eval: LabeledBatch
+    The splits come from one random stream in a fixed order: the class
+    means, source unlabeled, source labeled, then both target splits, whose
+    shift noise is drawn after both of their draws.  A split is drawn the
+    first time it or a later one is read, so a caller that reads only the
+    source splits never draws the target ones; every split has the same
+    values whatever order they are read in.
+    """
+
+    def __init__(self, spec: DomainShiftSpec, seed: int):
+        self.spec = spec
+        self._stream = _splits(spec, np.random.default_rng(seed))
+        self._drawn: list = []
+
+    def _split(self, i: int):
+        while len(self._drawn) <= i:
+            self._drawn.append(next(self._stream))
+        return self._drawn[i]
+
+    source_unlabeled = property(lambda self: self._split(0))
+    source_labeled = property(lambda self: self._split(1))
+    target_labeled = property(lambda self: self._split(2))
+    target_eval = property(lambda self: self._split(3))
 
 
 def rotation_matrix(dim: int, angle_deg: float) -> np.ndarray:
@@ -100,9 +116,8 @@ def apply_shift(spec: DomainShiftSpec, x: np.ndarray, rng=None) -> np.ndarray:
     return x
 
 
-def gen_domain_shift(seed: int, spec: DomainShiftSpec = DomainShiftSpec()) -> DomainShiftTask:
-    """Generate all four splits reproducibly from one seed."""
-    rng = np.random.default_rng(seed)
+def _splits(spec: DomainShiftSpec, rng: np.random.Generator):
+    """The four splits of :class:`DomainShiftTask`, drawn from ``rng`` in stream order."""
     means = rng.normal(0.0, spec.mean_scale, size=(spec.num_classes, spec.input_dim))
 
     def draw(n):
@@ -110,15 +125,14 @@ def gen_domain_shift(seed: int, spec: DomainShiftSpec = DomainShiftSpec()) -> Do
         x = means[y] + rng.normal(0.0, spec.class_std, size=(n, spec.input_dim))
         return x, y
 
-    xp, _ = draw(spec.source_unlabeled)
-    xj, yj = draw(spec.source_labeled)
+    yield UnlabeledBatch(draw(spec.source_unlabeled)[0])
+    yield LabeledBatch(*draw(spec.source_labeled))
     xl, yl = draw(spec.target_labeled_size)
     xe, ye = draw(spec.target_eval)
-    return DomainShiftTask(
-        spec=spec,
-        source_unlabeled=UnlabeledBatch(xp),
-        source_labeled=LabeledBatch(xj, yj),
-        target_labeled=LabeledBatch(apply_shift(spec, xl, rng), yl),
-        target_eval=LabeledBatch(apply_shift(spec, xe, rng), ye),
-    )
+    yield LabeledBatch(apply_shift(spec, xl, rng), yl)
+    yield LabeledBatch(apply_shift(spec, xe, rng), ye)
 
+
+def gen_domain_shift(seed: int, spec: DomainShiftSpec = DomainShiftSpec()) -> DomainShiftTask:
+    """The task of one seed; each split is drawn when it, or a later one, is first read."""
+    return DomainShiftTask(spec, seed)

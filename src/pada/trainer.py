@@ -14,13 +14,18 @@ loss and gradient arithmetic runs in float64.  One training kernel,
 :class:`ModelStack`, trains S models of one structure at once: every step
 feeds each model the minibatch of its own random stream, models that share
 a stream share its minibatch, every product is one ``np.matmul`` over the
-stack, and each model ends bit-identical to training it alone.
-:func:`sgd_train` is its S = 1 call and builds a ParameterSet only for the
-model it returns; :func:`loss_and_grads` and :func:`sgd_step` expose its
-backward pass and its update on plain name->array weight dicts, and
-:func:`forward`, :func:`evaluate` and :func:`dataset_loss` use its forward
-pass.  :func:`loss_on_weights` exposes the float64 core so finite-difference
-gradient checks can perturb weights without float32 rounding.
+stack, and each model ends bit-identical to training it alone.  A stack
+binds its step once per batch size: it allocates the step's buffers and
+builds every view and index array the step reads, so each step is only a
+fixed sequence of ufunc and matmul calls on bound operands.  Labels are
+checked once per training call, not per step.  :func:`sgd_train` is its
+S = 1 call and builds a ParameterSet only for the model it returns;
+:func:`loss_and_grads` and :func:`sgd_step` expose its backward pass and
+its update on plain name->array weight dicts, and :func:`forward`,
+:func:`evaluate` and :func:`dataset_loss` run its forward pass at S = 1
+without allocating gradient buffers.  :func:`loss_on_weights` exposes the
+float64 core so finite-difference gradient checks can perturb weights
+without float32 rounding.
 
 No operation freezes a parameter: SGD updates every weight, including ones a
 pruning pass just zeroed, which is what lets zeroed weights regrow.
@@ -191,76 +196,37 @@ def _trunk_depth(names, head: str) -> int:
     return depth
 
 
-def _buffers(w, rows: int, head: str, depth: int) -> list:
-    """Scratch for :func:`_forward`: one (S, rows, width) array per trunk layer, then the head."""
-    shapes = [w[f"layers.{i}.weight"].shape for i in range(depth)] + [w[f"{head}.weight"].shape]
-    return [np.empty((models, rows, width)) for models, width, _ in shapes]
+def _check_labels(y: np.ndarray, classes: int) -> None:
+    """Refuse class labels outside ``[0, classes)``, which indexing would wrap or miss."""
+    if y.size and (y.min() < 0 or y.max() >= classes):
+        raise ValueError(
+            f"class labels must lie in [0, {classes}), got {int(y.min())}..{int(y.max())}"
+        )
 
 
-def _forward(w, x, activation: str, head: str, bufs: list):
-    """Outputs of S stacked models, plus every layer's activations, written into ``bufs``.
+def _check_target(target, kind: str, rows: int, width: int) -> np.ndarray:
+    """The target of one model as :meth:`ModelStack.grads` reads it, once checked.
 
-    ``w`` maps names to float64 arrays with a leading stack axis of S models;
-    ``x`` is one (batch, input) matrix every model reads, or one per model,
-    (S, batch, input).  ``bufs`` comes from :func:`_buffers`.  ``np.matmul``
-    over the stack computes each slice exactly as the 2-D product of that
-    model alone would.
+    Labels are (rows,) or (1, rows) integers in ``[0, width)``; a
+    reconstruction target is a real (rows, width) or (1, rows, width) matrix.
     """
-    acts = [x]
-    for i, a in enumerate(bufs[:-1]):
-        np.matmul(acts[-1], w[f"layers.{i}.weight"].transpose(0, 2, 1), out=a)
-        a += w[f"layers.{i}.bias"][:, None, :]
-        _apply_act(a, activation)
-        acts.append(a)
-    out = bufs[-1]
-    np.matmul(acts[-1], w[f"{head}.weight"].transpose(0, 2, 1), out=out)
-    out += w[f"{head}.bias"][:, None, :]
-    return out, acts
-
-
-def _loss_from_outputs(out: np.ndarray, target, kind: str) -> np.ndarray:
-    """Per-model losses (S,) of stacked outputs (S, batch, k); ``out`` becomes d_loss/d_out.
-
-    ``target`` is one for every model or one per model: labels of shape
-    (batch,) or (S, batch) for CE, a real (batch, k) or (S, batch, k) matrix
-    for MSE.  Each model's loss is a mean over its own batch (and, for MSE,
-    its outputs).
-    """
-    models, rows = out.shape[:2]
     if kind == "cross_entropy":
         y = np.asarray(target, dtype=np.int64)
-        if y.shape != (rows,) and y.shape != (models, rows):
+        if y.shape != (rows,) and y.shape != (1, rows):
             raise ValueError("cross_entropy requires one integer label per row")
-        picked = (np.arange(models)[:, None], np.arange(rows), y)
-        # the row maxima one class at a time, 4x faster than out.max(axis=2)
-        # on few classes; a maximum is exact, so only the sign of a zero
-        # maximum may differ, and no result below depends on it
-        zmax = out[:, :, :1].copy()
-        for c in range(1, out.shape[2]):
-            np.maximum(zmax, out[:, :, c : c + 1], out=zmax)
-        out_y = out[picked]
-        np.subtract(out, zmax, out=out)
-        np.exp(out, out=out)
-        sums = out.sum(axis=2, keepdims=True)
-        nll = np.log(sums[:, :, 0]) + zmax[:, :, 0] - out_y
-        losses = np.add.reduce(nll, axis=1) / rows
-        out /= sums
-        out[picked] -= 1.0
-        out /= rows
-    else:  # mse_reconstruction; callers check the kind
-        t = np.asarray(target, dtype=np.float64)
-        if t.shape != out.shape[1:] and t.shape != out.shape:
-            raise ValueError(f"reconstruction target shape {t.shape} != output {out.shape[1:]}")
-        size = rows * out.shape[2]
-        np.subtract(out, t, out=out)
-        losses = np.add.reduce((out * out).reshape(models, -1), axis=1) / size
-        out *= 2.0
-        out /= size
-    return losses
+        _check_labels(y, width)
+        return y
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != (rows, width) and t.shape != (1, rows, width):
+        raise ValueError(f"reconstruction target shape {t.shape} != output {(rows, width)}")
+    return t
 
 
 def _sgd_update(w: np.ndarray, g: np.ndarray, lr: float, work: np.ndarray) -> None:
     """In place ``w = f32(f64(w) - lr * f64(g))``; ``work`` is float64 scratch like ``w``."""
+    # np.subtract(w, work, out=w, dtype=np.float64) rounds the same bits in
+    # one call, but casts both operands through numpy's buffers: no faster
+    # at S <= 7 and slower at S = 70 than subtracting and then rounding
     np.multiply(g, lr, out=work, dtype=np.float64)
     np.subtract(w, work, out=work, dtype=np.float64)
     np.copyto(w, work)
@@ -281,10 +247,10 @@ def _minibatches(data, cfg: "TrainConfig", updates: int, gens: list, pick):
         draws = [g.integers(0, data.n, size=(updates, cfg.batch)) for g in gens]
         for idx in np.stack(draws, axis=1):
             idx = idx[pick]
-            yield data.x[idx], data.y[idx]
+            yield data.x.take(idx, axis=0), data.y.take(idx)
         return
     for _ in range(updates):
-        rows = [data.x[g.integers(0, data.n, size=cfg.batch)] for g in gens]
+        rows = [data.x.take(g.integers(0, data.n, size=cfg.batch), axis=0) for g in gens]
         noisy = [xb + g.normal(0.0, cfg.denoise_std, size=xb.shape) for g, xb in zip(gens, rows)]
         if len(gens) == 1:
             yield noisy[0], rows[0]
@@ -305,10 +271,17 @@ class ModelStack:
     ``flat``, next to a float64 working copy and a float32 gradient of the
     same shape, allocated once.  So copying the masters to the working copy,
     rounding the gradients and the update are one ufunc call each per step,
-    and no step allocates a weight-sized array.  ``master``, ``work`` and
-    ``grad`` view these rows per tensor.  The activations, their gradients
-    and the output gradients of a step go to buffers the stack allocates at
-    its first step and reuses while the batch size stays the same.
+    and no step allocates a weight-sized array.  ``master`` and
+    :meth:`view` view these rows per tensor.  Byte identity pins the weight
+    layout: multiplying by a contiguous transposed copy of the weights takes
+    another BLAS path and changes bits.
+
+    The step is bound once per batch size: the first step on a batch size
+    allocates the activations, their gradients and the output gradients,
+    and binds every operand a step reads (transposed weight views, bias
+    views broadcast over the rows, the gradient destinations, the loss's
+    index arrays and class columns), so a step only runs its ufunc calls.
+    A forward-only call binds no gradient buffer.
 
     Slices keep their slot ``0..S-1`` for life.  A slice whose loss turns
     non-finite stays in its slot and keeps stepping, but is never read
@@ -322,25 +295,24 @@ class ModelStack:
             raise ValueError(f"unknown loss kind {kind!r}")
         self.kind, self.activation, self.head = kind, activation, _LOSS_HEAD[kind]
         self.depth = _trunk_depth(weights[0], self.head)
+        self.layers = [f"layers.{i}" for i in range(self.depth)] + [self.head]
         names = list(weights[0])
         self.trained = [n for n in names if n.startswith(("layers.", f"{self.head}."))]
-        shapes = {n: np.shape(weights[0][n]) for n in self.trained}
         rows = [np.concatenate([np.ravel(w[n]) for n in self.trained]) for w in weights]
         self.flat = np.stack(rows)
         self.flat_work = np.empty(self.flat.shape)
         self.flat_grad = np.empty(self.flat.shape, np.float32)
-        self.master = {n: np.stack([w[n] for w in weights]) for n in names if n not in self.trained}
-        self.work, self.grad = {}, {}
+        self.master = {n: np.array([w[n] for w in weights]) for n in names if n not in self.trained}
+        self.layout = {}  # trained name -> (its columns of flat, one slice's shape)
         self.diverged: dict[int, int] = {}
-        self.bufs, self.da = [], []  # step buffers, see grads
         start = 0
         for name in self.trained:
-            shape = (len(weights), *shapes[name])
-            cols = slice(start, start + math.prod(shapes[name]))
-            self.master[name] = self.flat[:, cols].reshape(shape)
-            self.work[name] = self.flat_work[:, cols].reshape(shape)
-            self.grad[name] = self.flat_grad[:, cols].reshape(shape)
-            start = cols.stop
+            shape = np.shape(weights[0][name])
+            self.layout[name] = (slice(start, start + math.prod(shape)), shape)
+            self.master[name] = self.view(self.flat, name)
+            start += math.prod(shape)
+        self.width = self.layout[f"{self.head}.weight"][1][0]  # the loss head's outputs
+        self._rows, self._backward_ops = None, []  # the bound step, see _bind
 
     @classmethod
     def of(cls, models: list, kind: str) -> "ModelStack":
@@ -348,37 +320,157 @@ class ModelStack:
         weights = [{t.name: t.data for t in ps.tensors} for ps in models]
         return cls(weights, kind, _activation_of(models[0]))
 
-    def grads(self, x: np.ndarray, target) -> np.ndarray:
-        """Per-slice losses at one batch; leaves the float32 gradients in ``grad``.
+    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        """Trained tensor ``name`` of every slice as a view of ``flat``, ``flat_work`` or
+        ``flat_grad``."""
+        cols, shape = self.layout[name]
+        return flat[:, cols].reshape(len(flat), *shape)
 
-        ``x`` and ``target`` are one batch for every slice or one per slice,
-        as :func:`_forward` and :func:`_loss_from_outputs` take them.
+    def _bind(self, rows: int) -> None:
+        """Allocate the forward and loss buffers for ``rows`` rows per slice; bind their operands.
+
+        The forward operands are, per layer from the input up to the head,
+        the transposed working weights, the working bias broadcast over the
+        rows and the layer's output buffer.
         """
-        w = self.work
-        if not self.bufs or self.bufs[0].shape[1] != x.shape[-2]:
-            self.bufs = _buffers(w, x.shape[-2], self.head, self.depth)
-            self.da = [np.empty_like(a) for a in self.bufs[:-1]]
+        models = len(self.flat)
+        self._acts = [None]  # each layer's input, None for the step's input
+        forward = []
+        for n in self.layers:
+            w, b = self.view(self.flat_work, f"{n}.weight"), self.view(self.flat_work, f"{n}.bias")
+            self._acts.append(np.empty((models, rows, w.shape[1])))
+            forward.append((w.transpose(0, 2, 1), b[:, None, :], self._acts[-1]))
+        self._trunk_ops, self._head_ops = forward[:-1], forward[-1]
+        out = self._acts[-1]
+        if self.kind == "cross_entropy":
+            zmax, sums = np.empty((models, rows, 1)), np.empty((models, rows, 1))
+            # out.ravel()[at + y] is each row's output at its label y
+            at = np.arange(models * rows).reshape(models, rows) * out.shape[2]
+            self._loss_ops = (
+                [out[:, :, c : c + 1] for c in range(out.shape[2])],  # the class columns
+                zmax, zmax[:, :, 0], sums, sums[:, :, 0], np.empty((models, rows)),
+                out.reshape(-1), at, np.empty((models, rows), np.int64),
+            )
+        else:
+            square = np.empty(out.shape)
+            self._loss_ops = (square, square.reshape(models, -1))
+        self._rows, self._backward_ops = rows, []
+
+    def _bind_backward(self) -> None:
+        """Allocate the gradient buffers of the bound step and bind what the backward pass reads.
+
+        Per layer from the head down: the output gradient and its transpose,
+        the working weights and bias (which the gradients overwrite), the
+        layer's input (None for the step's input), its activation output
+        (None for the head) and the input gradient it writes (None for the
+        first layer).
+        """
+        acts = self._acts
+        douts = [np.empty_like(a) for a in acts[1:-1]] + [acts[-1]]
+        for i in reversed(range(len(self.layers))):
+            d = douts[i]
+            self._backward_ops.append((
+                d,
+                d.transpose(0, 2, 1),
+                self.view(self.flat_work, f"{self.layers[i]}.weight"),
+                self.view(self.flat_work, f"{self.layers[i]}.bias"),
+                acts[i],
+                acts[i + 1] if i < self.depth else None,
+                douts[i - 1] if i else None,
+            ))
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        """The head outputs (S, rows, width) at ``x`` on the working weights.
+
+        ``x`` is one (rows, input) matrix every slice reads, or one per
+        slice, (S, rows, input).  ``np.matmul`` over the stack computes each
+        slice exactly as the 2-D product of that model alone would.
+        """
+        a_in = x
+        for wt, b, a in self._trunk_ops:
+            np.matmul(a_in, wt, out=a)
+            np.add(a, b, out=a)
+            _apply_act(a, self.activation)
+            a_in = a
+        wt, b, out = self._head_ops
+        np.matmul(a_in, wt, out=out)
+        np.add(out, b, out=out)
+        return out
+
+    def _loss(self, out: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Per-slice losses (S,) of the outputs; ``out`` becomes d_loss/d_out.
+
+        ``target`` is one for every slice or one per slice, as
+        :func:`_check_target` returns it.  Each slice's loss is a mean over
+        its own batch (and, for MSE, its outputs).
+        """
+        _, rows, width = out.shape
+        if self.kind == "cross_entropy":
+            columns, zmax, zmax0, sums, sums0, nll, flat, at, picked = self._loss_ops
+            # labels are checked before a step, so each index stays in its own row
+            np.add(at, target, out=picked)
+            # the row maxima one class at a time, 4x faster than out.max(axis=2)
+            # on few classes; a maximum is exact, so only the sign of a zero
+            # maximum may differ, and no result below depends on it
+            np.copyto(zmax, columns[0])
+            for column in columns[1:]:
+                np.maximum(zmax, column, out=zmax)
+            out_y = flat[picked]
+            np.subtract(out, zmax, out=out)
+            np.exp(out, out=out)
+            np.add.reduce(out, axis=2, keepdims=True, out=sums)
+            np.log(sums0, out=nll)
+            np.add(nll, zmax0, out=nll)
+            np.subtract(nll, out_y, out=nll)
+            losses = np.add.reduce(nll, axis=1) / rows
+            np.divide(out, sums, out=out)
+            flat[picked] -= 1.0
+            np.divide(out, rows, out=out)
+        else:
+            square, square_rows = self._loss_ops
+            size = rows * width
+            np.subtract(out, target, out=out)
+            np.multiply(out, out, out=square)
+            losses = np.add.reduce(square_rows, axis=1) / size
+            np.multiply(out, 2.0, out=out)
+            np.divide(out, size, out=out)
+        return losses
+
+    def grads(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Per-slice losses at one batch; leaves the float32 gradients in ``flat_grad``.
+
+        ``x`` is as :meth:`_forward` takes it and ``target`` as
+        :func:`_check_target` returns it; neither is checked here.
+        """
+        if self._rows != x.shape[-2]:
+            self._bind(x.shape[-2])
+        if not self._backward_ops:
+            self._bind_backward()
         np.copyto(self.flat_work, self.flat)
-        out, acts = _forward(w, x, self.activation, self.head, self.bufs)
-        losses = _loss_from_outputs(out, target, self.kind)
+        losses = self._loss(self._forward(x), target)
         # each gradient overwrites its tensor's working copy, which the
         # backward pass has read for the last time by then; likewise each
-        # activation buffer becomes f'(z) once the layer reading it is stored
-        np.matmul(out, w[f"{self.head}.weight"], out=self.da[-1])
-        self._store(self.head, out, acts[-1])
-        for i in reversed(range(self.depth)):
-            dz = self.da[i]
-            _times_act_grad(dz, acts[i + 1], self.activation)
-            if i:
-                np.matmul(dz, w[f"layers.{i}.weight"], out=self.da[i - 1])
-            self._store(f"layers.{i}", dz, acts[i])
+        # activation buffer becomes f'(z) once the layer reading it is done
+        for d, dt, w, b, a_in, a, d_in in self._backward_ops:
+            if a is not None:
+                _times_act_grad(d, a, self.activation)
+            if d_in is not None:
+                np.matmul(d, w, out=d_in)
+            np.matmul(dt, x if a_in is None else a_in, out=w)
+            np.add.reduce(d, axis=1, out=b)
         np.copyto(self.flat_grad, self.flat_work)
         return losses
 
-    def _store(self, layer: str, d: np.ndarray, a: np.ndarray) -> None:
-        """Weight and bias gradients of ``layer`` from its output grads and its inputs."""
-        np.matmul(d.transpose(0, 2, 1), a, out=self.work[f"{layer}.weight"])
-        np.add.reduce(d, axis=1, out=self.work[f"{layer}.bias"])
+    def outputs(self, x: np.ndarray) -> np.ndarray:
+        """Every slice's head outputs (S, rows, width) at ``x``: the forward pass alone.
+
+        Binds no gradient buffer.  The result is a step buffer, overwritten
+        by the stack's next call.
+        """
+        if self._rows != x.shape[-2]:
+            self._bind(x.shape[-2])
+        np.copyto(self.flat_work, self.flat)
+        return self._forward(x)
 
     def train(self, data, cfg: "TrainConfig", updates: int, rngs: list, step_offset: int = 0):
         """Run ``updates`` SGD steps; slot j draws its minibatches from ``rngs[j]``.
@@ -388,10 +480,13 @@ class ModelStack:
         by one model trained alone.  Returns each step's losses, one per slot
         of all S; a diverged slot's entries are non-finite.  Stops early once
         every slot has diverged; on labeled data the generators have drawn
-        the row indices of all ``updates`` steps by then.
+        the row indices of all ``updates`` steps by then.  The labels are
+        checked once, here, not at each step.
         """
         if len(rngs) != len(self.flat):
             raise ValueError(f"{len(rngs)} generators for a stack of {len(self.flat)}")
+        if self.kind == "cross_entropy":
+            _check_labels(data.y, self.width)
         gens = list({id(g): g for g in rngs}.values())
         group = {id(g): k for k, g in enumerate(gens)}
         # with one generator every slot reads the same (batch, ...) arrays
@@ -426,11 +521,6 @@ class ModelStack:
             self.master[t.name][slot] = t.data
 
 
-def _stack_of_one(weights) -> dict:
-    """Float64 copies of a name->array dict, each with a leading stack axis of 1."""
-    return {name: np.asarray(arr, dtype=np.float64)[None] for name, arr in weights.items()}
-
-
 def _check_input(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
     x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     input_dim = ps["layers.0.weight"].shape[1]
@@ -441,11 +531,7 @@ def _check_input(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
 
 def forward(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
     """Batch forward pass through the trunk and the classification head (float64 out)."""
-    x64 = _check_input(ps, x)
-    w = _stack_of_one({t.name: t.data for t in ps.tensors})
-    bufs = _buffers(w, len(x64), "cls", _trunk_depth(w, "cls"))
-    out, _ = _forward(w, x64, _activation_of(ps), "cls", bufs)
-    return out[0]
+    return ModelStack.of([ps], "cross_entropy").outputs(_check_input(ps, x))[0]
 
 
 def loss_on_weights(weights, x, target, kind: str, activation: str = "tanh") -> float:
@@ -454,13 +540,11 @@ def loss_on_weights(weights, x, target, kind: str, activation: str = "tanh") -> 
     This is the exact function :func:`loss_and_grads` differentiates, exposed
     so finite-difference checks can perturb weights in full float64.
     """
-    head = _LOSS_HEAD[kind]
-    w = _stack_of_one(weights)
+    stack = ModelStack([weights], kind, activation)
     x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t = _check_target(target, kind, len(x64), stack.width)
     with np.errstate(over="ignore", invalid="ignore"):
-        bufs = _buffers(w, len(x64), head, _trunk_depth(w, head))
-        out, _ = _forward(w, x64, activation, head, bufs)
-        return float(_loss_from_outputs(out, target, kind)[0])
+        return float(stack._loss(stack.outputs(x64), t)[0])
 
 
 def loss_and_grads(weights, x, target, kind: str, activation: str = "tanh"):
@@ -472,12 +556,15 @@ def loss_and_grads(weights, x, target, kind: str, activation: str = "tanh"):
     inf or NaN.
     """
     stack = ModelStack([weights], kind, activation)
+    x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t = _check_target(target, kind, len(x64), stack.width)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = float(stack.grads(np.atleast_2d(np.asarray(x, dtype=np.float64)), target)[0])
+        loss = float(stack.grads(x64, t)[0])
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"non-finite loss {loss!r}")
+    grads = {name: stack.view(stack.flat_grad, name)[0] for name in stack.layout}
     return loss, {
-        name: stack.grad[name][0] if name in stack.grad else np.zeros(arr.shape, np.float32)
+        name: grads[name] if name in grads else np.zeros(arr.shape, np.float32)
         for name, arr in weights.items()
     }
 
@@ -506,7 +593,8 @@ def _loss_kind(data) -> str:
 
 
 def check_data(ps: ParameterSet, data) -> str:
-    """Refuse data ``ps`` cannot train on: wrong type, no rows, wrong width.
+    """Refuse data ``ps`` cannot train on: wrong type, no rows, wrong width, or labels
+    outside the classes of its classification head.
 
     Returns the loss kind the data trains with.
     """
@@ -514,6 +602,8 @@ def check_data(ps: ParameterSet, data) -> str:
     if data.n < 1:
         raise ValueError("training data is empty")
     _check_input(ps, data.x)
+    if kind == "cross_entropy" and "cls.weight" in ps:
+        _check_labels(data.y, ps["cls.weight"].shape[0])
     return kind
 
 
@@ -593,6 +683,7 @@ def evaluate(ps: ParameterSet, data: LabeledBatch) -> float:
         raise ValueError("parameter set has no classification head (cls.weight)")
     if data.n < 1:
         raise ValueError("evaluation data is empty")
+    _check_labels(data.y, ps["cls.weight"].shape[0])
     logits = forward(ps, data.x)
     preds = logits.argmax(axis=1)
     return float(np.mean(preds != data.y))

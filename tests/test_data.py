@@ -1,8 +1,11 @@
 import hashlib
+import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pada.data
 from pada.data import (
     DomainShiftSpec,
     apply_shift,
@@ -82,3 +85,54 @@ def test_split_shapes_and_labels():
     for batch in (task.source_labeled, task.target_labeled, task.target_eval):
         assert batch.y.min() >= 0
         assert batch.y.max() < SMALL.num_classes
+
+
+def eager_reference(seed, spec):
+    """Every split drawn at once, in stream order, as the task generator once did."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, spec.mean_scale, size=(spec.num_classes, spec.input_dim))
+
+    def draw(n):
+        y = rng.integers(0, spec.num_classes, size=n)
+        x = means[y] + rng.normal(0.0, spec.class_std, size=(n, spec.input_dim))
+        return x, y
+
+    xp, _ = draw(spec.source_unlabeled)
+    xj, yj = draw(spec.source_labeled)
+    xl, yl = draw(spec.target_labeled_size)
+    xe, ye = draw(spec.target_eval)
+    return {
+        "source_unlabeled": (xp, None),
+        "source_labeled": (xj, yj),
+        "target_labeled": (apply_shift(spec, xl, rng), yl),
+        "target_eval": (apply_shift(spec, xe, rng), ye),
+    }
+
+
+SPLITS = ("source_unlabeled", "source_labeled", "target_labeled", "target_eval")
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(SPLITS)))
+def test_splits_equal_the_eager_draw_in_every_access_order(order):
+    for seed, spec in ((3, SMALL), (4, replace(SMALL, target_labeled=7, noise_std=0.0))):
+        want = eager_reference(seed, spec)
+        task = gen_domain_shift(seed, spec)
+        for name in order + order:
+            got, (x, y) = getattr(task, name), want[name]
+            assert got.x.tobytes() == x.tobytes(), (seed, name)
+            if y is not None:
+                assert got.y.tobytes() == y.tobytes(), (seed, name)
+
+
+def test_a_split_is_drawn_only_when_it_or_a_later_one_is_read(monkeypatch):
+    shifted = []
+    real_shift = pada.data.apply_shift
+    monkeypatch.setattr(pada.data, "apply_shift", lambda *a: shifted.append(1) or real_shift(*a))
+    task = gen_domain_shift(5, SMALL)
+    task.source_unlabeled
+    task.source_labeled
+    assert shifted == []  # pretraining and the donor never draw the target splits
+    task.target_eval
+    assert len(shifted) == 2  # both target splits, in stream order
+    task.target_labeled
+    assert len(shifted) == 2

@@ -512,3 +512,197 @@ def test_stack_of_several_seeds_trains_each_model_as_if_alone(labeled):
         assert stack.model(j, ps, ps.role) == alone
         assert [float(step[j]) for step in losses] == alone_losses
         assert gens[seed].bit_generator.state == rng.bit_generator.state
+
+
+# --- the unbound step, kept as the reference the bound kernel must match ---
+#
+# A plain copy of the stacked SGD step as it ran before ModelStack bound its
+# operands once per batch size: every view, index array and buffer is built
+# again at each step, each tensor lives in its own array, and labels are
+# picked by a 3-array index.  The bound kernel runs the same ufunc calls in
+# the same order, so it must match this bit for bit.
+
+
+def ref_apply_act(a, activation):
+    if activation == "tanh":
+        np.tanh(a, out=a)
+    else:
+        np.maximum(a, 0.0, out=a)
+
+
+def ref_times_act_grad(da, a, activation):
+    if activation == "tanh":
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+    else:
+        np.greater(a, 0.0, out=a)
+    np.multiply(da, a, out=da)
+
+
+def ref_forward(w, x, activation, head, depth):
+    shapes = [w[f"layers.{i}.weight"].shape for i in range(depth)] + [w[f"{head}.weight"].shape]
+    bufs = [np.empty((models, x.shape[-2], width)) for models, width, _ in shapes]
+    acts = [x]
+    for i, a in enumerate(bufs[:-1]):
+        np.matmul(acts[-1], w[f"layers.{i}.weight"].transpose(0, 2, 1), out=a)
+        a += w[f"layers.{i}.bias"][:, None, :]
+        ref_apply_act(a, activation)
+        acts.append(a)
+    out = bufs[-1]
+    np.matmul(acts[-1], w[f"{head}.weight"].transpose(0, 2, 1), out=out)
+    out += w[f"{head}.bias"][:, None, :]
+    return out, acts
+
+
+def ref_loss_from_outputs(out, target, kind):
+    models, rows = out.shape[:2]
+    if kind == "cross_entropy":
+        y = np.asarray(target, dtype=np.int64)
+        picked = (np.arange(models)[:, None], np.arange(rows), y)
+        zmax = out[:, :, :1].copy()
+        for c in range(1, out.shape[2]):
+            np.maximum(zmax, out[:, :, c : c + 1], out=zmax)
+        out_y = out[picked]
+        np.subtract(out, zmax, out=out)
+        np.exp(out, out=out)
+        sums = out.sum(axis=2, keepdims=True)
+        nll = np.log(sums[:, :, 0]) + zmax[:, :, 0] - out_y
+        losses = np.add.reduce(nll, axis=1) / rows
+        out /= sums
+        out[picked] -= 1.0
+        out /= rows
+    else:
+        t = np.asarray(target, dtype=np.float64)
+        size = rows * out.shape[2]
+        np.subtract(out, t, out=out)
+        losses = np.add.reduce((out * out).reshape(models, -1), axis=1) / size
+        out *= 2.0
+        out /= size
+    return losses
+
+
+def ref_store(w, layer, d, a):
+    np.matmul(d.transpose(0, 2, 1), a, out=w[f"{layer}.weight"])
+    np.add.reduce(d, axis=1, out=w[f"{layer}.bias"])
+
+
+def ref_sgd_update(w, g, lr, work):
+    np.multiply(g, lr, out=work, dtype=np.float64)
+    np.subtract(w, work, out=work, dtype=np.float64)
+    np.copyto(w, work)
+
+
+def ref_step(master, x, target, kind, activation, lr):
+    """One SGD step of the stacked float32 ``master`` dict, in place; returns the losses."""
+    head = "cls" if kind == "cross_entropy" else "recon"
+    depth = sum(name.endswith(".weight") and name.startswith("layers.") for name in master)
+    trained = [n for n in master if n.startswith(("layers.", f"{head}."))]
+    w = {n: master[n].astype(np.float64) for n in trained}
+    out, acts = ref_forward(w, x, activation, head, depth)
+    losses = ref_loss_from_outputs(out, target, kind)
+    da = [np.empty_like(a) for a in acts[1:]]
+    np.matmul(out, w[f"{head}.weight"], out=da[-1])
+    ref_store(w, head, out, acts[-1])
+    for i in reversed(range(depth)):
+        dz = da[i]
+        ref_times_act_grad(dz, acts[i + 1], activation)
+        if i:
+            np.matmul(dz, w[f"layers.{i}.weight"], out=da[i - 1])
+        ref_store(w, f"layers.{i}", dz, acts[i])
+    for n in trained:
+        ref_sgd_update(master[n], w[n].astype(np.float32), lr, np.empty(master[n].shape))
+    return losses
+
+
+def ref_batches(data, batch, steps, seeds, denoise_std):
+    """The minibatches of ``steps`` steps, slot j drawing from ``default_rng(seeds[j])``."""
+    gens = {s: np.random.default_rng(s) for s in dict.fromkeys(seeds)}
+    shared = len(gens) == 1
+    if isinstance(data, LabeledBatch):
+        idx = {s: g.integers(0, data.n, size=(steps, batch)) for s, g in gens.items()}
+        for t in range(steps):
+            rows = idx[seeds[0]][t] if shared else np.stack([idx[s][t] for s in seeds])
+            yield data.x[rows], data.y[rows]
+        return
+    for _ in range(steps):
+        clean = {s: data.x[g.integers(0, data.n, size=batch)] for s, g in gens.items()}
+        noisy = {s: x + gens[s].normal(0.0, denoise_std, size=x.shape) for s, x in clean.items()}
+        if shared:
+            yield noisy[seeds[0]], clean[seeds[0]]
+        else:
+            yield np.stack([noisy[s] for s in seeds]), np.stack([clean[s] for s in seeds])
+
+
+@pytest.mark.parametrize(
+    "models,batches",
+    [(1, "shared"), (3, "shared"), (3, "per-slot"), (7, "shared"), (7, "per-slot")],
+)
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("labeled", [True, False])
+def test_bound_step_equals_the_unbound_reference(models, batches, activation, labeled):
+    # 200 steps of the default 16-32-32-6 model, with a batch-size change
+    # after 150 so the step is bound twice; one slot freshly zeroed
+    arch = ModelArch(16, (32, 32), 6, activation)
+    rows = toy_labeled(200, seed=70, arch=arch)
+    data = rows if labeled else UnlabeledBatch(rows.x)
+    kind = "cross_entropy" if labeled else "mse_reconstruction"
+    start = [init_model(arch, 71 + j) for j in range(models)]
+    start[-1] = apply_zeroing(start[-1], compute_ump_mask(start[-1], 40.0))
+    seeds = [0] * models if batches == "shared" else [j % 2 + 3 * (j % 3) for j in range(models)]
+    stack = ModelStack.of(start, kind)
+    master = {t.name: np.stack([ps[t.name].data for ps in start]) for t in start[0].tensors}
+    for steps, batch in ((150, 16), (50, 5)):
+        cfg = TrainConfig(lr=0.05, batch=batch, updates=steps, seed=0, denoise_std=0.3)
+        gens = {s: np.random.default_rng(s + steps) for s in dict.fromkeys(seeds)}
+        losses = stack.train(data, cfg, steps, [gens[s] for s in seeds])
+        ref = ref_batches(data, batch, steps, [s + steps for s in seeds], 0.3)
+        for got, (x, target) in zip(losses, ref, strict=True):
+            want = ref_step(master, x, target, kind, activation, cfg.lr)
+            assert got.tobytes() == want.tobytes()
+    for j, ps in enumerate(start):
+        model = stack.model(j, ps, ps.role)
+        for t in model.tensors:
+            assert t.data.tobytes() == master[t.name][j].tobytes(), (j, t.name)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_forward_only_calls_equal_the_unbound_reference(activation):
+    # the forward-only entry points run the bound forward at S = 1 on a
+    # row count no training batch uses
+    arch = ModelArch(16, (32, 32), 6, activation)
+    ps = init_model(arch, 80)
+    data = toy_labeled(2000, seed=81, arch=arch)
+    w = {t.name: t.data.astype(np.float64)[None] for t in ps.tensors}
+    out, _ = ref_forward(w, data.x, activation, "cls", 2)
+    assert forward(ps, data.x).tobytes() == out[0].tobytes()
+    assert evaluate(ps, data) == float(np.mean(out[0].argmax(axis=1) != data.y))
+    ce = ref_loss_from_outputs(out, data.y, "cross_entropy")
+    assert dataset_loss(ps, data) == float(ce[0])
+    recon, _ = ref_forward(w, data.x, activation, "recon", 2)
+    mse = ref_loss_from_outputs(recon, data.x, "mse_reconstruction")
+    assert dataset_loss(ps, UnlabeledBatch(data.x)) == float(mse[0])
+
+
+@pytest.mark.parametrize("label", [-1, ARCH.num_classes])
+def test_labels_outside_the_classes_are_refused(label):
+    # -1 would train as the last class and k would index past the head; every
+    # entry point that reads labels refuses both with one message
+    from pada.schedule import run_cells
+
+    ps = init_model(ARCH, 90)
+    data = toy_labeled(16, seed=91)
+    data.y[3] = label
+    cfg = TrainConfig(lr=0.05, batch=4, updates=2, seed=0)
+    message = rf"class labels must lie in \[0, {ARCH.num_classes}\), got "
+    for stage in (
+        lambda: sgd_train(ps, data, cfg, 2, np.random.default_rng(0)),
+        lambda: finetune_supervised(ps, data, cfg),
+        lambda: ModelStack.of([ps], "cross_entropy").train(data, cfg, 2, [np.random.default_rng()]),
+        lambda: loss_and_grads(weights_of(ps), data.x, data.y, "cross_entropy"),
+        lambda: dataset_loss(ps, data),
+        lambda: evaluate(ps, data),
+    ):
+        with pytest.raises(ValueError, match=message):
+            stage()
+    (outcome,) = run_cells(ps, [(0, "DFT", None)], data, cfg)
+    assert isinstance(outcome, ValueError) and "class labels" in str(outcome)
