@@ -46,7 +46,8 @@ print(f"\nsparsity right after 40% zeroing: {sparsity(zeroed):.3f}")
 
 rng = np.random.default_rng(2)
 batch = LabeledBatch(rng.normal(size=(32, 8)), rng.integers(0, 3, size=32))
-# the training kernel works on a plain name -> float32 array dict
+# loss_and_grads/sgd_step are the training kernel's S = 1 dict API: one model
+# as a plain name -> float32 array dict
 weights = {t.name: t.data for t in zeroed}
 for step in range(5):
     loss, grads = loss_and_grads(weights, batch.x, batch.y, "cross_entropy")

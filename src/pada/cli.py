@@ -2,12 +2,11 @@
 
 Subcommands: pretrain, make-donor, run, compare-masks, report.  Every
 subcommand is deterministic given its config file and inputs; outputs are
-written atomically.  ``run`` trains every cell of every seed together in
-:func:`~pada.schedule.run_cells`, then writes the results seed by seed.  A
-seed's fine-tune on the target data is both its DFT cell's result and the
-model its TAW masks rank.  When cells fail, ``run`` reports the first
-failing cell in table order, seed by seed, as if the cells had run one
-after another.
+written atomically.  ``run`` plans every run, seed by seed in table order,
+with the files it writes; its collision check, :func:`~pada.schedule.run_cells`
+(which trains and finishes every planned run) and its writes all read that
+plan.  When cells fail, ``run`` reports the first failing cell in table
+order, seed by seed, as if the cells had run one after another.
 """
 
 from __future__ import annotations
@@ -28,12 +27,7 @@ from .params import (
     save_checkpoint,
 )
 from .pruning import load_mask, save_mask
-from .schedule import (
-    final_record,
-    read_log_jsonl,
-    run_cells,
-    write_log_jsonl,
-)
+from .schedule import read_log_jsonl, run_cells, write_log_jsonl
 from .trainer import TrainingDivergedError, finetune_supervised, pretrain_denoising
 
 
@@ -108,11 +102,18 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     table_csv = os.path.join(cfg.out, "table.csv")
     table_json = os.path.join(cfg.out, "table.json")
     cells = cfg.cells()
-    planned = [table_csv, table_json]
-    for strategy, freq in cells:
-        for seed in cfg.seeds:
-            planned.append(os.path.join(run_dir, _cell_name(strategy, freq, seed) + ".jsonl"))
-    _check_outputs(planned, force)
+    plan = []  # every run, seed by seed in table order: (the stem of its files, its slot)
+    for seed in cfg.seeds:
+        for strategy, freq in cells:
+            sched = None if strategy == "DFT" else cfg.schedule_for(freq)
+            stem = os.path.join(run_dir, _cell_name(strategy, freq, seed))
+            plan.append((stem, (seed, strategy, sched)))
+    outputs = [table_csv, table_json]
+    for stem, (_, _, sched) in plan:
+        outputs += [stem + ".jsonl", stem + ".pada"]
+        if sched is not None:  # a PADA cell also writes its initial mask
+            outputs.append(stem + ".padm")
+    _check_outputs(outputs, force)
     os.makedirs(run_dir, exist_ok=True)
 
     pretrained = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
@@ -120,34 +121,24 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     if any(s == "CD-TAW" for s in cfg.strategies):
         donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
     task = gen_domain_shift(cfg.task_seed, cfg.task)
-    # TAW ranks its seed's DFT model, so DFT trains even when the table leaves it out
-    trained = cells if cfg.include_dft or "TAW" not in cfg.strategies else [("DFT", "-")] + cells
-    runs = [(seed, s, f) for seed in cfg.seeds for s, f in trained]
-    slots = [(seed, s, None if s == "DFT" else cfg.schedule_for(f)) for seed, s, f in runs]
-    outcomes = run_cells(pretrained, slots, task.target_labeled, cfg.target, donor=donor)
+    slots = [slot for _, slot in plan]
+    outcomes = run_cells(
+        pretrained, slots, task.target_labeled, cfg.target, donor, eval_data=task.target_eval
+    )
 
-    finals = []
-    for (seed, strategy, freq), outcome in zip(runs, outcomes):
-        if strategy == "DFT" and not cfg.include_dft:
-            continue
-        name = _cell_name(strategy, freq, seed)
+    for (stem, _), outcome in zip(plan, outcomes):
         try:
             if isinstance(outcome, Exception):
                 raise outcome
             model, log, mask = outcome
-            log.final = final_record(
-                model, cfg.target.updates, strategy, freq, task.target_labeled, task.target_eval
-            )
-            log.final["seed"] = seed
             if mask is not None:
-                save_mask(mask, os.path.join(run_dir, f"{name}.padm"))
-            write_log_jsonl(log, os.path.join(run_dir, f"{name}.jsonl"))
-            save_checkpoint(model, os.path.join(run_dir, f"{name}.pada"))
+                save_mask(mask, stem + ".padm")
+            write_log_jsonl(log, stem + ".jsonl")
+            save_checkpoint(model, stem + ".pada")
         except Exception as exc:
-            raise RunFailure(f"run {name}: {exc}") from exc
-        finals.append(log.final)
+            raise RunFailure(f"run {os.path.basename(stem)}: {exc}") from exc
 
-    by_cell = _errors_by_cell(finals)
+    by_cell = _errors_by_cell(log.final for _, log, _ in outcomes)
     rows = []
     for strategy, freq in cells:
         by_seed = by_cell[(strategy, freq)]

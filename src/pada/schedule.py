@@ -21,8 +21,10 @@ trains as one :class:`~pada.trainer.ModelStack`, with one minibatch per
 seed, that stops at each of its cells' prune points.  A cell keeps its stack
 slot for the whole wave, unread once it diverges.  TAW ranks its seed's DFT
 model, so the TAW cells of all seeds form a second wave after the DFT, TAG
-and CD-TAW cells.  :func:`run_pada` and :func:`run_dft` are one-cell calls
-of the same executor.
+and CD-TAW cells, and a seed without a DFT cell trains one it never returns.
+The executor also finishes every run it returns: the run's log ends with its
+final record.  :func:`run_pada` and :func:`run_dft` are one-cell calls of
+the same executor.
 """
 
 from __future__ import annotations
@@ -149,6 +151,7 @@ def run_cells(
     cfg: TrainConfig,
     donor: ParameterSet | None = None,
     finetuned: ParameterSet | None = None,
+    eval_data: LabeledBatch | None = None,
 ) -> list:
     """Fine-tune every slot on the target data, in as few stacks as TAW allows.
 
@@ -159,16 +162,17 @@ def run_cells(
     is not read.  A wave of slots advances as one
     :class:`~pada.trainer.ModelStack` with one minibatch per seed.  Wave 1
     holds the DFT, TAG and CD-TAW slots.  Wave 2 holds the TAW slots, whose
-    initial masks rank ``finetuned`` or, when that is None, wave 1's DFT
-    model of their seed.  TAG and CD-TAW rank models no seed changes, so
-    their slots with the same strategy and r1 share one initial mask, ranked
-    once for all seeds; TAW slots share theirs within a seed.  The stack
-    stops at every prune point of its slots, where each slot that prunes
-    there is re-ranked and zeroed.
+    initial masks rank ``finetuned`` or else their seed's DFT model, which
+    wave 1 trains unreturned for a seed without a DFT slot.  TAG and CD-TAW
+    rank models no seed changes, so their slots with the same strategy and r1
+    share one initial mask, ranked once for all seeds; TAW slots share theirs
+    within a seed.  The stack stops at every prune point of its slots, where
+    each slot that prunes there is re-ranked and zeroed.
 
-    Returns one entry per slot, in order: ``(model, log, initial mask)``,
-    where the log holds the prune events (a DFT slot has neither events nor
-    mask), or the exception that ended the slot.  A failing slot, such as
+    Returns one finished run per slot, in order: ``(model, log, initial
+    mask)``, where the log holds the prune events (a DFT slot has neither
+    events nor mask) and the final record, which scores ``eval_data`` when
+    given; or the exception that ended the slot.  A failing slot, such as
     one that diverges, never stops the others.
     """
     try:
@@ -177,27 +181,29 @@ def run_cells(
         check_data(pretrained, target_data)
     except ValueError as exc:
         return [exc] * len(slots)
-    outcomes: list = [None] * len(slots)
-    wave1 = [i for i, (_, strategy, _) in enumerate(slots) if strategy != "TAW"]
-    wave2 = [i for i, (_, strategy, _) in enumerate(slots) if strategy == "TAW"]
-    _run_wave(pretrained, slots, wave1, target_data, cfg, outcomes, donor, {})
-    if not wave2:
-        return outcomes
+    work = list(slots)
+    if finetuned is None:  # TAW ranks its seed's DFT model, trained here if no slot asks for it
+        taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")
+        dft_seeds = {seed for seed, _, sched in slots if sched is None}
+        work += [(seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds]
+    outcomes: list = [None] * len(work)
+    wave1 = [i for i, (_, strategy, _) in enumerate(work) if strategy != "TAW"]
+    wave2 = [i for i, (_, strategy, _) in enumerate(work) if strategy == "TAW"]
+    _run_wave(pretrained, work, wave1, target_data, cfg, outcomes, donor, {})
     if finetuned is not None:
-        ranked = {slots[i][0]: finetuned for i in wave2}
-    else:
-        dfts = {}  # seed -> its DFT outcome
-        for i in wave1:
-            if slots[i][2] is None:
-                dfts.setdefault(slots[i][0], outcomes[i])
-        for i in wave2:
-            dft = dfts.get(slots[i][0])
-            if isinstance(dft, Exception):  # the model TAW ranks was never finished
-                outcomes[i] = dft
-        wave2 = [i for i in wave2 if outcomes[i] is None]
-        ranked = {seed: dft[0] for seed, dft in dfts.items() if not isinstance(dft, Exception)}
-    _run_wave(pretrained, slots, wave2, target_data, cfg, outcomes, donor, ranked)
-    return outcomes
+        ranked = {work[i][0]: finetuned for i in wave2}
+    else:  # each seed's DFT model, or the failure that ended it
+        dfts = {work[i][0]: outcomes[i] for i in wave1 if work[i][2] is None}
+        ranked = {seed: d if isinstance(d, Exception) else d[0] for seed, d in dfts.items()}
+    _run_wave(pretrained, work, wave2, target_data, cfg, outcomes, donor, ranked)
+    for i, slot in enumerate(slots):
+        if not isinstance(outcomes[i], Exception):
+            model, log, _ = outcomes[i]
+            try:
+                log.final = _final_record(slot, model, cfg.updates, target_data, eval_data)
+            except Exception as exc:
+                outcomes[i] = exc
+    return outcomes[: len(slots)]
 
 
 @dataclass
@@ -215,7 +221,8 @@ class _Member:
 def _run_wave(pretrained, slots, wave, target_data, cfg, outcomes, donor, ranked) -> None:
     """Train the slots ``wave`` indexes as one stack; store each outcome in ``outcomes``.
 
-    ``ranked`` maps a seed to the model its TAW masks rank.
+    ``ranked`` maps a seed to the model its TAW masks rank, or to the failure
+    that ended that model, which then ends the seed's TAW slots too.
     """
     n_total = cfg.updates
     starts = {}  # mask key -> (zeroed model, mask, update-0 event)
@@ -226,6 +233,8 @@ def _run_wave(pretrained, slots, wave, target_data, cfg, outcomes, donor, ranked
             members.append(_Member(i, seed, pretrained, PadaRunLog(), None, []))
             continue
         try:
+            if isinstance(ranked.get(seed), Exception):  # the model TAW ranks was never finished
+                raise ranked[seed]
             validate(sched, n_total)
             r1 = sched.rates[0]
             key = (strategy, r1, seed) if strategy == "TAW" else (strategy, r1)
@@ -277,7 +286,7 @@ def _run_wave(pretrained, slots, wave, target_data, cfg, outcomes, donor, ranked
 def _result(outcome):
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    return outcome[:2]
 
 
 def run_pada(
@@ -292,21 +301,19 @@ def run_pada(
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Prune-assisted fine-tuning: strategy prune at update 0, then train to N.
 
-    The one-cell call of :func:`run_cells`.  N is ``cfg.updates``.
-    ``strategy`` is a kind from :data:`~pada.strategies.STRATEGY_KINDS`; its
-    initial mask prunes at the schedule's first rate r1.  Event i lands at
-    update i*n while rates remain and i*n <= N; the logged "train_loss" is
-    the loss over the full target labeled set at that point.  Returns the
-    adapted model (no persistent mask) and the run log.
-    TAW ranks ``finetuned`` (the target fine-tuned model), CD-TAW ``donor``.
-    The initial mask is :func:`~pada.strategies.initial_model`'s for the same
-    pretrained model, strategy and r1.
+    The one-cell call of :func:`run_cells`, for seed ``cfg.seed``.  N is
+    ``cfg.updates``.  ``strategy`` is a kind from
+    :data:`~pada.strategies.STRATEGY_KINDS`; its initial mask prunes at the
+    schedule's first rate r1.  Event i lands at update i*n while rates remain
+    and i*n <= N; the logged "train_loss" is the loss over the full target
+    labeled set at that point.  Returns the adapted model (no persistent
+    mask) and the finished run log.  TAW ranks ``finetuned`` (the target
+    fine-tuned model, trained here when None), CD-TAW ``donor``.  The initial
+    mask is :func:`~pada.strategies.initial_model`'s for the same pretrained
+    model, strategy and r1.
     """
     slot = (cfg.seed, strategy, sched)
-    (outcome,) = run_cells(pretrained, [slot], target_data, cfg, donor=donor, finetuned=finetuned)
-    model, log, _ = _result(outcome)
-    log.final = final_record(model, cfg.updates, strategy, sched.freq, target_data, eval_data)
-    return model, log
+    return _result(run_cells(pretrained, [slot], target_data, cfg, donor, finetuned, eval_data)[0])
 
 
 def run_dft(
@@ -317,12 +324,10 @@ def run_dft(
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Direct fine-tuning baseline: cfg.updates SGD steps, no pruning at all.
 
-    The one-cell call of :func:`run_cells`.
+    The one-cell call of :func:`run_cells`, for seed ``cfg.seed``.
     """
-    (outcome,) = run_cells(pretrained, [(cfg.seed, "DFT", None)], target_data, cfg)
-    model, log, _ = _result(outcome)
-    log.final = final_record(model, cfg.updates, "DFT", "-", target_data, eval_data)
-    return model, log
+    slot = (cfg.seed, "DFT", None)
+    return _result(run_cells(pretrained, [slot], target_data, cfg, eval_data=eval_data)[0])
 
 
 def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEvent:
@@ -332,15 +337,17 @@ def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEven
     return PruneEvent(update, rate, sparsity_before, after, loss)
 
 
-def final_record(model, total_updates, strategy, freq, target_data, eval_data) -> dict:
-    """The "final" log record of a trained model (key order is the file format)."""
+def _final_record(slot, model, total_updates, target_data, eval_data) -> dict:
+    """The "final" log record of a slot's trained model (key order is the file format)."""
+    seed, strategy, sched = slot
     final = {
         "total_updates": total_updates,
         "strategy": strategy,
-        "frequency": freq,
+        "frequency": "-" if sched is None else sched.freq,
         "final_sparsity": sparsity(model) if model.d_prunable else 0.0,
         "train_loss": dataset_loss(model, target_data),
     }
     if eval_data is not None:
         final["error_rate"] = evaluate(model, eval_data)
+    final["seed"] = seed
     return final

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -136,6 +137,47 @@ def test_output_collision_refused_without_force(tmp_path):
     with pytest.raises(ConfigError, match="--force"):
         cmd_pretrain(cfg)
     cmd_pretrain(cfg, force=True)  # succeeds
+
+
+@pytest.mark.parametrize("stray", ["tag_once_seed0.pada", "tag_once_seed0.padm", "dft_seed0.pada"])
+def test_run_refuses_every_file_it_would_write(tmp_path, stray):
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["strategies"], doc["frequencies"] = ["TAG"], ["once"]
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    path = Path(cfg.out, "runs", stray)
+    path.parent.mkdir()
+    path.write_bytes(b"stray")
+    with pytest.raises(ConfigError, match=f"output exists: {re.escape(str(path))} "):
+        cmd_run(cfg)
+    assert path.read_bytes() == b"stray"
+    assert not Path(cfg.out, "table.csv").exists()
+    cmd_run(cfg, force=True)
+    assert path.read_bytes() != b"stray"
+
+
+def test_taw_without_the_dft_cell_writes_the_same_other_files(tmp_path):
+    # TAW ranks its seed's DFT model, which then trains without being written
+    def outputs(name, include_dft):
+        doc = small_config(str(tmp_path / name), seeds=(0, 1))
+        doc["strategies"], doc["include_dft"] = ["TAG", "TAW"], include_dft
+        cfg = parse_config(doc)
+        cmd_pretrain(cfg)
+        table_csv, table_json = cmd_run(cfg)
+        run_dir = Path(cfg.out, "runs")
+        files = {n: Path(run_dir, n).read_bytes() for n in os.listdir(run_dir)}
+        lines = Path(table_csv).read_text().splitlines()
+        return files, lines, json.loads(Path(table_json).read_text())
+
+    files, lines, table = outputs("without", False)
+    all_files, all_lines, all_table = outputs("with", True)
+    assert not any(n.startswith("dft") for n in files)
+    assert not any(line.startswith("DFT,") for line in lines)
+    assert all(row["strategy"] != "DFT" for row in table["rows"])
+    assert files == {n: b for n, b in all_files.items() if not n.startswith("dft")}
+    assert lines == [line for line in all_lines if not line.startswith("DFT,")]
+    assert table == {**all_table, "rows": all_table["rows"][1:]}
+    assert all_table["rows"][0]["strategy"] == "DFT"
 
 
 def test_make_donor_roles_and_zero_updates(tmp_path):
@@ -540,34 +582,43 @@ def test_report_refuses_malformed_log_records(tmp_path, capsys, line, message):
     assert "tag_once_seed0.jsonl, line 3: " in err and message in err
 
 
-def one_cell_at_a_time(pretrained, slots, target_data, cfg, donor=None, finetuned=None):
-    """A drop-in for ``run_cells`` that calls run_dft/run_pada once per slot, in order."""
+def one_cell_at_a_time(
+    pretrained, slots, target_data, cfg, donor=None, finetuned=None, eval_data=None
+):
+    """A drop-in for ``run_cells`` that calls run_dft/run_pada once per slot, in order.
+
+    As in ``run_cells``, TAW ranks ``finetuned`` or its seed's DFT model,
+    which is trained unreturned when no slot asks for it.
+    """
     from pada.schedule import run_dft, run_pada
     from pada.strategies import initial_model
 
     outcomes = []
-    dft = {}  # seed -> its DFT model
+    dft = {}  # seed -> its DFT run (model, log, None), or the failure that ended it
     for seed, strategy, sched in slots:
         seed_cfg = replace(cfg, seed=seed)
-        try:
+        if sched is None or (strategy == "TAW" and finetuned is None and seed not in dft):
+            try:
+                dft[seed] = (*run_dft(pretrained, target_data, seed_cfg, eval_data), None)
+            except Exception as exc:
+                dft[seed] = exc
             if sched is None:
-                dft[seed], log = run_dft(pretrained, target_data, seed_cfg)
-                outcomes.append((dft[seed], log, None))
+                outcomes.append(dft[seed])
                 continue
-            ranked = finetuned if finetuned is not None else dft.get(seed)
-            if strategy == "TAW" and isinstance(ranked, Exception):
-                raise ranked  # the model TAW ranks was never finished
-            model, log = run_pada(
-                pretrained, strategy, sched, target_data, seed_cfg, donor=donor, finetuned=ranked
-            )
+        try:
+            ranked = finetuned
+            if strategy == "TAW" and ranked is None:
+                if isinstance(dft[seed], Exception):
+                    raise dft[seed]  # the model TAW ranks was never finished
+                ranked = dft[seed][0]
+            model, log = run_pada(pretrained, strategy, sched, target_data, seed_cfg,
+                                  donor=donor, finetuned=ranked, eval_data=eval_data)
             _, mask = initial_model(
                 pretrained, strategy, sched.rates[0], finetuned=ranked, donor=donor
             )
             outcomes.append((model, log, mask))
         except Exception as exc:
             outcomes.append(exc)
-            if sched is None:
-                dft[seed] = exc
     return outcomes
 
 
@@ -697,5 +748,38 @@ def test_stacked_divergence_leaves_survivors_as_if_alone(tmp_path):
             continue
         (model_a, log_a, mask_a), (model_b, log_b, mask_b) = a, b
         assert model_a == model_b, run
-        assert log_a.events == log_b.events, run
+        assert log_a.events == log_b.events and log_a.final == log_b.final, run
         assert mask_a == mask_b, run
+
+
+def test_run_cells_trains_the_dft_model_taw_ranks(tmp_path):
+    # only TAW slots, for two seeds, and no model to rank: run_cells trains
+    # each seed's DFT model, ranks it and returns nothing of it
+    from pada.data import gen_domain_shift
+    from pada.schedule import run_cells, run_dft, run_pada
+    from pada.strategies import initial_model
+
+    cfg = prep(tmp_path, seeds=(0, 1))
+    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
+    task = gen_domain_shift(cfg.task_seed, cfg.task)
+    target, scored = task.target_labeled, task.target_eval
+    slots = [(seed, "TAW", cfg.schedule_for(f)) for seed in cfg.seeds for f in cfg.frequencies]
+    outcomes = run_cells(pre, slots, target, cfg.target, eval_data=scored)
+    assert len(outcomes) == len(slots)
+    cmd_run(cfg)
+    run_dir = os.path.join(cfg.out, "runs")
+    finetuned = {}
+    for seed in cfg.seeds:
+        finetuned[seed], log = run_dft(pre, target, replace(cfg.target, seed=seed), scored)
+        assert log.final == read_log_jsonl(os.path.join(run_dir, f"dft_seed{seed}.jsonl")).final
+        assert list(log.final)[-1] == "seed"
+    for (seed, _, sched), (model, log, mask) in zip(slots, outcomes):
+        alone, alone_log = run_pada(pre, "TAW", sched, target, replace(cfg.target, seed=seed),
+                                    finetuned=finetuned[seed], eval_data=scored)
+        _, alone_mask = initial_model(pre, "TAW", sched.rates[0], finetuned=finetuned[seed])
+        assert model == alone
+        assert log.events == alone_log.events and log.final == alone_log.final
+        assert mask == alone_mask
+        written = read_log_jsonl(os.path.join(run_dir, f"taw_{sched.freq}_seed{seed}.jsonl"))
+        assert alone_log.final == written.final
+        assert written.final["seed"] == seed
