@@ -4,7 +4,8 @@ Subcommands: pretrain, make-donor, run, compare-masks, report.  Every
 subcommand is deterministic given its config file and inputs; outputs are
 written atomically.  ``run`` plans every run, seed by seed in table order,
 with the files it writes; its collision check, :func:`~pada.schedule.run_cells`
-(which trains and finishes every planned run) and its writes all read that
+(which trains and finishes every planned run), its writes and, under
+``--force``, its removal of the run files it did not plan all read that
 plan.  When cells fail, ``run`` reports the first failing cell in table
 order, seed by seed, as if the cells had run one after another.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .config import ConfigError, ExperimentConfig, check_seeds, load_config
@@ -27,7 +29,8 @@ from .params import (
     save_checkpoint,
 )
 from .pruning import load_mask, save_mask
-from .schedule import read_log_jsonl, run_cells, write_log_jsonl
+from .schedule import FREQUENCIES, read_log_jsonl, run_cells, write_log_jsonl
+from .strategies import STRATEGY_KINDS
 from .trainer import TrainingDivergedError, finetune_supervised, pretrain_denoising
 
 
@@ -73,12 +76,19 @@ def _cell_name(strategy: str, freq: str, seed: int) -> str:
     return f"{strategy.lower()}_{freq}_seed{seed}"
 
 
+# the name of any file `pada run` writes under runs/, whatever the plan
+_RUN_FILE = re.compile(
+    r"(?:dft|(?:%s)_(?:%s))_seed[0-9]+\.(?:jsonl|pada|padm)"
+    % ("|".join(re.escape(kind.lower()) for kind in STRATEGY_KINDS), "|".join(FREQUENCIES))
+)
+
+
 def _errors_by_cell(finals) -> dict[tuple[str, str], dict[int, float]]:
     """Final error rates of the runs, grouped by (strategy, frequency), keyed by seed."""
     cells: dict[tuple[str, str], dict[int, float]] = {}
     for fin in finals:
         if "error_rate" in fin:
-            key = (fin.get("strategy"), fin.get("frequency"))
+            key = (fin["strategy"], fin["frequency"])
             cells.setdefault(key, {})[fin["seed"]] = fin["error_rate"]
     return cells
 
@@ -97,6 +107,8 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
 
     Writes one .jsonl log, one final .pada checkpoint and (for PADA cells)
     the initial .padm mask per cell, plus the comparison table as CSV + JSON.
+    With ``force``, it then deletes the run files under ``runs/`` that the
+    plan does not list.
     """
     run_dir = os.path.join(cfg.out, "runs")
     table_csv = os.path.join(cfg.out, "table.csv")
@@ -161,6 +173,12 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     atomic_write_text(
         table_json, json.dumps({"seeds": cfg.seeds, "rows": rows}, indent=2) + "\n"
     )
+    if force:  # run files the plan does not list, such as those of seeds it dropped
+        planned = {os.path.basename(p) for p in outputs}
+        for name in os.listdir(run_dir):
+            path = os.path.join(run_dir, name)
+            if name not in planned and _RUN_FILE.fullmatch(name) and os.path.isfile(path):
+                os.remove(path)
     return table_csv, table_json
 
 
@@ -212,7 +230,7 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
         fin = log.final
         for ev in log.events:
             lines.append(
-                f"{name},{fin.get('strategy')},{fin.get('frequency')},{fin.get('seed')},"
+                f"{name},{fin['strategy']},{fin['frequency']},{fin['seed']},"
                 f"{ev.update},{ev.rate!r},{ev.sparsity_before!r},{ev.sparsity_after!r},"
                 f"{ev.train_loss!r}"
             )

@@ -21,10 +21,10 @@ trains as one :class:`~pada.trainer.ModelStack`, with one minibatch per
 seed, that stops at each of its cells' prune points.  A cell keeps its stack
 slot for the whole wave, unread once it diverges.  TAW ranks its seed's DFT
 model, so the TAW cells of all seeds form a second wave after the DFT, TAG
-and CD-TAW cells, and a seed without a DFT cell trains one it never returns.
-The executor also finishes every run it returns: the run's log ends with its
-final record.  :func:`run_pada` and :func:`run_dft` are one-cell calls of
-the same executor.
+and CD-TAW cells; a seed without a DFT cell trains one it never scores or
+returns.  A wave scores its runs once its stack is released: each log the
+caller gets ends with its final record.  :func:`run_pada` and
+:func:`run_dft` are one-cell calls of the same executor.
 """
 
 from __future__ import annotations
@@ -125,9 +125,40 @@ def write_log_jsonl(log: PadaRunLog, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# what each field of a final record must be; "error_rate" only when the run was scored
+_FINAL_FIELDS = {
+    "total_updates": "a non-negative integer",
+    "strategy": "a string",
+    "frequency": "a string",
+    "final_sparsity": "a number",
+    "train_loss": "a number",
+    "error_rate": "a number",
+    "seed": "a non-negative integer",
+}
+_IS = {
+    "a string": lambda v: type(v) is str,
+    "a number": lambda v: type(v) in (int, float),
+    "a non-negative integer": lambda v: type(v) is int and v >= 0,
+}
+
+
+def _check_final(rec: dict) -> None:
+    """Raise ValueError unless the final record ``rec`` has each field, of its type."""
+    for key, want in _FINAL_FIELDS.items():
+        if key not in rec:
+            if key != "error_rate":
+                raise ValueError(f"final record has no {key}")
+        elif not _IS[want](rec[key]):
+            raise ValueError(f"final record's {key} must be {want}, got {rec[key]!r}")
+
+
 def read_log_jsonl(path: str) -> PadaRunLog:
-    """Inverse of :func:`write_log_jsonl`; anything else is a FormatError naming the line."""
-    log = PadaRunLog()
+    """Inverse of :func:`write_log_jsonl`; anything else is a FormatError naming the line.
+
+    The log must end with its one final record, whose fields have the types
+    :func:`write_log_jsonl` writes.
+    """
+    log, final_line, lineno = PadaRunLog(), None, 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
@@ -136,11 +167,18 @@ def read_log_jsonl(path: str) -> PadaRunLog:
                 if kind == "prune":
                     log.events.append(PruneEvent(**rec))
                 elif kind == "final":
+                    _check_final(rec)
                     log.final = rec
                 else:
-                    raise FormatError(f"{path}, line {lineno}: unknown record kind {kind!r}")
-            except (ValueError, TypeError) as exc:  # not JSON, or other prune fields
+                    raise ValueError(f"unknown record kind {kind!r}")
+                if final_line is not None:
+                    raise ValueError(f"{kind} record after the final record of line {final_line}")
+                if kind == "final":
+                    final_line = lineno
+            except (ValueError, TypeError) as exc:  # not JSON, or not a record this log holds
                 raise FormatError(f"{path}, line {lineno}: {exc}") from exc
+    if final_line is None:
+        raise FormatError(f"{path}, line {lineno + 1}: the log ends without a final record")
     return log
 
 
@@ -150,7 +188,6 @@ def run_cells(
     target_data: LabeledBatch,
     cfg: TrainConfig,
     donor: ParameterSet | None = None,
-    finetuned: ParameterSet | None = None,
     eval_data: LabeledBatch | None = None,
 ) -> list:
     """Fine-tune every slot on the target data, in as few stacks as TAW allows.
@@ -162,9 +199,9 @@ def run_cells(
     is not read.  A wave of slots advances as one
     :class:`~pada.trainer.ModelStack` with one minibatch per seed.  Wave 1
     holds the DFT, TAG and CD-TAW slots.  Wave 2 holds the TAW slots, whose
-    initial masks rank ``finetuned`` or else their seed's DFT model, which
-    wave 1 trains unreturned for a seed without a DFT slot.  TAG and CD-TAW
-    rank models no seed changes, so their slots with the same strategy and r1
+    initial masks rank their seed's DFT model, which wave 1 trains, unscored
+    and unreturned, for a seed without a DFT slot.  TAG and CD-TAW rank
+    models no seed changes, so their slots with the same strategy and r1
     share one initial mask, ranked once for all seeds; TAW slots share theirs
     within a seed.  The stack stops at every prune point of its slots, where
     each slot that prunes there is re-ranked and zeroed.
@@ -181,28 +218,15 @@ def run_cells(
         check_data(pretrained, target_data)
     except ValueError as exc:
         return [exc] * len(slots)
-    work = list(slots)
-    if finetuned is None:  # TAW ranks its seed's DFT model, trained here if no slot asks for it
-        taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")
-        dft_seeds = {seed for seed, _, sched in slots if sched is None}
-        work += [(seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds]
+    taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")
+    dft_seeds = {seed for seed, _, sched in slots if sched is None}
+    work = [*slots, *((seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds)]
     outcomes: list = [None] * len(work)
-    wave1 = [i for i, (_, strategy, _) in enumerate(work) if strategy != "TAW"]
-    wave2 = [i for i, (_, strategy, _) in enumerate(work) if strategy == "TAW"]
-    _run_wave(pretrained, work, wave1, target_data, cfg, outcomes, donor, {})
-    if finetuned is not None:
-        ranked = {work[i][0]: finetuned for i in wave2}
-    else:  # each seed's DFT model, or the failure that ended it
-        dfts = {work[i][0]: outcomes[i] for i in wave1 if work[i][2] is None}
-        ranked = {seed: d if isinstance(d, Exception) else d[0] for seed, d in dfts.items()}
-    _run_wave(pretrained, work, wave2, target_data, cfg, outcomes, donor, ranked)
-    for i, slot in enumerate(slots):
-        if not isinstance(outcomes[i], Exception):
-            model, log, _ = outcomes[i]
-            try:
-                log.final = _final_record(slot, model, cfg.updates, target_data, eval_data)
-            except Exception as exc:
-                outcomes[i] = exc
+    ranked: dict = {}  # seed -> its DFT model, or the failure that ended it
+    for taw in (False, True):
+        wave = [i for i, (_, strategy, _) in enumerate(work) if (strategy == "TAW") == taw]
+        _run_wave(pretrained, work, wave, target_data, cfg, donor, eval_data, len(slots),
+                  outcomes, ranked)
     return outcomes[: len(slots)]
 
 
@@ -218,11 +242,12 @@ class _Member:
     points: list  # pending (update, rate) prune points, in order
 
 
-def _run_wave(pretrained, slots, wave, target_data, cfg, outcomes, donor, ranked) -> None:
-    """Train the slots ``wave`` indexes as one stack; store each outcome in ``outcomes``.
+def _run_wave(pretrained, slots, wave, target_data, cfg, donor, eval_data, asked, outcomes, ranked):
+    """Train the slots ``wave`` indexes as one stack; store each finished run in ``outcomes``.
 
     ``ranked`` maps a seed to the model its TAW masks rank, or to the failure
-    that ended that model, which then ends the seed's TAW slots too.
+    that ended it, which ends the seed's TAW slots too; the wave adds its DFT
+    models.  Slots below ``asked`` are scored once the stack is released.
     """
     n_total = cfg.updates
     starts = {}  # mask key -> (zeroed model, mask, update-0 event)
@@ -279,8 +304,18 @@ def _run_wave(pretrained, slots, wave, target_data, cfg, outcomes, donor, ranked
     for j, step in stack.diverged.items():
         outcomes[members[j].slot] = TrainingDivergedError(step)
     for j, m in alive:
-        role = "finetuned_target" if slots[m.slot][2] is None else "adapted"
+        role = "finetuned_target" if m.mask is None else "adapted"
         outcomes[m.slot] = (stack.model(j, pretrained, role), m.log, m.mask)
+    del stack  # scoring allocates too: release the stack's buffers first
+    for m in members:
+        run = outcomes[m.slot]
+        if m.mask is None:  # a DFT model, which its seed's TAW slots rank
+            ranked[m.seed] = run if isinstance(run, Exception) else run[0]
+        if m.slot < asked and not isinstance(run, Exception):
+            try:
+                m.log.final = _final_record(slots[m.slot], run[0], n_total, target_data, eval_data)
+            except Exception as exc:
+                outcomes[m.slot] = exc
 
 
 def _result(outcome):
@@ -296,7 +331,6 @@ def run_pada(
     target_data: LabeledBatch,
     cfg: TrainConfig,
     donor: ParameterSet | None = None,
-    finetuned: ParameterSet | None = None,
     eval_data: LabeledBatch | None = None,
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Prune-assisted fine-tuning: strategy prune at update 0, then train to N.
@@ -307,13 +341,13 @@ def run_pada(
     schedule's first rate r1.  Event i lands at update i*n while rates remain
     and i*n <= N; the logged "train_loss" is the loss over the full target
     labeled set at that point.  Returns the adapted model (no persistent
-    mask) and the finished run log.  TAW ranks ``finetuned`` (the target
-    fine-tuned model, trained here when None), CD-TAW ``donor``.  The initial
+    mask) and the finished run log.  TAW ranks the seed's DFT model, as
+    :func:`run_dft` trains it, and CD-TAW ``donor``.  The initial
     mask is :func:`~pada.strategies.initial_model`'s for the same pretrained
     model, strategy and r1.
     """
     slot = (cfg.seed, strategy, sched)
-    return _result(run_cells(pretrained, [slot], target_data, cfg, donor, finetuned, eval_data)[0])
+    return _result(run_cells(pretrained, [slot], target_data, cfg, donor, eval_data)[0])
 
 
 def run_dft(

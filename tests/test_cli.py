@@ -1,7 +1,7 @@
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -411,10 +411,13 @@ def test_report_reads_only_the_last_run(tmp_path):
     assert main(["pretrain", "--config", cfg_path]) == 0
     assert main(["make-donor", "--config", cfg_path]) == 0
     assert main(["run", "--config", cfg_path, "--seeds", "0,1"]) == 0
+    stale = Path(doc["out"], "runs", "dft_seed0.jsonl")
+    first_log = stale.read_bytes()
     assert main(["run", "--config", cfg_path, "--seeds", "1", "--force"]) == 0
+    # --force removed the seed-0 files; a log put back by hand is not read
+    assert not stale.exists()
+    stale.write_bytes(first_log)
     assert main(["report", doc["out"]]) == 0
-    # the seed-0 logs of the first run are still on disk
-    assert os.path.exists(os.path.join(doc["out"], "runs", "dft_seed0.jsonl"))
     table = json.loads(Path(doc["out"], "table.json").read_text())
     summary = json.loads(Path(doc["out"], "summary.json").read_text())
     assert [c["n_runs"] for c in summary["cells"]] == [1, 1, 1]
@@ -426,6 +429,30 @@ def test_report_reads_only_the_last_run(tmp_path):
     ]
     events = Path(doc["out"], "events.csv").read_text().splitlines()[1:]
     assert all(line.split(",")[3] == "1" for line in events)
+
+
+def test_run_force_removes_only_the_run_files_the_plan_drops(tmp_path):
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["pretrain", "--config", cfg_path]) == 0
+    assert main(["make-donor", "--config", cfg_path]) == 0
+    assert main(["run", "--config", cfg_path]) == 0
+    run_dir = Path(doc["out"], "runs")
+    kept = ["notes.txt", "tag_once_seed0.jsonl.bak", "foo_once_seed0.jsonl", "tag_once_seed0.csv",
+            "TAG_once_seed0.jsonl", "dft_seed0.padm.tmp"]
+    for name in kept:
+        (run_dir / name).write_text("not a run\n")
+    (run_dir / "dft_seed0.padm").write_text("a stray mask\n")  # pada-named, never planned
+    (run_dir / "taw_once_seed9.pada").mkdir()  # not a file
+    seed1 = sorted(n for n in os.listdir(run_dir) if n.endswith("_seed1" + Path(n).suffix))
+    assert len(seed1) == 10 + 10 + 9
+
+    assert main(["run", "--config", cfg_path, "--seeds", "1", "--force"]) == 0
+    assert sorted(os.listdir(run_dir)) == sorted(seed1 + kept + ["taw_once_seed9.pada"])
+    for name in kept:
+        assert (run_dir / name).read_text() == "not a run\n"
 
 
 def test_report_without_table_is_config_error(tmp_path, capsys):
@@ -582,37 +609,94 @@ def test_report_refuses_malformed_log_records(tmp_path, capsys, line, message):
     assert "tag_once_seed0.jsonl, line 3: " in err and message in err
 
 
-def one_cell_at_a_time(
-    pretrained, slots, target_data, cfg, donor=None, finetuned=None, eval_data=None
-):
+
+def refuse_edited_log(tmp_path, capsys, edit):
+    """The one ``format:`` line of ``pada report`` after ``edit`` rewrote a log's lines.
+
+    The log is ``tag_once_seed0.jsonl``: one prune record, then the final one.
+    """
+    cfg = prep(tmp_path, seeds=(0,))
+    cmd_run(cfg)
+    path = Path(cfg.out, "runs", "tag_once_seed0.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 2
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    assert main(["report", cfg.out]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"format: {path}, line ")
+    return err
+
+
+DROP = object()
+BAD_FINALS = [  # (field, its new value or DROP, the message)
+    ("seed", DROP, "final record has no seed"),
+    ("strategy", DROP, "final record has no strategy"),
+    ("total_updates", DROP, "final record has no total_updates"),
+    ("error_rate", "x", "final record's error_rate must be a number, got 'x'"),
+    ("seed", "0", "final record's seed must be a non-negative integer, got '0'"),
+    ("seed", -1, "final record's seed must be a non-negative integer, got -1"),
+    ("seed", True, "final record's seed must be a non-negative integer, got True"),
+    ("total_updates", 60.0,
+     "final record's total_updates must be a non-negative integer, got 60.0"),
+    ("frequency", None, "final record's frequency must be a string, got None"),
+    ("strategy", 3, "final record's strategy must be a string, got 3"),
+    ("train_loss", [0.5], "final record's train_loss must be a number, got [0.5]"),
+    ("final_sparsity", "0.4", "final record's final_sparsity must be a number, got '0.4'"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    BAD_FINALS,
+    ids=[f"{k}={'drop' if v is DROP else repr(v)}" for k, v, _ in BAD_FINALS],
+)
+def test_report_refuses_a_malformed_final_record(tmp_path, capsys, key, value, message):
+    def edit(lines):
+        final = json.loads(lines[1])
+        if value is DROP:
+            del final[key]
+        else:
+            final[key] = value
+        return [lines[0], json.dumps(final) + "\n"]
+
+    err = refuse_edited_log(tmp_path, capsys, edit)
+    assert err.endswith(f"line 2: {message}")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:1], "line 2: the log ends without a final record"),
+        (lambda lines: [], "line 1: the log ends without a final record"),
+        (lambda lines: lines[::-1], "line 2: prune record after the final record of line 1"),
+        (lambda lines: lines + lines[1:], "line 3: final record after the final record of line 2"),
+    ],
+    ids=["no-final", "empty", "prune-after-final", "two-finals"],
+)
+def test_report_refuses_a_log_not_ending_in_one_final_record(tmp_path, capsys, edit, message):
+    assert refuse_edited_log(tmp_path, capsys, edit).endswith(message)
+
+
+def one_cell_at_a_time(pretrained, slots, target_data, cfg, donor=None, eval_data=None):
     """A drop-in for ``run_cells`` that calls run_dft/run_pada once per slot, in order.
 
-    As in ``run_cells``, TAW ranks ``finetuned`` or its seed's DFT model,
-    which is trained unreturned when no slot asks for it.
+    As in ``run_cells``, TAW ranks its seed's DFT model: ``run_pada`` trains
+    it, and the initial mask is ``initial_model``'s for ``run_dft``'s model.
     """
     from pada.schedule import run_dft, run_pada
     from pada.strategies import initial_model
 
     outcomes = []
-    dft = {}  # seed -> its DFT run (model, log, None), or the failure that ended it
     for seed, strategy, sched in slots:
         seed_cfg = replace(cfg, seed=seed)
-        if sched is None or (strategy == "TAW" and finetuned is None and seed not in dft):
-            try:
-                dft[seed] = (*run_dft(pretrained, target_data, seed_cfg, eval_data), None)
-            except Exception as exc:
-                dft[seed] = exc
-            if sched is None:
-                outcomes.append(dft[seed])
-                continue
         try:
-            ranked = finetuned
-            if strategy == "TAW" and ranked is None:
-                if isinstance(dft[seed], Exception):
-                    raise dft[seed]  # the model TAW ranks was never finished
-                ranked = dft[seed][0]
+            if sched is None:
+                outcomes.append((*run_dft(pretrained, target_data, seed_cfg, eval_data), None))
+                continue
             model, log = run_pada(pretrained, strategy, sched, target_data, seed_cfg,
-                                  donor=donor, finetuned=ranked, eval_data=eval_data)
+                                  donor=donor, eval_data=eval_data)
+            ranked = run_dft(pretrained, target_data, seed_cfg)[0] if strategy == "TAW" else None
             _, mask = initial_model(
                 pretrained, strategy, sched.rates[0], finetuned=ranked, donor=donor
             )
@@ -689,16 +773,14 @@ def diverging_grid(tmp_path):
 def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, capsys):
     # at this learning rate the TAW cells and CD-TAW iterative diverge, the
     # latter one update before the TAW cells; serially, TAW once fails first
-    from pada.schedule import run_dft, run_pada
+    from pada.schedule import run_pada
 
     doc, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
     tcfg = replace(tcfg, seed=1)
-    finetuned, _ = run_dft(pre, target, tcfg)
     failures = []
     for strategy, freq in cfg.cells()[1:]:
         try:
-            run_pada(pre, strategy, cfg.schedule_for(freq), target, tcfg,
-                     donor=donor, finetuned=finetuned)
+            run_pada(pre, strategy, cfg.schedule_for(freq), target, tcfg, donor=donor)
         except Exception as exc:
             failures.append((strategy, freq, exc))
     (strategy, freq, first), later = failures[0], failures[1:]
@@ -775,7 +857,7 @@ def test_run_cells_trains_the_dft_model_taw_ranks(tmp_path):
         assert list(log.final)[-1] == "seed"
     for (seed, _, sched), (model, log, mask) in zip(slots, outcomes):
         alone, alone_log = run_pada(pre, "TAW", sched, target, replace(cfg.target, seed=seed),
-                                    finetuned=finetuned[seed], eval_data=scored)
+                                    eval_data=scored)
         _, alone_mask = initial_model(pre, "TAW", sched.rates[0], finetuned=finetuned[seed])
         assert model == alone
         assert log.events == alone_log.events and log.final == alone_log.final
@@ -783,3 +865,111 @@ def test_run_cells_trains_the_dft_model_taw_ranks(tmp_path):
         written = read_log_jsonl(os.path.join(run_dir, f"taw_{sched.freq}_seed{seed}.jsonl"))
         assert alone_log.final == written.final
         assert written.final["seed"] == seed
+
+
+def grid_inputs(cfg):
+    """(pretrained, donor, target data, eval data) of a prepared grid config."""
+    from pada.data import gen_domain_shift
+
+    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
+    donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
+    task = gen_domain_shift(cfg.task_seed, cfg.task)
+    return pre, donor, task.target_labeled, task.target_eval
+
+
+def grid_slots(cfg):
+    return [
+        (seed, s, None if s == "DFT" else cfg.schedule_for(f))
+        for seed in cfg.seeds
+        for s, f in cfg.cells()
+    ]
+
+
+def test_run_cells_finishes_each_run_as_one_cell_at_a_time(tmp_path):
+    # DFT, TAG, TAW and CD-TAW over two seeds: the runs each wave finishes
+    # carry the bits, events, final records and masks of one cell at a time
+    from pada.schedule import run_cells
+
+    cfg = prep(tmp_path, seeds=(0, 1))
+    pre, donor, target, scored = grid_inputs(cfg)
+    slots = grid_slots(cfg)
+    stacked = run_cells(pre, slots, target, cfg.target, donor, scored)
+    serial = one_cell_at_a_time(pre, slots, target, cfg.target, donor, scored)
+    assert len(stacked) == len(serial) == 2 * 10
+    for slot, (model_a, log_a, mask_a), (model_b, log_b, mask_b) in zip(slots, stacked, serial):
+        assert model_a == model_b, slot
+        assert json.dumps([asdict(e) for e in log_a.events]) == json.dumps(
+            [asdict(e) for e in log_b.events]
+        ), slot
+        assert json.dumps(log_a.final) == json.dumps(log_b.final), slot
+        assert list(log_a.final) == [
+            "total_updates", "strategy", "frequency", "final_sparsity", "train_loss",
+            "error_rate", "seed",
+        ]
+        assert mask_a == mask_b, slot
+
+
+def test_hidden_dft_model_is_ranked_but_never_scored(tmp_path, monkeypatch):
+    # without DFT cells, run_cells trains each seed's DFT model for its TAW
+    # slots, whose masks rank exactly that model, and scores only the slots
+    # it was given
+    import pada.schedule
+    from pada.pruning import compute_ump_mask
+    from pada.schedule import run_cells, run_dft
+
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+    doc["include_dft"] = False
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    cmd_make_donor(cfg)
+    pre, donor, target, scored = grid_inputs(cfg)
+    slots = grid_slots(cfg)
+    finished = []
+    real = pada.schedule._final_record
+
+    def recording(slot, *args):
+        finished.append(slot)
+        return real(slot, *args)
+
+    monkeypatch.setattr(pada.schedule, "_final_record", recording)
+    outcomes = run_cells(pre, slots, target, cfg.target, donor, scored)
+    assert sorted(slots.index(slot) for slot in finished) == list(range(len(slots)))
+    assert len(outcomes) == len(slots) == 2 * 9
+    dft = {seed: run_dft(pre, target, replace(cfg.target, seed=seed))[0] for seed in cfg.seeds}
+    for (seed, strategy, sched), (_, log, mask) in zip(slots, outcomes):
+        assert log.final["seed"] == seed
+        if strategy == "TAW":
+            assert mask == compute_ump_mask(dft[seed], sched.rates[0])
+
+
+def test_waves_score_only_after_releasing_their_stack(tmp_path, monkeypatch):
+    # scoring allocates its own buffers, so a wave's stack must be gone by then
+    import weakref
+
+    import pada.schedule
+    from pada.schedule import run_cells
+    from pada.trainer import ModelStack
+
+    made, live = [], weakref.WeakSet()
+
+    class Tracked(ModelStack):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(len(self.flat))
+            live.add(self)
+
+    live_when_scoring = []
+    real = pada.schedule._final_record
+
+    def scoring(*args):
+        live_when_scoring.append(len(live))
+        return real(*args)
+
+    monkeypatch.setattr(pada.schedule, "ModelStack", Tracked)
+    monkeypatch.setattr(pada.schedule, "_final_record", scoring)
+    cfg = prep(tmp_path, seeds=(0, 1))
+    pre, donor, target, scored = grid_inputs(cfg)
+    outcomes = run_cells(pre, grid_slots(cfg), target, cfg.target, donor, scored)
+    assert not any(isinstance(o, Exception) for o in outcomes)
+    assert made == [2 * 7, 2 * 3]
+    assert live_when_scoring == [0] * 2 * 10

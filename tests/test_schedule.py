@@ -253,11 +253,11 @@ def test_taw_strategy_inside_run():
     data = toy_labeled(seed=46)
     cfg = tcfg(seed=47, updates=30)
     sched = PruneSchedule("once", (40,), 10)
-    finetuned = finetune_supervised(pre, data, tcfg(seed=48, updates=20))
-    a, log = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned)
-    b, _ = run_pada(pre, "TAW", sched, data, cfg, finetuned=finetuned)
+    a, log = run_pada(pre, "TAW", sched, data, cfg)
+    b, _ = run_pada(pre, "TAW", sched, data, cfg)
     assert a == b
-    # the initial mask ranks the fine-tuned model, not the pre-trained one
+    # the initial mask ranks the seed's DFT model, not the pre-trained one
+    finetuned, _ = run_dft(pre, data, cfg)
     start, mask = initial_model(pre, "TAW", 40.0, finetuned=finetuned)
     assert mask == compute_ump_mask(finetuned, 40.0)
     assert mask != compute_ump_mask(pre, 40.0)
