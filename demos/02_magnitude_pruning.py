@@ -46,12 +46,11 @@ print(f"\nsparsity right after 40% zeroing: {sparsity(zeroed):.3f}")
 
 rng = np.random.default_rng(2)
 batch = LabeledBatch(rng.normal(size=(32, 8)), rng.integers(0, 3, size=32))
-# loss_and_grads/sgd_step are the training kernel's S = 1 dict API: one model
-# as a plain name -> float32 array dict
-weights = {t.name: t.data for t in zeroed}
+# loss_and_grads/sgd_step are one training step of one model, split into its
+# backward pass and its update
+model = zeroed
 for step in range(5):
-    loss, grads = loss_and_grads(weights, batch.x, batch.y, "cross_entropy")
-    weights = sgd_step(weights, grads, 0.05)
-    zeros = sum(np.count_nonzero(weights[t.name] == 0.0) for t in zeroed.prunable_tensors())
-    print(f"after update {step + 1}: sparsity {zeros / zeroed.d_prunable:.3f} (loss {loss:.3f})")
+    loss, grads = loss_and_grads(model, batch)
+    model = sgd_step(model, grads, 0.05)
+    print(f"after update {step + 1}: sparsity {sparsity(model):.3f} (loss {loss:.3f})")
 print("zeroed weights regrew: nothing was frozen, no mask was retained")

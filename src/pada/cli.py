@@ -197,8 +197,8 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
 _CELL_KEYS = ("strategy", "frequency")
 
 
-def _listed_runs(table_json: str) -> list[str]:
-    """Sorted names of the runs a ``table.json`` lists; a malformed table is a FormatError."""
+def _listed_runs(table_json: str) -> list[tuple]:
+    """Each listed run's (name, strategy, frequency, seed), sorted by name; or a FormatError."""
     with open(table_json, "r", encoding="utf-8") as fh:
         try:
             table = json.load(fh)
@@ -212,7 +212,8 @@ def _listed_runs(table_json: str) -> list[str]:
     for i, row in enumerate(rows):
         if type(row) is not dict or not all(type(row.get(k)) is str for k in _CELL_KEYS):
             raise FormatError(f"{table_json}: rows[{i}] needs a string strategy and frequency")
-    return sorted(_cell_name(row["strategy"], row["frequency"], s) for row in rows for s in seeds)
+    runs = [(row["strategy"], row["frequency"], s) for row in rows for s in seeds]
+    return sorted((_cell_name(*run), *run) for run in runs)
 
 
 def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
@@ -220,8 +221,14 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     table_json = os.path.join(run_out, "table.json")
     if not os.path.isfile(table_json):
         raise ConfigError(f"no table.json under {run_out} (not a finished `pada run`)")
-    names = _listed_runs(table_json)
-    logs = [(n, read_log_jsonl(os.path.join(run_out, "runs", f"{n}.jsonl"))) for n in names]
+    logs = []
+    for name, *listed in _listed_runs(table_json):
+        path = os.path.join(run_out, "runs", f"{name}.jsonl")
+        log = read_log_jsonl(path)
+        found = [log.final[k] for k in ("strategy", "frequency", "seed")]
+        if found != listed:
+            raise FormatError(f"{path}: a log of run {found}, but table.json lists {listed}")
+        logs.append((name, log))
     out_dir = out_dir or run_out
     os.makedirs(out_dir, exist_ok=True)
 

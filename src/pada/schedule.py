@@ -125,15 +125,24 @@ def write_log_jsonl(log: PadaRunLog, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# what each field of a final record must be; "error_rate" only when the run was scored
-_FINAL_FIELDS = {
-    "total_updates": "a non-negative integer",
-    "strategy": "a string",
-    "frequency": "a string",
-    "final_sparsity": "a number",
-    "train_loss": "a number",
-    "error_rate": "a number",
-    "seed": "a non-negative integer",
+# what each field of a record must be; "error_rate" only when the run was scored
+_FIELDS = {
+    "prune": {
+        "update": "a non-negative integer",
+        "rate": "a number",
+        "sparsity_before": "a number",
+        "sparsity_after": "a number",
+        "train_loss": "a number",
+    },
+    "final": {
+        "total_updates": "a non-negative integer",
+        "strategy": "a string",
+        "frequency": "a string",
+        "final_sparsity": "a number",
+        "train_loss": "a number",
+        "error_rate": "a number",
+        "seed": "a non-negative integer",
+    },
 }
 _IS = {
     "a string": lambda v: type(v) is str,
@@ -142,40 +151,40 @@ _IS = {
 }
 
 
-def _check_final(rec: dict) -> None:
-    """Raise ValueError unless the final record ``rec`` has each field, of its type."""
-    for key, want in _FINAL_FIELDS.items():
+def _check_record(kind: str, rec: dict) -> None:
+    """Raise ValueError unless the ``kind`` record ``rec`` has each field, of its type."""
+    for key, want in _FIELDS[kind].items():
         if key not in rec:
             if key != "error_rate":
-                raise ValueError(f"final record has no {key}")
+                raise ValueError(f"{kind} record has no {key}")
         elif not _IS[want](rec[key]):
-            raise ValueError(f"final record's {key} must be {want}, got {rec[key]!r}")
+            raise ValueError(f"{kind} record's {key} must be {want}, got {rec[key]!r}")
 
 
 def read_log_jsonl(path: str) -> PadaRunLog:
     """Inverse of :func:`write_log_jsonl`; anything else is a FormatError naming the line.
 
-    The log must end with its one final record, whose fields have the types
-    :func:`write_log_jsonl` writes.
+    The log must end with its one final record, and every record's fields
+    have the types :func:`write_log_jsonl` writes.
     """
     log, final_line, lineno = PadaRunLog(), None, 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # each line is decoded where a bad byte can name it
         for lineno, line in enumerate(fh, 1):
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 kind = rec.pop("kind", None) if isinstance(rec, dict) else None
                 if kind == "prune":
                     log.events.append(PruneEvent(**rec))
                 elif kind == "final":
-                    _check_final(rec)
                     log.final = rec
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
+                _check_record(kind, rec)
                 if final_line is not None:
                     raise ValueError(f"{kind} record after the final record of line {final_line}")
                 if kind == "final":
                     final_line = lineno
-            except (ValueError, TypeError) as exc:  # not JSON, or not a record this log holds
+            except (ValueError, TypeError) as exc:  # not UTF-8 JSON, or not a record of a log
                 raise FormatError(f"{path}, line {lineno}: {exc}") from exc
     if final_line is None:
         raise FormatError(f"{path}, line {lineno + 1}: the log ends without a final record")

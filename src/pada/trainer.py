@@ -5,27 +5,27 @@ reconstruction head (``recon.*``, used for denoising pre-training) and a
 classification head (``cls.*``, used for supervised fine-tuning).  Both heads
 exist from initialization, so parameter sets from every pipeline stage share
 one structure and masks transfer between them without shape surgery.  Which
-head trains is decided by the data, not by a setting: :func:`sgd_train`
-trains ``cls.*`` with cross-entropy on a :class:`LabeledBatch` and ``recon.*``
-with the denoising MSE on an :class:`UnlabeledBatch`.
+head trains is decided by the data, not by a setting: a :class:`LabeledBatch`
+trains ``cls.*`` with cross-entropy and an :class:`UnlabeledBatch` trains
+``recon.*`` with the denoising MSE.
 
 Weights are stored as float32 (the checkpoint-canonical dtype); all forward,
-loss and gradient arithmetic runs in float64.  One training kernel,
+loss and gradient arithmetic runs in float64.  The one training kernel,
 :class:`ModelStack`, trains S models of one structure at once: every step
 feeds each model the minibatch of its own random stream, models that share
 a stream share its minibatch, every product is one ``np.matmul`` over the
 stack, and each model ends bit-identical to training it alone.  A stack
 binds its step once per batch size: it allocates the step's buffers and
 builds every view and index array the step reads, so each step is only a
-fixed sequence of ufunc and matmul calls on bound operands.  Labels are
-checked once per training call, not per step.  :func:`sgd_train` is its
-S = 1 call and builds a ParameterSet only for the model it returns;
-:func:`loss_and_grads` and :func:`sgd_step` expose its backward pass and
-its update on plain name->array weight dicts, and :func:`forward`,
-:func:`evaluate` and :func:`dataset_loss` run its forward pass at S = 1
-without allocating gradient buffers.  :func:`loss_on_weights` exposes the
-float64 core so finite-difference gradient checks can perturb weights
-without float32 rounding.
+fixed sequence of ufunc and matmul calls on bound operands.
+
+Every one-model function is an S = 1 call of the kernel on a
+:class:`~pada.params.ParameterSet` and a batch, which :func:`check_data`
+checks once and whose type picks the loss.  :func:`sgd_train` trains and
+builds a ParameterSet only for the model it returns; :func:`loss_and_grads`
+and :func:`sgd_step` are one step's backward pass and update; and
+:func:`forward`, :func:`evaluate` and :func:`dataset_loss` run the forward
+pass alone, without gradient buffers.
 
 No operation freezes a parameter: SGD updates every weight, including ones a
 pruning pass just zeroed, which is what lets zeroed weights regrow.
@@ -44,10 +44,7 @@ ACTIVATIONS = ("tanh", "relu")
 LOSSES = ("mse_reconstruction", "cross_entropy")
 
 _LOSS_HEAD = {"mse_reconstruction": "recon", "cross_entropy": "cls"}
-
-
-class NonFiniteLossError(ArithmeticError):
-    """A loss evaluation produced inf or NaN."""
+_HEAD_NAME = {"recon": "reconstruction", "cls": "classification"}
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -158,13 +155,6 @@ def init_model(arch: ModelArch, seed) -> ParameterSet:
     return ParameterSet(tensors, "pretrained", {"activation": arch.activation})
 
 
-def _activation_of(ps: ParameterSet) -> str:
-    act = ps.meta.get("activation", "tanh")
-    if act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {act!r} in parameter set metadata")
-    return act
-
-
 def _apply_act(a: np.ndarray, activation: str) -> None:
     """The activation of ``a``, in place."""
     if activation == "tanh":
@@ -192,7 +182,7 @@ def _trunk_depth(names, head: str) -> int:
     if depth == 0:
         raise ValueError("parameter set has no trunk layers (layers.0.weight missing)")
     if f"{head}.weight" not in names:
-        raise ValueError(f"parameter set has no {head}.weight head tensor")
+        raise ValueError(f"parameter set has no {_HEAD_NAME[head]} head ({head}.weight)")
     return depth
 
 
@@ -202,24 +192,6 @@ def _check_labels(y: np.ndarray, classes: int) -> None:
         raise ValueError(
             f"class labels must lie in [0, {classes}), got {int(y.min())}..{int(y.max())}"
         )
-
-
-def _check_target(target, kind: str, rows: int, width: int) -> np.ndarray:
-    """The target of one model as :meth:`ModelStack.grads` reads it, once checked.
-
-    Labels are (rows,) or (1, rows) integers in ``[0, width)``; a
-    reconstruction target is a real (rows, width) or (1, rows, width) matrix.
-    """
-    if kind == "cross_entropy":
-        y = np.asarray(target, dtype=np.int64)
-        if y.shape != (rows,) and y.shape != (1, rows):
-            raise ValueError("cross_entropy requires one integer label per row")
-        _check_labels(y, width)
-        return y
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != (rows, width) and t.shape != (1, rows, width):
-        raise ValueError(f"reconstruction target shape {t.shape} != output {(rows, width)}")
-    return t
 
 
 def _sgd_update(w: np.ndarray, g: np.ndarray, lr: float, work: np.ndarray) -> None:
@@ -293,6 +265,8 @@ class ModelStack:
     def __init__(self, weights: list, kind: str, activation: str = "tanh"):
         if kind not in LOSSES:
             raise ValueError(f"unknown loss kind {kind!r}")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         self.kind, self.activation, self.head = kind, activation, _LOSS_HEAD[kind]
         self.depth = _trunk_depth(weights[0], self.head)
         self.layers = [f"layers.{i}" for i in range(self.depth)] + [self.head]
@@ -318,7 +292,7 @@ class ModelStack:
     def of(cls, models: list, kind: str) -> "ModelStack":
         """Stack of parameter sets; the first one's metadata names the activation."""
         weights = [{t.name: t.data for t in ps.tensors} for ps in models]
-        return cls(weights, kind, _activation_of(models[0]))
+        return cls(weights, kind, models[0].meta.get("activation", "tanh"))
 
     def view(self, flat: np.ndarray, name: str) -> np.ndarray:
         """Trained tensor ``name`` of every slice as a view of ``flat``, ``flat_work`` or
@@ -400,9 +374,10 @@ class ModelStack:
     def _loss(self, out: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-slice losses (S,) of the outputs; ``out`` becomes d_loss/d_out.
 
-        ``target`` is one for every slice or one per slice, as
-        :func:`_check_target` returns it.  Each slice's loss is a mean over
-        its own batch (and, for MSE, its outputs).
+        ``target`` is one for every slice or one per slice: integer labels
+        in ``[0, width)``, or a real matrix shaped like a slice of ``out``
+        for MSE.  Each slice's loss is a mean over its own batch (and, for
+        MSE, its outputs).
         """
         _, rows, width = out.shape
         if self.kind == "cross_entropy":
@@ -439,8 +414,8 @@ class ModelStack:
     def grads(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-slice losses at one batch; leaves the float32 gradients in ``flat_grad``.
 
-        ``x`` is as :meth:`_forward` takes it and ``target`` as
-        :func:`_check_target` returns it; neither is checked here.
+        ``x`` is as :meth:`_forward` takes it and ``target`` as :meth:`_loss`
+        does; neither is checked here.
         """
         if self._rows != x.shape[-2]:
             self._bind(x.shape[-2])
@@ -534,86 +509,31 @@ def forward(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
     return ModelStack.of([ps], "cross_entropy").outputs(_check_input(ps, x))[0]
 
 
-def loss_on_weights(weights, x, target, kind: str, activation: str = "tanh") -> float:
-    """Loss as a pure float64 function of a name->array weight dict.
+def check_data(ps: ParameterSet, data) -> str:
+    """Refuse data ``ps`` cannot train on or be scored with: wrong type, no rows, wrong
+    width, no head for its loss, or labels outside the classes of that head.
 
-    This is the exact function :func:`loss_and_grads` differentiates, exposed
-    so finite-difference checks can perturb weights in full float64.
+    Returns the loss kind the data trains with, which its type decides.
     """
-    stack = ModelStack([weights], kind, activation)
-    x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = _check_target(target, kind, len(x64), stack.width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(stack._loss(stack.outputs(x64), t)[0])
-
-
-def loss_and_grads(weights, x, target, kind: str, activation: str = "tanh"):
-    """Loss plus analytic gradients of :func:`loss_on_weights`, as a name->float32 dict.
-
-    The S = 1 call of :class:`ModelStack`'s backward pass; ``weights`` may
-    hold float32 or float64 arrays.  Tensors outside the active head's path
-    get zero gradients.  Raises :class:`NonFiniteLossError` when the loss is
-    inf or NaN.
-    """
-    stack = ModelStack([weights], kind, activation)
-    x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = _check_target(target, kind, len(x64), stack.width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss = float(stack.grads(x64, t)[0])
-    if not math.isfinite(loss):
-        raise NonFiniteLossError(f"non-finite loss {loss!r}")
-    grads = {name: stack.view(stack.flat_grad, name)[0] for name in stack.layout}
-    return loss, {
-        name: grads[name] if name in grads else np.zeros(arr.shape, np.float32)
-        for name, arr in weights.items()
-    }
-
-
-def sgd_step(weights, grads, lr: float):
-    """w' = w - lr * g for EVERY weight, zeroed or not (nothing is frozen).
-
-    The S = 1 call of :class:`ModelStack`'s update.  Takes and returns
-    name->float32 dicts; the inputs are left unmodified.
-    """
-    if weights.keys() != grads.keys():
-        raise StructureMismatchError(f"gradient keys {sorted(grads)} != weights {sorted(weights)}")
-    out = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, w in weights.items():
-            out[name] = np.array(w, dtype=np.float32)
-            _sgd_update(out[name], grads[name], lr, np.empty(out[name].shape))
-    return out
-
-
-def _loss_kind(data) -> str:
-    """The loss ``data`` trains and is scored with: its type decides."""
     if not isinstance(data, (LabeledBatch, UnlabeledBatch)):
         raise ValueError(f"expected a LabeledBatch or an UnlabeledBatch, not {type(data).__name__}")
-    return "cross_entropy" if isinstance(data, LabeledBatch) else "mse_reconstruction"
-
-
-def check_data(ps: ParameterSet, data) -> str:
-    """Refuse data ``ps`` cannot train on: wrong type, no rows, wrong width, or labels
-    outside the classes of its classification head.
-
-    Returns the loss kind the data trains with.
-    """
-    kind = _loss_kind(data)
     if data.n < 1:
-        raise ValueError("training data is empty")
+        raise ValueError("data is empty")
+    kind = "cross_entropy" if isinstance(data, LabeledBatch) else "mse_reconstruction"
+    _trunk_depth(ps, _LOSS_HEAD[kind])
     _check_input(ps, data.x)
-    if kind == "cross_entropy" and "cls.weight" in ps:
+    if kind == "cross_entropy":
         _check_labels(data.y, ps["cls.weight"].shape[0])
     return kind
 
 
-def sgd_train(
-    ps: ParameterSet,
-    data,
-    cfg: TrainConfig,
-    updates: int,
-    rng: np.random.Generator,
-):
+def _one_model(ps: ParameterSet, data):
+    """The S = 1 stack of ``ps`` for the loss of ``data``, once checked, and that loss's target."""
+    kind = check_data(ps, data)
+    return ModelStack.of([ps], kind), data.y if kind == "cross_entropy" else data.x
+
+
+def sgd_train(ps: ParameterSet, data, cfg: TrainConfig, updates: int, rng: np.random.Generator):
     """Run ``updates`` SGD steps, sampling batches with replacement from ``rng``.
 
     The S = 1 call of :meth:`ModelStack.train`.  The data type picks the
@@ -627,19 +547,52 @@ def sgd_train(
     The rng is consumed identically regardless of how callers chunk the
     updates, so chunked and single-call training produce bit-identical weights.
     """
-    stack = ModelStack.of([ps], check_data(ps, data))
+    stack, _ = _one_model(ps, data)
     losses = stack.train(data, cfg, updates, [rng])
     if stack.diverged:
         raise TrainingDivergedError(stack.diverged[0])
     return stack.model(0, ps, ps.role), [float(step[0]) for step in losses]
 
 
+def loss_and_grads(ps: ParameterSet, data):
+    """The loss of ``ps`` on the whole of ``data`` and its gradients, as a name->float32 dict.
+
+    The backward pass of one S = 1 :class:`ModelStack` step.  Tensors off
+    the loss's path get zero gradients.  A non-finite loss is returned as
+    it is, as :meth:`ModelStack.grads` returns it.
+    """
+    stack, target = _one_model(ps, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(stack.grads(data.x, target)[0])
+    return loss, {
+        t.name: stack.view(stack.flat_grad, t.name)[0]
+        if t.name in stack.layout
+        else np.zeros(t.shape, np.float32)
+        for t in ps
+    }
+
+
+def sgd_step(ps: ParameterSet, grads: dict, lr: float) -> ParameterSet:
+    """w' = w - lr * g for EVERY tensor of ``ps``, zeroed or not (nothing is frozen).
+
+    The update of one S = 1 :class:`ModelStack` step, with ``grads`` keyed
+    as :func:`loss_and_grads` returns them.  Returns a new parameter set;
+    the inputs are left unmodified.
+    """
+    if set(grads) != set(ps.names()):
+        raise StructureMismatchError(f"gradient keys {sorted(grads)} != {sorted(ps.names())}")
+    out = ps.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in out:
+            _sgd_update(t.data, grads[t.name], lr, np.empty(t.shape))
+    return out
+
+
 def dataset_loss(ps: ParameterSet, data) -> float:
     """Forward-only loss over a whole dataset, the loss :func:`sgd_train` trains it with."""
-    kind = _loss_kind(data)
-    target = data.y if kind == "cross_entropy" else data.x
-    weights = {t.name: t.data for t in ps.tensors}
-    return loss_on_weights(weights, data.x, target, kind, _activation_of(ps))
+    stack, target = _one_model(ps, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(stack._loss(stack.outputs(data.x), target)[0])
 
 
 def pretrain_denoising(arch: ModelArch, data: UnlabeledBatch, cfg: TrainConfig) -> ParameterSet:
@@ -657,10 +610,7 @@ def pretrain_denoising(arch: ModelArch, data: UnlabeledBatch, cfg: TrainConfig) 
 
 
 def finetune_supervised(
-    ps: ParameterSet,
-    data: LabeledBatch,
-    cfg: TrainConfig,
-    role: str = "finetuned_target",
+    ps: ParameterSet, data: LabeledBatch, cfg: TrainConfig, role: str = "finetuned_target"
 ) -> ParameterSet:
     """Jointly train all weights with cross-entropy on the classification head.
 
@@ -669,8 +619,6 @@ def finetune_supervised(
     """
     if not isinstance(data, LabeledBatch):
         raise ValueError("supervised fine-tuning requires a LabeledBatch")
-    if "cls.weight" not in ps:
-        raise ValueError("parameter set has no classification head (cls.weight)")
     rng = np.random.default_rng(cfg.seed)
     model, _ = sgd_train(ps, data, cfg, cfg.updates, rng)
     meta = {**model.meta, "seed": str(cfg.seed), "updates": str(cfg.updates)}
@@ -679,11 +627,7 @@ def finetune_supervised(
 
 def evaluate(ps: ParameterSet, data: LabeledBatch) -> float:
     """Misclassification fraction in [0, 1] on the classification head."""
-    if "cls.weight" not in ps:
-        raise ValueError("parameter set has no classification head (cls.weight)")
-    if data.n < 1:
-        raise ValueError("evaluation data is empty")
-    _check_labels(data.y, ps["cls.weight"].shape[0])
-    logits = forward(ps, data.x)
-    preds = logits.argmax(axis=1)
-    return float(np.mean(preds != data.y))
+    if not isinstance(data, LabeledBatch):
+        raise ValueError("evaluation requires a LabeledBatch")
+    stack, y = _one_model(ps, data)
+    return float(np.mean(stack.outputs(data.x)[0].argmax(axis=1) != y))

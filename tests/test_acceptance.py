@@ -31,11 +31,11 @@ from pada.schedule import PruneSchedule, ScheduleError, run_pada, validate
 from pada.strategies import cdtaw_mask, tag_mask, taw_mask
 from pada.trainer import (
     ModelArch,
+    ModelStack,
     TrainConfig,
     finetune_supervised,
     init_model,
     loss_and_grads,
-    loss_on_weights,
     sgd_step,
 )
 
@@ -89,16 +89,14 @@ def test_regrowth_keeps_parameters_trainable():
     ps = init_model(ARCH, 3)
     zeroed = apply_zeroing(ps, compute_ump_mask(ps, 40.0))
     s0 = sparsity(zeroed)
-    batch = task.target_labeled
-    weights = {t.name: t.data for t in zeroed.tensors}
-    _, grads = loss_and_grads(weights, batch.x, batch.y, "cross_entropy")
-    stepped = sgd_step(weights, grads, 0.05)
-    s1 = sparsity(ParameterSet([Tensor(t.name, stepped[t.name], t.prunable) for t in zeroed.tensors]))
+    _, grads = loss_and_grads(zeroed, task.target_labeled)
+    stepped = sgd_step(zeroed, grads, 0.05)
+    s1 = sparsity(stepped)
     assert s1 < s0
     regrown = False
     for t0 in zeroed.prunable_tensors():
         was_zero = t0.data == 0.0
-        regrown = regrown or bool(np.any(stepped[t0.name][was_zero] != 0.0))
+        regrown = regrown or bool(np.any(stepped[t0.name].data[was_zero] != 0.0))
     assert regrown
     ok(f"regrowth after one SGD step (sparsity {s0:.3f} -> {s1:.3f})")
 
@@ -138,25 +136,25 @@ def weights64(ps):
 
 
 def _finite_difference_max_rel_err(ps, x, target, kind, n_coords=120, eps=1e-4, seed=0):
-    w = weights64(ps)
-    act = ps.meta.get("activation", "tanh")
-    _, grads = loss_and_grads(w, x, target, kind, act)
+    # a stack of float64 weights keeps float64 masters: perturbations are exact
+    stack = ModelStack([weights64(ps)], kind, ps.meta.get("activation", "tanh"))
+    stack.grads(x, target)
+    grads = stack.flat_grad.copy()  # the next grads call overwrites flat_grad
     rng = np.random.default_rng(seed)
-    head = "cls" if kind == "cross_entropy" else "recon"
-    names = [t.name for t in ps.tensors if t.name.startswith(("layers.", head))]
+    names = list(stack.layout)  # the trunk and the head the loss reads
     checked, max_rel = 0, 0.0
     while checked < n_coords:
         name = names[int(rng.integers(len(names)))]
-        arr = w[name]
+        arr = stack.master[name][0]
         idx = np.unravel_index(int(rng.integers(arr.size)), arr.shape)
         orig = arr[idx]
         arr[idx] = orig + eps
-        lp = loss_on_weights(w, x, target, kind, act)
+        lp = stack.grads(x, target)[0]
         arr[idx] = orig - eps
-        lm = loss_on_weights(w, x, target, kind, act)
+        lm = stack.grads(x, target)[0]
         arr[idx] = orig
         fd = (lp - lm) / (2.0 * eps)
-        g = float(grads[name][idx])
+        g = float(stack.view(grads, name)[0][idx])
         denom = max(abs(g), abs(fd))
         if denom < 1e-8:
             continue

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -676,6 +677,78 @@ def test_report_refuses_a_malformed_final_record(tmp_path, capsys, key, value, m
 )
 def test_report_refuses_a_log_not_ending_in_one_final_record(tmp_path, capsys, edit, message):
     assert refuse_edited_log(tmp_path, capsys, edit).endswith(message)
+
+
+BAD_PRUNES = [  # (field, its new value, the message)
+    ("update", "0", "prune record's update must be a non-negative integer, got '0'"),
+    ("update", -500, "prune record's update must be a non-negative integer, got -500"),
+    ("update", 0.0, "prune record's update must be a non-negative integer, got 0.0"),
+    ("rate", "x", "prune record's rate must be a number, got 'x'"),
+    ("sparsity_before", None, "prune record's sparsity_before must be a number, got None"),
+    ("sparsity_after", True, "prune record's sparsity_after must be a number, got True"),
+    ("train_loss", [1.0], "prune record's train_loss must be a number, got [1.0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", BAD_PRUNES, ids=[f"{k}={v!r}" for k, v, _ in BAD_PRUNES]
+)
+def test_report_refuses_a_malformed_prune_record(tmp_path, capsys, key, value, message):
+    # a prune record's fields reach events.csv as written, so each is type-checked
+    def edit(lines):
+        event = json.loads(lines[0])
+        event[key] = value
+        return [json.dumps(event) + "\n", lines[1]]
+
+    assert refuse_edited_log(tmp_path, capsys, edit).endswith(f"line 1: {message}")
+
+
+def test_report_names_the_log_and_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    cfg = prep(tmp_path, seeds=(0,))
+    cmd_run(cfg)
+    path = Path(cfg.out, "runs", "tag_once_seed0.jsonl")
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + lines[1].replace(b'"final"', b'"fin\xffal"'))
+    assert main(["report", cfg.out]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"format: {path}, line 2: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_config_that_is_not_utf8_is_named(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(json.dumps(small_config(str(tmp_path / "exp"))).encode() + b"\xff")
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config: {cfg_path}: ") and "can't decode byte 0xff" in err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_report_refuses_a_log_of_another_run_than_table_json_lists(tmp_path, capsys):
+    # each log's final strategy, frequency and seed must be those of the run
+    # table.json lists it for; a log of another run would drop or double a run
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1, 3))
+    doc["strategies"], doc["frequencies"] = ["TAG", "TAW"], ["once", "iterative"]
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    cmd_make_donor(cfg)
+    cmd_run(cfg)
+    assert main(["report", cfg.out, "--out", str(tmp_path / "report")]) == 0
+    for name, other in [
+        ("tag_once_seed0", "tag_once_seed3"),
+        ("tag_once_seed0", "tag_iterative_seed0"),
+        ("tag_once_seed0", "taw_once_seed0"),
+        ("dft_seed1", "dft_seed0"),
+    ]:
+        copy = tmp_path / f"{name}-{other}"
+        shutil.copytree(cfg.out, copy)
+        shutil.copyfile(copy / "runs" / f"{other}.jsonl", copy / "runs" / f"{name}.jsonl")
+        assert main(["report", str(copy)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"format: {copy / 'runs' / name}.jsonl: a log of run ")
+        assert not (copy / "summary.json").exists()
 
 
 def one_cell_at_a_time(pretrained, slots, target_data, cfg, donor=None, eval_data=None):

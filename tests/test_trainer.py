@@ -7,7 +7,6 @@ from pada.trainer import (
     LabeledBatch,
     ModelArch,
     ModelStack,
-    NonFiniteLossError,
     TrainConfig,
     TrainingDivergedError,
     UnlabeledBatch,
@@ -17,7 +16,6 @@ from pada.trainer import (
     forward,
     init_model,
     loss_and_grads,
-    loss_on_weights,
     pretrain_denoising,
     sgd_step,
     sgd_train,
@@ -32,11 +30,6 @@ def toy_labeled(n=64, seed=0, arch=ARCH):
     y = rng.integers(0, arch.num_classes, size=n)
     x = means[y] + rng.normal(0, 0.8, size=(n, arch.input_dim))
     return LabeledBatch(x, y)
-
-
-def weights_of(ps):
-    """The float32 name->array dict the training kernel works on."""
-    return {t.name: t.data for t in ps.tensors}
 
 
 def weights64(ps):
@@ -65,7 +58,7 @@ def test_forward_zero_weights_tanh_zero_output():
     x = np.random.default_rng(1).normal(size=(5, 6))
     assert np.all(forward(ps, x) == 0.0)
     # the reconstruction head's squared error against an all-zero target
-    assert loss_on_weights(weights_of(ps), x, np.zeros_like(x), "mse_reconstruction") == 0.0
+    assert ModelStack.of([ps], "mse_reconstruction").grads(x, np.zeros_like(x))[0] == 0.0
 
 
 def test_forward_hand_computed_matrix_vector():
@@ -107,7 +100,7 @@ def test_cross_entropy_perfect_prediction_near_zero():
     ps["cls.bias"].data = np.array([50.0, 0.0, 0.0, 0.0], dtype=np.float32)
     x = np.zeros((8, 6))
     y = np.zeros(8, dtype=np.int64)
-    loss, _ = loss_and_grads(weights_of(ps), x, y, "cross_entropy")
+    loss, _ = loss_and_grads(ps, LabeledBatch(x, y))
     assert 0.0 <= loss < 1e-12
 
 
@@ -117,35 +110,40 @@ def test_mse_doubling_error_quadruples_loss():
     x = rng.normal(size=(10, 6))
     out = recon_output(ps, x)
     e = rng.normal(size=out.shape)
-    loss1, _ = loss_and_grads(weights_of(ps), x, out - e, "mse_reconstruction")
-    loss2, _ = loss_and_grads(weights_of(ps), x, out - 2 * e, "mse_reconstruction")
+    stack = ModelStack.of([ps], "mse_reconstruction")
+    loss1 = stack.grads(x, out - e)[0]
+    loss2 = stack.grads(x, out - 2 * e)[0]
     assert loss2 == pytest.approx(4.0 * loss1, rel=1e-9)
 
 
 def finite_difference_max_rel_err(ps, x, target, kind, n_coords=120, eps=1e-4, seed=0):
-    """Central differences on the float64 core vs analytic gradients."""
-    w = weights64(ps)
-    act = ps.meta.get("activation", "tanh")
-    _, grads = loss_and_grads(w, x, target, kind, act)
+    """Central differences vs the analytic gradients of one stacked model.
+
+    The stack is built from float64 weights, so its masters stay float64 and
+    a perturbation is exact; the analytic gradients are the float32 ones a
+    training step applies.
+    """
+    stack = ModelStack([weights64(ps)], kind, ps.meta.get("activation", "tanh"))
+    stack.grads(x, target)
+    grads = stack.flat_grad.copy()  # the next grads call overwrites flat_grad
     rng = np.random.default_rng(seed)
     # sample only tensors on the active path; inactive-head grads are zero by
     # construction and checked separately
-    head = "cls" if kind == "cross_entropy" else "recon"
-    names = [t.name for t in ps.tensors if t.name.startswith(("layers.", head))]
+    names = list(stack.layout)
     checked = 0
     max_rel = 0.0
     while checked < n_coords:
         name = names[int(rng.integers(len(names)))]
-        arr = w[name]
+        arr = stack.master[name][0]
         idx = np.unravel_index(int(rng.integers(arr.size)), arr.shape)
         orig = arr[idx]
         arr[idx] = orig + eps
-        lp = loss_on_weights(w, x, target, kind, act)
+        lp = stack.grads(x, target)[0]
         arr[idx] = orig - eps
-        lm = loss_on_weights(w, x, target, kind, act)
+        lm = stack.grads(x, target)[0]
         arr[idx] = orig
         fd = (lp - lm) / (2.0 * eps)
-        g = float(grads[name][idx])
+        g = float(stack.view(grads, name)[0][idx])
         denom = max(abs(g), abs(fd))
         if denom < 1e-8:
             continue
@@ -188,8 +186,8 @@ def test_gradcheck_relu():
 def test_inactive_head_gets_zero_grads():
     ps = init_model(ARCH, 17)
     data = toy_labeled(16, seed=18)
-    _, grads = loss_and_grads(weights_of(ps), data.x, data.y, "cross_entropy")
-    assert grads.keys() == weights_of(ps).keys()
+    _, grads = loss_and_grads(ps, data)
+    assert list(grads) == ps.names()
     assert all(g.dtype == np.float32 for g in grads.values())
     assert np.all(grads["recon.weight"] == 0.0)
     assert np.all(grads["recon.bias"] == 0.0)
@@ -198,36 +196,34 @@ def test_inactive_head_gets_zero_grads():
 def test_sgd_step_lr_zero_identity():
     ps = init_model(ARCH, 19)
     data = toy_labeled(16, seed=20)
-    weights = weights_of(ps)
-    _, grads = loss_and_grads(weights, data.x, data.y, "cross_entropy")
-    out = sgd_step(weights, grads, 0.0)
-    assert list(out) == list(weights)
-    assert all(out[k].tobytes() == weights[k].tobytes() for k in weights)
+    _, grads = loss_and_grads(ps, data)
+    assert sgd_step(ps, grads, 0.0) == ps
 
 
 def test_sgd_step_regrows_zero_weight():
-    weights = {"w": np.array([0.0], dtype=np.float32)}
+    ps = ParameterSet([Tensor("w", [0.0])])
     grads = {"w": np.array([-1.0], dtype=np.float32)}
-    out = sgd_step(weights, grads, 0.1)
-    assert out["w"][0] == pytest.approx(0.1)
+    out = sgd_step(ps, grads, 0.1)
+    assert out["w"].data[0] == pytest.approx(0.1)
 
 
 def test_sgd_step_hand_computed():
-    weights = {"w": np.array([0.5, -0.25], dtype=np.float32)}
+    ps = ParameterSet([Tensor("w", [0.5, -0.25])], "adapted", {"seed": "3"})
     grads = {"w": np.array([0.2, 0.4], dtype=np.float32)}
-    out = sgd_step(weights, grads, 0.5)
-    np.testing.assert_allclose(out["w"], [0.4, -0.45], rtol=1e-7)
-    assert out["w"].dtype == np.float32
+    out = sgd_step(ps, grads, 0.5)
+    np.testing.assert_allclose(out["w"].data, [0.4, -0.45], rtol=1e-7)
+    assert out["w"].data.dtype == np.float32
+    assert (out.role, out.meta) == ("adapted", {"seed": "3"})
     # the inputs are left unmodified
-    assert weights["w"].tolist() == [0.5, -0.25]
+    assert ps["w"].data.tolist() == [0.5, -0.25]
     assert grads["w"].tolist() == pytest.approx([0.2, 0.4])
 
 
 def test_sgd_step_structure_mismatch():
-    weights = {"w": np.zeros(2, dtype=np.float32)}
+    ps = ParameterSet([Tensor("w", np.zeros(2))])
     grads = {"v": np.zeros(2, dtype=np.float32)}
     with pytest.raises(StructureMismatchError):
-        sgd_step(weights, grads, 0.1)
+        sgd_step(ps, grads, 0.1)
 
 
 def test_pretrain_loss_trend():
@@ -283,12 +279,15 @@ def test_pretraining_refuses_labeled_data():
 
 
 def test_dataset_loss_follows_the_data_type():
+    # the loss a training step on the whole batch computes: cross-entropy on
+    # labeled rows, the clean reconstruction error on unlabeled ones
     ps = init_model(ARCH, 30)
     data = toy_labeled(32, seed=31)
-    w, act = weights64(ps), "tanh"
-    assert dataset_loss(ps, data) == loss_on_weights(w, data.x, data.y, "cross_entropy", act)
+    ce = ModelStack.of([ps], "cross_entropy").grads(data.x, data.y)[0]
+    assert dataset_loss(ps, data) == ce == loss_and_grads(ps, data)[0]
     rows = UnlabeledBatch(data.x)
-    assert dataset_loss(ps, rows) == loss_on_weights(w, rows.x, rows.x, "mse_reconstruction", act)
+    mse = ModelStack.of([ps], "mse_reconstruction").grads(rows.x, rows.x)[0]
+    assert dataset_loss(ps, rows) == mse == loss_and_grads(ps, rows)[0]
     with pytest.raises(ValueError, match="LabeledBatch or an UnlabeledBatch"):
         dataset_loss(ps, data.x)
 
@@ -361,11 +360,12 @@ def test_divergence_error_carries_step():
     assert "update" in str(info.value)
 
 
-def test_nonfinite_loss_error():
+def test_nonfinite_loss_is_returned_as_it_is():
+    # as ModelStack.grads returns it; training turns it into a divergence
     ps = init_model(ModelArch(2, (3,), 2, activation="relu"), 44)
-    x = np.full((2, 2), 1e300)
-    with pytest.raises(NonFiniteLossError):
-        loss_and_grads(weights_of(ps), x, x, "mse_reconstruction", "relu")
+    loss, grads = loss_and_grads(ps, UnlabeledBatch(np.full((2, 2), 1e300)))
+    assert not np.isfinite(loss)
+    assert list(grads) == ps.names()
 
 
 def test_losses_and_grads_finite_on_generated_data():
@@ -376,12 +376,9 @@ def test_losses_and_grads_finite_on_generated_data():
     )
     task = gen_domain_shift(48, spec)
     ps = init_model(ARCH, 49)
-    weights = weights_of(ps)
-    loss, grads = loss_and_grads(weights, task.target_labeled.x, task.target_labeled.y, "cross_entropy")
+    loss, grads = loss_and_grads(ps, task.target_labeled)
     assert np.isfinite(loss)
-    loss2, grads2 = loss_and_grads(
-        weights, task.source_unlabeled.x, task.source_unlabeled.x, "mse_reconstruction"
-    )
+    loss2, grads2 = loss_and_grads(ps, task.source_unlabeled)
     assert np.isfinite(loss2)
     for g in (grads, grads2):
         for arr in g.values():
@@ -698,7 +695,7 @@ def test_labels_outside_the_classes_are_refused(label):
         lambda: sgd_train(ps, data, cfg, 2, np.random.default_rng(0)),
         lambda: finetune_supervised(ps, data, cfg),
         lambda: ModelStack.of([ps], "cross_entropy").train(data, cfg, 2, [np.random.default_rng()]),
-        lambda: loss_and_grads(weights_of(ps), data.x, data.y, "cross_entropy"),
+        lambda: loss_and_grads(ps, data),
         lambda: dataset_loss(ps, data),
         lambda: evaluate(ps, data),
     ):
