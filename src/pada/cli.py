@@ -213,7 +213,11 @@ def _listed_runs(table_json: str) -> list[tuple]:
         if type(row) is not dict or not all(type(row.get(k)) is str for k in _CELL_KEYS):
             raise FormatError(f"{table_json}: rows[{i}] needs a string strategy and frequency")
     runs = [(row["strategy"], row["frequency"], s) for row in rows for s in seeds]
-    return sorted((_cell_name(*run), *run) for run in runs)
+    listed = sorted((_cell_name(*run), *run) for run in runs)
+    for (name, *_), (next_name, *_) in zip(listed, listed[1:]):
+        if name == next_name:  # a repeated row or seed would count its runs twice
+            raise FormatError(f"{table_json}: lists run {name} twice")
+    return listed
 
 
 def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
@@ -327,30 +331,22 @@ def main(argv=None) -> int:
             if args.out is not None:
                 cfg.out = args.out
             if args.command == "pretrain":
-                path = cmd_pretrain(cfg, force=args.force)
-                print(f"wrote {path}")
+                written = [cmd_pretrain(cfg, force=args.force)]
             elif args.command == "make-donor":
-                path = cmd_make_donor(cfg, force=args.force)
-                print(f"wrote {path}")
+                written = [cmd_make_donor(cfg, force=args.force)]
             else:
                 if args.seeds is not None:
                     cfg.seeds = check_seeds(_seeds_option(args.seeds))
-                csv_path, json_path = cmd_run(cfg, force=args.force)
-                print(f"wrote {csv_path}")
-                print(f"wrote {json_path}")
+                written = cmd_run(cfg, force=args.force)
         elif args.command == "compare-masks":
-            csv_path, json_path = cmd_compare_masks(
-                args.mask_a, args.mask_b, args.out, force=args.force
-            )
-            print(f"wrote {csv_path}")
-            print(f"wrote {json_path}")
+            written = cmd_compare_masks(args.mask_a, args.mask_b, args.out, force=args.force)
         else:
-            events_csv, summary_json = cmd_report(args.run_out, args.out)
-            print(f"wrote {events_csv}")
-            print(f"wrote {summary_json}")
+            written = cmd_report(args.run_out, args.out)
     except Exception as exc:  # single-line, machine-readable failure output
         print(f"{_category(exc)}: {exc}", file=sys.stderr)
         return 1
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

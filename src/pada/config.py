@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NewType, get_args, get_origin, get_type_hints
 
 from .data import DomainShiftSpec
@@ -182,20 +182,7 @@ def load_config(path: str) -> ExperimentConfig:
 def default_config() -> dict:
     """The default desk-scale experiment (JSON-ready document)."""
     return {
-        "task": {
-            "seed": 7,
-            "num_classes": 6,
-            "input_dim": 16,
-            "rotation_deg": 35.0,
-            "feature_scale": 1.15,
-            "noise_std": 0.35,
-            "class_std": 1.0,
-            "mean_scale": 1.0,
-            "source_unlabeled": 4000,
-            "source_labeled": 4000,
-            "target_labeled": None,
-            "target_eval": 2000,
-        },
+        "task": {"seed": 7, **asdict(DomainShiftSpec())},
         "arch": {"hidden": [32, 32], "activation": "tanh"},
         "pretrain": {"lr": 0.05, "batch": 32, "updates": 3000, "seed": 101, "denoise_std": 0.3},
         "donor": {"lr": 0.05, "batch": 32, "updates": 3000, "seed": 202},

@@ -20,11 +20,10 @@ points depend on the schedule alone, so a wave of cells over all seeds
 trains as one :class:`~pada.trainer.ModelStack`, with one minibatch per
 seed, that stops at each of its cells' prune points.  A cell keeps its stack
 slot for the whole wave, unread once it diverges.  TAW ranks its seed's DFT
-model, so the TAW cells of all seeds form a second wave after the DFT, TAG
-and CD-TAW cells; a seed without a DFT cell trains one it never scores or
-returns.  A wave scores its runs once its stack is released: each log the
-caller gets ends with its final record.  :func:`run_pada` and
-:func:`run_dft` are one-cell calls of the same executor.
+model, so the TAW cells form a second wave; :func:`run_cells` alone knows
+this, hands wave 2 the DFT models and scores the runs it returns once each
+wave has released its stack.  A wave only trains the cells it is given.
+:func:`run_pada` and :func:`run_dft` are one-cell calls of the same executor.
 """
 
 from __future__ import annotations
@@ -208,18 +207,19 @@ def run_cells(
     is not read.  A wave of slots advances as one
     :class:`~pada.trainer.ModelStack` with one minibatch per seed.  Wave 1
     holds the DFT, TAG and CD-TAW slots.  Wave 2 holds the TAW slots, whose
-    initial masks rank their seed's DFT model, which wave 1 trains, unscored
-    and unreturned, for a seed without a DFT slot.  TAG and CD-TAW rank
-    models no seed changes, so their slots with the same strategy and r1
-    share one initial mask, ranked once for all seeds; TAW slots share theirs
-    within a seed.  The stack stops at every prune point of its slots, where
-    each slot that prunes there is re-ranked and zeroed.
+    initial masks rank their seed's DFT model: this function hands wave 2
+    the DFT models, adding to wave 1, unscored and unreturned, one for a
+    seed without a DFT slot.  TAG and CD-TAW rank models no seed changes,
+    so their slots with the same strategy and r1 share one initial mask,
+    ranked once for all seeds; TAW slots share theirs within a seed.  The
+    stack stops at every prune point of its slots, where each slot that
+    prunes there is re-ranked and zeroed.
 
     Returns one finished run per slot, in order: ``(model, log, initial
     mask)``, where the log holds the prune events (a DFT slot has neither
-    events nor mask) and the final record, which scores ``eval_data`` when
-    given; or the exception that ended the slot.  A failing slot, such as
-    one that diverges, never stops the others.
+    events nor mask) and the final record, which this function builds once
+    the wave's stack is released, scoring ``eval_data`` when given; or the
+    exception that ended the slot.  A failing slot never stops the others.
     """
     try:
         if not isinstance(target_data, LabeledBatch):
@@ -229,21 +229,31 @@ def run_cells(
         return [exc] * len(slots)
     taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")
     dft_seeds = {seed for seed, _, sched in slots if sched is None}
-    work = [*slots, *((seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds)]
-    outcomes: list = [None] * len(work)
+    hidden = [(seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds]
+    outcomes: list = [None] * len(slots)
     ranked: dict = {}  # seed -> its DFT model, or the failure that ended it
     for taw in (False, True):
-        wave = [i for i, (_, strategy, _) in enumerate(work) if (strategy == "TAW") == taw]
-        _run_wave(pretrained, work, wave, target_data, cfg, donor, eval_data, len(slots),
-                  outcomes, ranked)
-    return outcomes[: len(slots)]
+        wave = [i for i, (_, strategy, _) in enumerate(slots) if (strategy == "TAW") == taw]
+        work = [slots[i] for i in wave] + ([] if taw else hidden)
+        runs = _run_wave(pretrained, work, target_data, cfg, donor, ranked)
+        for (seed, _, sched), run in zip(work, runs):
+            if sched is None:  # a DFT model, which its seed's TAW slots rank
+                ranked[seed] = run if isinstance(run, Exception) else run[0]
+        for i, run in zip(wave, runs):  # its stack is released; hidden DFTs are not scored
+            try:
+                if not isinstance(run, Exception):
+                    run[1].final = _final_record(slots[i], run[0], cfg, target_data, eval_data)
+            except Exception as exc:
+                run = exc
+            outcomes[i] = run
+    return outcomes
 
 
 @dataclass
 class _Member:
     """One slot of a wave: where it starts and what it has logged so far."""
 
-    slot: int  # index into the executor's slots
+    slot: int  # index into the wave's slots
     seed: int
     start: ParameterSet
     log: PadaRunLog
@@ -251,25 +261,23 @@ class _Member:
     points: list  # pending (update, rate) prune points, in order
 
 
-def _run_wave(pretrained, slots, wave, target_data, cfg, donor, eval_data, asked, outcomes, ranked):
-    """Train the slots ``wave`` indexes as one stack; store each finished run in ``outcomes``.
+def _run_wave(pretrained, slots, target_data, cfg, donor, ranked) -> list:
+    """Train ``slots`` as one stack; return each one's ``(model, log, mask)`` or its failure.
 
     ``ranked`` maps a seed to the model its TAW masks rank, or to the failure
-    that ended it, which ends the seed's TAW slots too; the wave adds its DFT
-    models.  Slots below ``asked`` are scored once the stack is released.
+    that ended it, which ends them too.  The logs hold only prune events.
     """
-    n_total = cfg.updates
+    runs: list = [None] * len(slots)
     starts = {}  # mask key -> (zeroed model, mask, update-0 event)
     members = []
-    for i in wave:
-        seed, strategy, sched = slots[i]
+    for i, (seed, strategy, sched) in enumerate(slots):
         if sched is None:
             members.append(_Member(i, seed, pretrained, PadaRunLog(), None, []))
             continue
         try:
             if isinstance(ranked.get(seed), Exception):  # the model TAW ranks was never finished
                 raise ranked[seed]
-            validate(sched, n_total)
+            validate(sched, cfg.updates)
             r1 = sched.rates[0]
             key = (strategy, r1, seed) if strategy == "TAW" else (strategy, r1)
             if key not in starts:
@@ -279,26 +287,26 @@ def _run_wave(pretrained, slots, wave, target_data, cfg, donor, eval_data, asked
                 event = _prune_event(0, r1, sparsity(pretrained), model, target_data)
                 starts[key] = (model, mask, event)
         except Exception as exc:
-            outcomes[i] = exc
+            runs[i] = exc
             continue
         model, mask, event = starts[key]
         # rates[k] prunes at update k*n while k*n <= N; rates[0] was the strategy's
         points = [
             (k * sched.interval, rate)
             for k, rate in enumerate(sched.rates)
-            if 0 < k and k * sched.interval <= n_total
+            if 0 < k and k * sched.interval <= cfg.updates
         ]
         members.append(_Member(i, seed, model, PadaRunLog([event]), mask, points))
     if not members:
-        return
+        return runs
 
     stack = ModelStack.of([m.start for m in members], "cross_entropy")
     gens = {seed: np.random.default_rng(seed) for seed in dict.fromkeys(m.seed for m in members)}
     rngs = [gens[m.seed] for m in members]
     done = 0
     alive = list(enumerate(members))  # (stack slot, member) pairs not yet diverged
-    while done < n_total and alive:
-        stop = min([m.points[0][0] for _, m in alive if m.points] + [n_total])
+    while done < cfg.updates and alive:
+        stop = min([m.points[0][0] for _, m in alive if m.points] + [cfg.updates])
         stack.train(target_data, cfg, stop - done, rngs, step_offset=done)
         done = stop
         alive = [(j, m) for j, m in alive if j not in stack.diverged]
@@ -311,20 +319,12 @@ def _run_wave(pretrained, slots, wave, target_data, cfg, donor, eval_data, asked
                 m.log.events.append(_prune_event(done, rate, before, model, target_data))
                 stack.set(j, model)
     for j, step in stack.diverged.items():
-        outcomes[members[j].slot] = TrainingDivergedError(step)
+        runs[members[j].slot] = TrainingDivergedError(step)
     for j, m in alive:
         role = "finetuned_target" if m.mask is None else "adapted"
-        outcomes[m.slot] = (stack.model(j, pretrained, role), m.log, m.mask)
-    del stack  # scoring allocates too: release the stack's buffers first
-    for m in members:
-        run = outcomes[m.slot]
-        if m.mask is None:  # a DFT model, which its seed's TAW slots rank
-            ranked[m.seed] = run if isinstance(run, Exception) else run[0]
-        if m.slot < asked and not isinstance(run, Exception):
-            try:
-                m.log.final = _final_record(slots[m.slot], run[0], n_total, target_data, eval_data)
-            except Exception as exc:
-                outcomes[m.slot] = exc
+        runs[m.slot] = (stack.model(j, pretrained, role), m.log, m.mask)
+    del stack  # scoring allocates, and a caught failure's traceback keeps this frame
+    return runs
 
 
 def _result(outcome):
@@ -380,11 +380,11 @@ def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEven
     return PruneEvent(update, rate, sparsity_before, after, loss)
 
 
-def _final_record(slot, model, total_updates, target_data, eval_data) -> dict:
+def _final_record(slot, model, cfg, target_data, eval_data) -> dict:
     """The "final" log record of a slot's trained model (key order is the file format)."""
     seed, strategy, sched = slot
     final = {
-        "total_updates": total_updates,
+        "total_updates": cfg.updates,
         "strategy": strategy,
         "frequency": "-" if sched is None else sched.freq,
         "final_sparsity": sparsity(model) if model.d_prunable else 0.0,

@@ -207,13 +207,12 @@ def _sgd_update(w: np.ndarray, g: np.ndarray, lr: float, work: np.ndarray) -> No
 def _minibatches(data, cfg: "TrainConfig", updates: int, gens: list, pick):
     """Each step's (inputs, targets), with the draws :func:`sgd_train` makes.
 
-    Every generator draws one batch per step; ``pick`` (an index array over
-    the generators, or 0) selects each slot's batch from them.  On labeled
-    data a generator draws all ``updates`` steps' row indices in one call,
-    which yields the same integers as one call per step (numpy draws bounded
-    integers one after another, and the bit generator keeps the unused half
-    of a 64-bit draw in its own state).  Denoising draws each step's rows
-    and then its noise.
+    On labeled data each generator draws all ``updates`` steps' row indices
+    in one call, which yields the same integers as one call per step (numpy
+    draws bounded integers one after another, and the bit generator keeps
+    the unused half of a 64-bit draw in its own state), and ``pick`` (an
+    index array over the generators, or 0) selects each slot's batch.
+    Denoising reads one generator, which draws each step's rows, then noise.
     """
     if isinstance(data, LabeledBatch):
         draws = [g.integers(0, data.n, size=(updates, cfg.batch)) for g in gens]
@@ -221,13 +220,10 @@ def _minibatches(data, cfg: "TrainConfig", updates: int, gens: list, pick):
             idx = idx[pick]
             yield data.x.take(idx, axis=0), data.y.take(idx)
         return
+    (g,) = gens
     for _ in range(updates):
-        rows = [data.x.take(g.integers(0, data.n, size=cfg.batch), axis=0) for g in gens]
-        noisy = [xb + g.normal(0.0, cfg.denoise_std, size=xb.shape) for g, xb in zip(gens, rows)]
-        if len(gens) == 1:
-            yield noisy[0], rows[0]
-        else:
-            yield np.stack(noisy)[pick], np.stack(rows)[pick]
+        rows = data.x.take(g.integers(0, data.n, size=cfg.batch), axis=0)
+        yield rows + g.normal(0.0, cfg.denoise_std, size=rows.shape), rows
 
 
 class ModelStack:
@@ -452,20 +448,21 @@ class ModelStack:
 
         Slots given the same generator train on the same minibatches.  Each
         generator makes the draws of :func:`sgd_train`, so it is consumed as
-        by one model trained alone.  Returns each step's losses, one per slot
-        of all S; a diverged slot's entries are non-finite.  Stops early once
-        every slot has diverged; on labeled data the generators have drawn
-        the row indices of all ``updates`` steps by then.  The labels are
-        checked once, here, not at each step.
+        by one model trained alone; denoising reads one generator.  Returns
+        each step's losses, one per slot of all S; a diverged slot's entries
+        are non-finite.  Stops early once every slot has diverged; on labeled
+        data the generators have drawn the row indices of all ``updates``
+        steps by then.  The labels are checked once, here, not at each step.
         """
         if len(rngs) != len(self.flat):
             raise ValueError(f"{len(rngs)} generators for a stack of {len(self.flat)}")
         if self.kind == "cross_entropy":
             _check_labels(data.y, self.width)
         gens = list({id(g): g for g in rngs}.values())
-        group = {id(g): k for k, g in enumerate(gens)}
+        if len(gens) > 1 and isinstance(data, UnlabeledBatch):
+            raise ValueError(f"denoising draws from one random stream, got {len(gens)}")
         # with one generator every slot reads the same (batch, ...) arrays
-        pick = np.array([group[id(g)] for g in rngs]) if len(gens) > 1 else 0
+        pick = np.array([gens.index(g) for g in rngs]) if len(gens) > 1 else 0
         losses = []
         # diverging slices may overflow to inf; the finiteness check below
         # is the mechanism that turns that into a divergence
@@ -595,6 +592,16 @@ def dataset_loss(ps: ParameterSet, data) -> float:
         return float(stack._loss(stack.outputs(data.x), target)[0])
 
 
+def _stage(start, data, cfg: TrainConfig, role: str) -> ParameterSet:
+    """``cfg.updates`` steps on ``default_rng(cfg.seed)``, as ``role``, recording seed and N."""
+    rng = np.random.default_rng(cfg.seed)
+    if isinstance(start, ModelArch):  # initialized from the same stream
+        start = init_model(start, rng)
+    model, _ = sgd_train(start, data, cfg, cfg.updates, rng)
+    meta = {**model.meta, "seed": str(cfg.seed), "updates": str(cfg.updates)}
+    return ParameterSet(model.tensors, role, meta)
+
+
 def pretrain_denoising(arch: ModelArch, data: UnlabeledBatch, cfg: TrainConfig) -> ParameterSet:
     """Train input reconstruction from noise-corrupted input; the p(theta) analogue.
 
@@ -602,11 +609,7 @@ def pretrain_denoising(arch: ModelArch, data: UnlabeledBatch, cfg: TrainConfig) 
     """
     if not isinstance(data, UnlabeledBatch):
         raise ValueError("denoising pre-training requires an UnlabeledBatch")
-    rng = np.random.default_rng(cfg.seed)
-    ps = init_model(arch, rng)
-    ps, _ = sgd_train(ps, data, cfg, cfg.updates, rng)
-    meta = {**ps.meta, "seed": str(cfg.seed), "updates": str(cfg.updates)}
-    return ParameterSet(ps.tensors, "pretrained", meta)
+    return _stage(arch, data, cfg, "pretrained")
 
 
 def finetune_supervised(
@@ -619,10 +622,7 @@ def finetune_supervised(
     """
     if not isinstance(data, LabeledBatch):
         raise ValueError("supervised fine-tuning requires a LabeledBatch")
-    rng = np.random.default_rng(cfg.seed)
-    model, _ = sgd_train(ps, data, cfg, cfg.updates, rng)
-    meta = {**model.meta, "seed": str(cfg.seed), "updates": str(cfg.updates)}
-    return ParameterSet(model.tensors, role, meta)
+    return _stage(ps, data, cfg, role)
 
 
 def evaluate(ps: ParameterSet, data: LabeledBatch) -> float:

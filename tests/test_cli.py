@@ -250,6 +250,27 @@ def test_main_success_and_failure_paths(tmp_path, capsys):
     assert err.startswith("io:")
 
 
+def test_each_subcommand_prints_the_paths_it_wrote(tmp_path, capsys):
+    out = tmp_path / "exp"
+    doc = small_config(str(out), seeds=(0,))
+    doc["strategies"] = ["TAG"]
+    doc["frequencies"] = ["once"]
+    cfg_path = str(tmp_path / "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    mask = str(out / "runs" / "tag_once_seed0.padm")
+    for argv, written in [
+        (["pretrain", "--config", cfg_path], [out / "pretrained.pada"]),
+        (["make-donor", "--config", cfg_path], [out / "donor.pada"]),
+        (["run", "--config", cfg_path], [out / "table.csv", out / "table.json"]),
+        (["compare-masks", mask, mask, "--out", str(out / "cmp")],
+         [out / "cmp" / "mask_report.csv", out / "cmp" / "mask_report.json"]),
+        (["report", str(out)], [out / "events.csv", out / "summary.json"]),
+    ]:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {path}\n" for path in written)
+
+
 def test_main_seeds_override(tmp_path):
     doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
     doc["strategies"] = ["TAG"]
@@ -471,6 +492,12 @@ def test_report_without_table_is_config_error(tmp_path, capsys):
         ("{}", "expected an object with a list of rows and of integer seeds"),
         ('{"seeds": [0], "rows": [{"strategy": "TAG"}]}', "rows[0] needs a string strategy"),
         ("[]", "expected an object with a list of rows and of integer seeds"),
+        # a run listed twice would be counted twice in summary.json and events.csv
+        ('{"seeds": [0, 3, 0], "rows": [{"strategy": "TAG", "frequency": "once"}]}',
+         "lists run tag_once_seed0 twice"),
+        ('{"seeds": [3], "rows": [{"strategy": "DFT", "frequency": "-"}, '
+         '{"strategy": "TAG", "frequency": "once"}, {"strategy": "DFT", "frequency": "-"}]}',
+         "lists run dft_seed3 twice"),
     ],
 )
 def test_report_refuses_a_malformed_table_as_format_error(tmp_path, capsys, text, message):
@@ -779,6 +806,7 @@ def one_cell_at_a_time(pretrained, slots, target_data, cfg, donor=None, eval_dat
     return outcomes
 
 
+@pytest.mark.bit_identity
 def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
     import pada.cli
 
@@ -868,6 +896,7 @@ def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, caps
     assert err == f"training: run {strategy.lower()}_{freq}_seed1: {first}"
 
 
+@pytest.mark.bit_identity
 def test_stacked_divergence_leaves_survivors_as_if_alone(tmp_path):
     # seed 1, wave 1: CD-TAW iterative diverges at update 5 beside DFT, CD-TAW
     # once and CD-TAW dynamic; wave 2: TAW once and TAW dynamic diverge at
@@ -907,6 +936,7 @@ def test_stacked_divergence_leaves_survivors_as_if_alone(tmp_path):
         assert mask_a == mask_b, run
 
 
+@pytest.mark.bit_identity
 def test_run_cells_trains_the_dft_model_taw_ranks(tmp_path):
     # only TAW slots, for two seeds, and no model to rank: run_cells trains
     # each seed's DFT model, ranks it and returns nothing of it
@@ -958,6 +988,7 @@ def grid_slots(cfg):
     ]
 
 
+@pytest.mark.bit_identity
 def test_run_cells_finishes_each_run_as_one_cell_at_a_time(tmp_path):
     # DFT, TAG, TAW and CD-TAW over two seeds: the runs each wave finishes
     # carry the bits, events, final records and masks of one cell at a time
@@ -982,6 +1013,7 @@ def test_run_cells_finishes_each_run_as_one_cell_at_a_time(tmp_path):
         assert mask_a == mask_b, slot
 
 
+@pytest.mark.bit_identity
 def test_hidden_dft_model_is_ranked_but_never_scored(tmp_path, monkeypatch):
     # without DFT cells, run_cells trains each seed's DFT model for its TAW
     # slots, whose masks rank exactly that model, and scores only the slots

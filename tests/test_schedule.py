@@ -263,3 +263,37 @@ def test_taw_strategy_inside_run():
     assert mask != compute_ump_mask(pre, 40.0)
     # and the run's update-0 event is that model's
     assert log.events[0].train_loss == dataset_loss(start, data)
+
+
+def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch):
+    # a failure caught in a wave keeps the wave's frame alive in its
+    # traceback, so the wave must drop its stack itself before the runs are
+    # scored; the passing case is test_waves_score_only_after_releasing_their_stack
+    import weakref
+
+    import pada.schedule
+    from pada.schedule import run_cells
+    from pada.trainer import ModelStack
+
+    live = weakref.WeakSet()
+
+    class Tracked(ModelStack):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+    live_when_scoring = []
+    real = pada.schedule._final_record
+
+    def scoring(*args):
+        live_when_scoring.append(len(live))
+        return real(*args)
+
+    monkeypatch.setattr(pada.schedule, "ModelStack", Tracked)
+    monkeypatch.setattr(pada.schedule, "_final_record", scoring)
+    pre = init_model(ARCH, 0)
+    bad = PruneSchedule("once", (40.0, 20.0), 5)  # refused inside the wave
+    slots = [(0, "DFT", None), (0, "TAG", bad), (1, "TAG", PruneSchedule("once", (40.0,), 5))]
+    outcomes = run_cells(pre, slots, toy_labeled(), tcfg(updates=10))
+    assert isinstance(outcomes[1], ScheduleError)
+    assert live_when_scoring == [0, 0]

@@ -485,23 +485,21 @@ def test_stack_trains_each_model_as_if_alone(labeled):
         assert [float(step[j]) for step in losses] == alone_losses
 
 
-@pytest.mark.parametrize("labeled", [True, False])
-def test_stack_of_several_seeds_trains_each_model_as_if_alone(labeled):
+@pytest.mark.bit_identity
+def test_stack_of_several_seeds_trains_each_model_as_if_alone():
     # three generators over five slots, not grouped by generator and one
     # slot alone: each slot gets its own generator's minibatches and ends
     # bit-identical to training it alone on that generator's seed, and
     # each generator is consumed as by one model trained alone
     arch = ModelArch(input_dim=6, hidden=(40, 24), num_classes=4, activation="tanh")
-    rows = toy_labeled(64, seed=60, arch=arch)
-    data = rows if labeled else UnlabeledBatch(rows.x)
-    kind = "cross_entropy" if labeled else "mse_reconstruction"
-    cfg = TrainConfig(lr=0.05, batch=8, updates=30, seed=0, denoise_std=0.2)
+    data = toy_labeled(64, seed=60, arch=arch)
+    cfg = TrainConfig(lr=0.05, batch=8, updates=30, seed=0)
     other = init_model(arch, 62)
     models = [init_model(arch, 61), apply_zeroing(other, compute_ump_mask(other, 40.0))]
     seeds = [3, 4, 3, 5, 4]
     slots = [(models[j % 2], seed) for j, seed in enumerate(seeds)]
     gens = {seed: np.random.default_rng(seed) for seed in set(seeds)}
-    stack = ModelStack.of([ps for ps, _ in slots], kind)
+    stack = ModelStack.of([ps for ps, _ in slots], "cross_entropy")
     losses = stack.train(data, cfg, cfg.updates, [gens[seed] for _, seed in slots])
     for j, (ps, seed) in enumerate(slots):
         rng = np.random.default_rng(seed)
@@ -509,6 +507,21 @@ def test_stack_of_several_seeds_trains_each_model_as_if_alone(labeled):
         assert stack.model(j, ps, ps.role) == alone
         assert [float(step[j]) for step in losses] == alone_losses
         assert gens[seed].bit_generator.state == rng.bit_generator.state
+
+
+def test_train_refuses_several_streams_on_unlabeled_data():
+    # denoising draws each model's noise from its stream, and one stream
+    # is all any stage needs; the generators are left untouched
+    arch = ModelArch(input_dim=6, hidden=(8,), num_classes=4)
+    data = UnlabeledBatch(toy_labeled(16, seed=63, arch=arch).x)
+    cfg = TrainConfig(lr=0.05, batch=4, updates=3, seed=0)
+    stack = ModelStack.of([init_model(arch, 64)] * 2, "mse_reconstruction")
+    gens = [np.random.default_rng(3), np.random.default_rng(4)]
+    with pytest.raises(ValueError, match="denoising draws from one random stream, got 2"):
+        stack.train(data, cfg, cfg.updates, gens)
+    assert [g.bit_generator.state for g in gens] == [
+        np.random.default_rng(seed).bit_generator.state for seed in (3, 4)
+    ]
 
 
 # --- the unbound step, kept as the reference the bound kernel must match ---
@@ -612,7 +625,10 @@ def ref_step(master, x, target, kind, activation, lr):
 
 
 def ref_batches(data, batch, steps, seeds, denoise_std):
-    """The minibatches of ``steps`` steps, slot j drawing from ``default_rng(seeds[j])``."""
+    """The minibatches of ``steps`` steps, slot j drawing from ``default_rng(seeds[j])``.
+
+    Only labeled data may give the slots several seeds.
+    """
     gens = {s: np.random.default_rng(s) for s in dict.fromkeys(seeds)}
     shared = len(gens) == 1
     if isinstance(data, LabeledBatch):
@@ -621,22 +637,26 @@ def ref_batches(data, batch, steps, seeds, denoise_std):
             rows = idx[seeds[0]][t] if shared else np.stack([idx[s][t] for s in seeds])
             yield data.x[rows], data.y[rows]
         return
+    (g,) = gens.values()
     for _ in range(steps):
-        clean = {s: data.x[g.integers(0, data.n, size=batch)] for s, g in gens.items()}
-        noisy = {s: x + gens[s].normal(0.0, denoise_std, size=x.shape) for s, x in clean.items()}
-        if shared:
-            yield noisy[seeds[0]], clean[seeds[0]]
-        else:
-            yield np.stack([noisy[s] for s in seeds]), np.stack([clean[s] for s in seeds])
+        clean = data.x[g.integers(0, data.n, size=batch)]
+        yield clean + g.normal(0.0, denoise_std, size=clean.shape), clean
 
 
-@pytest.mark.parametrize(
-    "models,batches",
-    [(1, "shared"), (3, "shared"), (3, "per-slot"), (7, "shared"), (7, "per-slot")],
-)
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("labeled", [True, False])
-def test_bound_step_equals_the_unbound_reference(models, batches, activation, labeled):
+# (labeled, activation, models, batches); only labeled data trains on per-slot batches
+BOUND_STEP_CASES = [
+    (labeled, activation, models, batches)
+    for labeled in (False, True)
+    for activation in ("relu", "tanh")
+    for models, batches in ((1, "shared"), (3, "shared"), (3, "per-slot"), (7, "shared"),
+                            (7, "per-slot"))
+    if labeled or batches == "shared"
+]
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("labeled,activation,models,batches", BOUND_STEP_CASES)
+def test_bound_step_equals_the_unbound_reference(labeled, activation, models, batches):
     # 200 steps of the default 16-32-32-6 model, with a batch-size change
     # after 150 so the step is bound twice; one slot freshly zeroed
     arch = ModelArch(16, (32, 32), 6, activation)
@@ -662,6 +682,7 @@ def test_bound_step_equals_the_unbound_reference(models, batches, activation, la
             assert t.data.tobytes() == master[t.name][j].tobytes(), (j, t.name)
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_forward_only_calls_equal_the_unbound_reference(activation):
     # the forward-only entry points run the bound forward at S = 1 on a
