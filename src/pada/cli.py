@@ -46,28 +46,27 @@ def _check_outputs(paths, force: bool) -> None:
             raise ConfigError(f"output exists: {p} (use --force to overwrite)")
 
 
-def cmd_pretrain(cfg: ExperimentConfig, force: bool = False) -> str:
-    """Denoising pre-training on the source unlabeled split; writes a checkpoint."""
-    out_path = os.path.join(cfg.out, cfg.pretrained_file)
+def _write_stage(cfg: ExperimentConfig, force: bool, name: str, train) -> str:
+    """Write ``train(task)``'s checkpoint to ``name`` under the output directory."""
+    out_path = os.path.join(cfg.out, name)
     _check_outputs([out_path], force)
     os.makedirs(cfg.out, exist_ok=True)
-    task = gen_domain_shift(cfg.task_seed, cfg.task)
-    ps = pretrain_denoising(cfg.arch, task.source_unlabeled, cfg.pretrain)
-    save_checkpoint(ps, out_path)
+    # the task draws nothing until a split is read, so ``train`` may load its inputs first
+    save_checkpoint(train(gen_domain_shift(cfg.task_seed, cfg.task)), out_path)
     return out_path
+
+
+def cmd_pretrain(cfg: ExperimentConfig, force: bool = False) -> str:
+    """Denoising pre-training on the source unlabeled split; writes a checkpoint."""
+    return _write_stage(cfg, force, cfg.pretrained_file, lambda task: pretrain_denoising(
+        cfg.arch, task.source_unlabeled, cfg.pretrain))
 
 
 def cmd_make_donor(cfg: ExperimentConfig, force: bool = False) -> str:
     """Fine-tune the pretrained checkpoint on source labels; writes the donor."""
     src = os.path.join(cfg.out, cfg.pretrained_file)
-    out_path = os.path.join(cfg.out, cfg.donor_file)
-    _check_outputs([out_path], force)
-    os.makedirs(cfg.out, exist_ok=True)
-    ps = load_checkpoint(src)
-    task = gen_domain_shift(cfg.task_seed, cfg.task)
-    donor = finetune_supervised(ps, task.source_labeled, cfg.donor, role="finetuned_donor")
-    save_checkpoint(donor, out_path)
-    return out_path
+    return _write_stage(cfg, force, cfg.donor_file, lambda task: finetune_supervised(
+        load_checkpoint(src), task.source_labeled, cfg.donor, role="finetuned_donor"))
 
 
 def _cell_name(strategy: str, freq: str, seed: int) -> str:
@@ -117,7 +116,7 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     plan = []  # every run, seed by seed in table order: (the stem of its files, its slot)
     for seed in cfg.seeds:
         for strategy, freq in cells:
-            sched = None if strategy == "DFT" else cfg.schedule_for(freq)
+            sched = None if strategy == "DFT" else cfg.schedules[freq]
             stem = os.path.join(run_dir, _cell_name(strategy, freq, seed))
             plan.append((stem, (seed, strategy, sched)))
     outputs = [table_csv, table_json]
@@ -268,7 +267,7 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
 
 def _category(exc: Exception) -> str:
     if isinstance(exc, RunFailure):
-        return _category(exc.__cause__) if exc.__cause__ is not None else "run"
+        return _category(exc.__cause__)
     if isinstance(exc, FormatError):
         return "format"
     if isinstance(exc, StructureMismatchError):

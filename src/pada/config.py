@@ -106,23 +106,18 @@ class ExperimentConfig:
     pretrain: TrainConfig
     donor: TrainConfig
     target: TrainConfig  # updates is N; each run trains with its own seed
-    interval: int
-    rates: dict[str, tuple[float, ...]]
     strategies: list[str]
-    frequencies: list[str]
+    schedules: dict[str, PruneSchedule]  # each grid frequency's validated schedule, in grid order
     include_dft: bool
     seeds: list[int]
     out: str
     pretrained_file: str
     donor_file: str
 
-    def schedule_for(self, freq: str) -> PruneSchedule:
-        return PruneSchedule(freq, self.rates[freq], self.interval)
-
     def cells(self) -> list[tuple[str, str]]:
         """(strategy, frequency) grid in table order; DFT first when included."""
         grid = [("DFT", "-")] if self.include_dft else []
-        grid += [(s, f) for s in self.strategies for f in self.frequencies]
+        grid += [(s, f) for s in self.strategies for f in self.schedules]
         return grid
 
 
@@ -144,10 +139,12 @@ def parse_config(doc) -> ExperimentConfig:
     for s in top["strategies"]:
         if s not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy {s!r} in config")
-    for f in top["frequencies"]:
+    schedules = {}
+    for f in _distinct(top["frequencies"], "frequencies"):
         if f not in FREQUENCIES:
             raise ConfigError(f"unknown frequency {f!r} in config")
-        validate(PruneSchedule(f, rates[f], sched["interval"]), sched["total_updates"])
+        schedules[f] = PruneSchedule(f, rates[f], sched["interval"])
+        validate(schedules[f], sched["total_updates"])
     return ExperimentConfig(
         task_seed=task_seed,
         task=task,
@@ -158,10 +155,8 @@ def parse_config(doc) -> ExperimentConfig:
         donor=_section(TrainConfig, top["donor"], "donor", "lr", "batch", "updates", "seed"),
         target=_section(TrainConfig, top["target"], "target", "lr", "batch",
                         updates=sched["total_updates"], seed=0),
-        interval=sched["interval"],
-        rates=rates,
         strategies=_distinct(top["strategies"], "strategies"),
-        frequencies=_distinct(top["frequencies"], "frequencies"),
+        schedules=schedules,
         include_dft=top.get("include_dft", True),
         seeds=check_seeds(top["seeds"]),
         out=top["out"],

@@ -18,11 +18,11 @@ from .params import StructureMismatchError, atomic_write_text, structural_mismat
 from .pruning import Mask
 
 
-def _layer_counts(ma: Mask, mb: Mask) -> list[tuple[int, int, int]]:
-    """(both retained, either retained, size) per entry of two aligned masks.
+def _layer_counts(ma: Mask, mb: Mask) -> list[tuple[int, int, int, int]]:
+    """(both retained, either retained, agreeing, size) per entry of two aligned masks.
 
-    Both zeroed is ``size - either retained``, so one pass over the bits
-    feeds IOU and MMA alike.
+    Agreeing positions are both retained or both zeroed, ``size - either + both``,
+    so one pass over the bits feeds IOU and MMA alike.
     """
     problem = structural_mismatch(ma.entries, mb.entries)
     if problem is not None:
@@ -31,7 +31,7 @@ def _layer_counts(ma: Mask, mb: Mask) -> list[tuple[int, int, int]]:
     for a, b in zip(ma.entries, mb.entries):
         both = int(np.count_nonzero(a.bits & b.bits))
         either = int(np.count_nonzero(a.bits | b.bits))
-        counts.append((both, either, a.bits.size))
+        counts.append((both, either, a.bits.size - either + both, a.bits.size))
     return counts
 
 
@@ -40,8 +40,7 @@ def _iou_of(counts) -> tuple[int, int]:
 
 
 def _mma_of(counts) -> tuple[int, int]:
-    # agreement = both retained + both zeroed = size - (either - both)
-    return sum(size - either + both for both, either, size in counts), sum(c[2] for c in counts)
+    return sum(c[2] for c in counts), sum(c[3] for c in counts)
 
 
 def iou_counts(ma: Mask, mb: Mask) -> tuple[int, int]:
@@ -104,8 +103,8 @@ def layerwise_report(ma: Mask, mb: Mask) -> SimilarityReport:
     if ma.total_bits == 0:
         raise ValueError("cannot compare empty masks")
     layers = [
-        LayerScore(e.name, _ratio_iou(both, either), (size - either + both) / size, either == 0)
-        for e, (both, either, size) in zip(ma.entries, counts)
+        LayerScore(e.name, _ratio_iou(both, either), agree / size, either == 0)
+        for e, (both, either, agree, size) in zip(ma.entries, counts)
     ]
     inter, union = _iou_of(counts)
     agree, total = _mma_of(counts)

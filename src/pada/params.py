@@ -233,23 +233,21 @@ class _Reader:
 def _atomic_write(path: str, payload: bytes) -> None:
     # write-temp-then-rename so partially written files are never observed
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pada-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pada-tmp-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write a text file atomically (UTF-8, write-temp-then-rename)."""
-    try:
-        _atomic_write(path, text.encode("utf-8"))
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def write_container(
@@ -280,10 +278,7 @@ def write_container(
         parts.append(key_b)
         parts.append(struct.pack("<I", len(value_b)))
         parts.append(value_b)
-    try:
-        _atomic_write(path, b"".join(parts))
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    _atomic_write(path, b"".join(parts))
 
 
 def read_container(path: str, magic: bytes, label: str, payload_nbytes):

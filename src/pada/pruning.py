@@ -29,7 +29,8 @@ from .params import (
     write_container,
 )
 
-MASK_SOURCES = ("TAG", "TAW", "CD-TAW", "in-loop")
+STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")  # pada.strategies's kinds, here so masks can name them
+MASK_SOURCES = (*STRATEGY_KINDS, "in-loop")  # a mask's strategy, or in-loop pruning
 
 
 @dataclass(eq=False)

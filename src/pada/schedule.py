@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -125,14 +126,9 @@ def write_log_jsonl(log: PadaRunLog, path: str) -> None:
 
 
 # what each field of a record must be; "error_rate" only when the run was scored
+_KIND = {int: "a non-negative integer", float: "a number"}
 _FIELDS = {
-    "prune": {
-        "update": "a non-negative integer",
-        "rate": "a number",
-        "sparsity_before": "a number",
-        "sparsity_after": "a number",
-        "train_loss": "a number",
-    },
+    "prune": {name: _KIND[tp] for name, tp in get_type_hints(PruneEvent).items()},
     "final": {
         "total_updates": "a non-negative integer",
         "strategy": "a string",
@@ -225,6 +221,10 @@ def run_cells(
         if not isinstance(target_data, LabeledBatch):
             raise ValueError("fine-tuning on the target requires a LabeledBatch")
         check_data(pretrained, target_data)
+        if eval_data is not None:
+            if not isinstance(eval_data, LabeledBatch):
+                raise ValueError("evaluation requires a LabeledBatch")
+            check_data(pretrained, eval_data)
     except ValueError as exc:
         return [exc] * len(slots)
     taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")

@@ -17,9 +17,7 @@ strategy is named by its kind string, one of :data:`STRATEGY_KINDS`.
 from __future__ import annotations
 
 from .params import ParameterSet, StructureMismatchError, structural_mismatch
-from .pruning import Mask, apply_zeroing, compute_ump_mask
-
-STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")
+from .pruning import STRATEGY_KINDS, Mask, apply_zeroing, compute_ump_mask
 
 
 def tag_mask(pretrained: ParameterSet, r1: float) -> Mask:

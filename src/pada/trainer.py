@@ -41,7 +41,6 @@ import numpy as np
 from .params import ParameterSet, StructureMismatchError, Tensor
 
 ACTIVATIONS = ("tanh", "relu")
-LOSSES = ("mse_reconstruction", "cross_entropy")
 
 _LOSS_HEAD = {"mse_reconstruction": "recon", "cross_entropy": "cls"}
 _HEAD_NAME = {"recon": "reconstruction", "cls": "classification"}
@@ -259,7 +258,7 @@ class ModelStack:
     """
 
     def __init__(self, weights: list, kind: str, activation: str = "tanh"):
-        if kind not in LOSSES:
+        if kind not in _LOSS_HEAD:
             raise ValueError(f"unknown loss kind {kind!r}")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")

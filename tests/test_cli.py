@@ -95,7 +95,7 @@ def test_prune_event_timestamps_match_schedule_contract(tmp_path):
     cfg = prep(tmp_path)
     cmd_run(cfg)
     run_dir = os.path.join(cfg.out, "runs")
-    n_total, interval = cfg.target.updates, cfg.interval
+    n_total = cfg.target.updates
     for fname in sorted(os.listdir(run_dir)):
         if not fname.endswith(".jsonl"):
             continue
@@ -104,7 +104,7 @@ def test_prune_event_timestamps_match_schedule_contract(tmp_path):
             assert log.events == []
             continue
         freq = log.final["frequency"]
-        k = len(cfg.rates[freq])
+        k, interval = len(cfg.schedules[freq].rates), cfg.schedules[freq].interval
         if freq == "once":
             expected = [0]
         else:
@@ -520,8 +520,8 @@ def test_taw_masks_rank_the_seed_fine_tune(tmp_path):
     pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
     target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
     finetuned = finetune_supervised(pre, target, replace(cfg.target, seed=3))
-    for freq in cfg.frequencies:
-        r1 = cfg.schedule_for(freq).rates[0]
+    for freq, sched in cfg.schedules.items():
+        r1 = sched.rates[0]
         mask = load_mask(os.path.join(cfg.out, "runs", f"taw_{freq}_seed3.padm"))
         assert mask == compute_ump_mask(finetuned, r1)
         assert (mask.source, mask.rate) == ("TAW", r1)
@@ -599,7 +599,7 @@ def test_config_integers_accept_integral_numbers(tmp_path):
     doc["schedule"]["total_updates"], doc["schedule"]["interval"] = 60.0, 20.0
     cfg = parse_config(doc)
     assert cfg == parse_config(small_config(str(tmp_path / "exp")))
-    values = (cfg.task_seed, cfg.target.batch, cfg.target.updates, cfg.interval)
+    values = (cfg.task_seed, cfg.target.batch, cfg.target.updates, cfg.schedules["once"].interval)
     assert all(type(v) is int for v in values)
 
 
@@ -844,7 +844,7 @@ def test_seed_independent_masks_are_ranked_once_per_grid(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pada.strategies, "compute_ump_mask", counting)
     cmd_run(cfg)
-    r1s = {cfg.schedule_for(f).rates[0] for f in cfg.frequencies}
+    r1s = {sched.rates[0] for sched in cfg.schedules.values()}
     assert len(r1s) == 2
     assert sources.count("TAG") == sources.count("CD-TAW") == len(r1s)
     assert sources.count("TAW") == 3 * len(r1s)
@@ -881,7 +881,7 @@ def test_divergence_reports_the_first_failing_cell_in_table_order(tmp_path, caps
     failures = []
     for strategy, freq in cfg.cells()[1:]:
         try:
-            run_pada(pre, strategy, cfg.schedule_for(freq), target, tcfg, donor=donor)
+            run_pada(pre, strategy, cfg.schedules[freq], target, tcfg, donor=donor)
         except Exception as exc:
             failures.append((strategy, freq, exc))
     (strategy, freq, first), later = failures[0], failures[1:]
@@ -909,7 +909,7 @@ def test_stacked_divergence_leaves_survivors_as_if_alone(tmp_path):
 
     _, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
     runs = [(seed, s, f) for seed in cfg.seeds for s, f in cfg.cells()]
-    slots = [(seed, s, None if s == "DFT" else cfg.schedule_for(f)) for seed, s, f in runs]
+    slots = [(seed, s, None if s == "DFT" else cfg.schedules[f]) for seed, s, f in runs]
     stacked = run_cells(pre, slots, target, tcfg, donor=donor)
     serial = one_cell_at_a_time(pre, slots, target, tcfg, donor=donor)
     diverged = {
@@ -948,7 +948,7 @@ def test_run_cells_trains_the_dft_model_taw_ranks(tmp_path):
     pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     target, scored = task.target_labeled, task.target_eval
-    slots = [(seed, "TAW", cfg.schedule_for(f)) for seed in cfg.seeds for f in cfg.frequencies]
+    slots = [(seed, "TAW", sched) for seed in cfg.seeds for sched in cfg.schedules.values()]
     outcomes = run_cells(pre, slots, target, cfg.target, eval_data=scored)
     assert len(outcomes) == len(slots)
     cmd_run(cfg)
@@ -982,7 +982,7 @@ def grid_inputs(cfg):
 
 def grid_slots(cfg):
     return [
-        (seed, s, None if s == "DFT" else cfg.schedule_for(f))
+        (seed, s, None if s == "DFT" else cfg.schedules[f])
         for seed in cfg.seeds
         for s, f in cfg.cells()
     ]
@@ -1078,3 +1078,17 @@ def test_waves_score_only_after_releasing_their_stack(tmp_path, monkeypatch):
     assert not any(isinstance(o, Exception) for o in outcomes)
     assert made == [2 * 7, 2 * 3]
     assert live_when_scoring == [0] * 2 * 10
+
+
+def test_a_run_failure_takes_the_category_of_its_cause():
+    from pada.cli import RunFailure, _category
+    from pada.params import FormatError
+
+    try:
+        try:
+            raise FormatError("bad container")
+        except FormatError as exc:
+            raise RunFailure("run dft_seed0: bad container") from exc
+    except RunFailure as failure:
+        assert _category(failure) == "format"
+    assert _category(RunFailure("run dft_seed0: no cause")) == "internal"

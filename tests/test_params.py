@@ -8,6 +8,7 @@ from pada.params import (
     Tensor,
     TruncatedFileError,
     UnsupportedVersionError,
+    atomic_write_text,
     flat_prunable_values,
     load_checkpoint,
     save_checkpoint,
@@ -177,6 +178,26 @@ def test_role_is_a_reserved_meta_key(tmp_path):
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError, match="nope.pada"):
         load_checkpoint(str(tmp_path / "nope.pada"))
+
+
+WRITERS = {
+    "text": lambda path: atomic_write_text(path, "x\n"),
+    "checkpoint": lambda path: save_checkpoint(two_tensor_set(), path),
+    "mask": lambda path: save_mask(compute_ump_mask(two_tensor_set(), 50.0), path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("case", ["missing-parent", "target-is-a-directory"])
+def test_a_failed_write_names_its_path_once_and_leaves_no_temp_file(tmp_path, writer, case):
+    path = tmp_path / "missing" / "out" if case == "missing-parent" else tmp_path / "out"
+    if case == "target-is-a-directory":
+        path.mkdir()
+    with pytest.raises(OSError) as info:
+        WRITERS[writer](str(path))
+    assert str(info.value).count(f"cannot write {path}: ") == 1
+    assert "cannot write" not in str(info.value.__cause__)  # wrapped once, not twice
+    assert list(tmp_path.rglob(".pada-tmp-*")) == []
 
 
 def test_flat_view_order_and_length():

@@ -297,3 +297,29 @@ def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch
     outcomes = run_cells(pre, slots, toy_labeled(), tcfg(updates=10))
     assert isinstance(outcomes[1], ScheduleError)
     assert live_when_scoring == [0, 0]
+
+
+@pytest.mark.parametrize("bad", ["narrow", "unlabeled"])
+def test_run_cells_refuses_a_bad_eval_set_before_any_training(monkeypatch, bad):
+    from pada.schedule import run_cells
+    from pada.trainer import ModelStack, UnlabeledBatch
+
+    calls = []
+    real = ModelStack.train
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelStack, "train", counting)
+    narrow = toy_labeled(n=20, seed=1)
+    narrow = LabeledBatch(narrow.x[:, :4], narrow.y)  # the model reads 5 features
+    eval_data = narrow if bad == "narrow" else UnlabeledBatch(toy_labeled(n=20, seed=1).x)
+    once = PruneSchedule("once", (40.0,), 5)
+    slots = [(seed, s, once) for seed in (0, 1) for s in ("TAG", "TAW")] + [(0, "DFT", None)]
+    pre = init_model(ARCH, 0)
+    outcomes = run_cells(pre, slots, toy_labeled(), tcfg(updates=50), eval_data=eval_data)
+    assert calls == []
+    assert len(outcomes) == len(slots) and all(o is outcomes[0] for o in outcomes)
+    want = "input has 4 features, model expects 5" if bad == "narrow" else "requires a LabeledBatch"
+    assert type(outcomes[0]) is ValueError and want in str(outcomes[0])
