@@ -3,11 +3,12 @@
 Subcommands: pretrain, make-donor, run, compare-masks, report.  Every
 subcommand is deterministic given its config file and inputs; outputs are
 written atomically.  ``run`` plans every run, seed by seed in table order,
-with the files it writes; its collision check, :func:`~pada.schedule.run_cells`
-(which trains and finishes every planned run), its writes and, under
-``--force``, its removal of the run files it did not plan all read that
-plan.  When cells fail, ``run`` reports the first failing cell in table
-order, seed by seed, as if the cells had run one after another.
+refuses any file a ``pada run`` writes (``--force`` removes them once
+:func:`~pada.schedule.run_cells` has finished every run), then writes its
+table last: a run that fails to train writes nothing, and a directory
+holding ``table.json`` holds one finished run.  When cells fail, ``run``
+reports the first failing cell in table order, seed by seed, as if the
+cells had run one after another.
 """
 
 from __future__ import annotations
@@ -105,49 +106,37 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     """Execute the configured strategy/frequency grid over every seed.
 
     Writes one .jsonl log, one final .pada checkpoint and (for PADA cells)
-    the initial .padm mask per cell, plus the comparison table as CSV + JSON.
-    With ``force``, it then deletes the run files under ``runs/`` that the
-    plan does not list.
+    the initial .padm mask per run, plus the comparison table as CSV + JSON,
+    once every run has finished.  It refuses to start over table.* or any
+    file ``_RUN_FILE`` names under runs/; with ``force`` it removes them first.
     """
     run_dir = os.path.join(cfg.out, "runs")
     table_csv = os.path.join(cfg.out, "table.csv")
     table_json = os.path.join(cfg.out, "table.json")
+    run_files = [table_csv, table_json]  # the files of any `pada run`: table.*, then runs/ sorted
+    if os.path.isdir(run_dir):
+        names = sorted(filter(_RUN_FILE.fullmatch, os.listdir(run_dir)))
+        run_files += [os.path.join(run_dir, n) for n in names]
+    _check_outputs(run_files, force)
     cells = cfg.cells()
-    plan = []  # every run, seed by seed in table order: (the stem of its files, its slot)
+    stems, slots = [], []  # every run, seed by seed in table order: its files' stem, its slot
     for seed in cfg.seeds:
         for strategy, freq in cells:
-            sched = None if strategy == "DFT" else cfg.schedules[freq]
-            stem = os.path.join(run_dir, _cell_name(strategy, freq, seed))
-            plan.append((stem, (seed, strategy, sched)))
-    outputs = [table_csv, table_json]
-    for stem, (_, _, sched) in plan:
-        outputs += [stem + ".jsonl", stem + ".pada"]
-        if sched is not None:  # a PADA cell also writes its initial mask
-            outputs.append(stem + ".padm")
-    _check_outputs(outputs, force)
-    os.makedirs(run_dir, exist_ok=True)
+            stems.append(os.path.join(run_dir, _cell_name(strategy, freq, seed)))
+            slots.append((seed, strategy, cfg.schedules.get(freq)))
 
     pretrained = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
     donor = None
     if any(s == "CD-TAW" for s in cfg.strategies):
         donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
     task = gen_domain_shift(cfg.task_seed, cfg.task)
-    slots = [slot for _, slot in plan]
     outcomes = run_cells(
         pretrained, slots, task.target_labeled, cfg.target, donor, eval_data=task.target_eval
     )
 
-    for (stem, _), outcome in zip(plan, outcomes):
-        try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            model, log, mask = outcome
-            if mask is not None:
-                save_mask(mask, stem + ".padm")
-            write_log_jsonl(log, stem + ".jsonl")
-            save_checkpoint(model, stem + ".pada")
-        except Exception as exc:
-            raise RunFailure(f"run {os.path.basename(stem)}: {exc}") from exc
+    for stem, outcome in zip(stems, outcomes):
+        if isinstance(outcome, Exception):
+            raise RunFailure(f"run {os.path.basename(stem)}: {outcome}") from outcome
 
     by_cell = _errors_by_cell(log.final for _, log, _ in outcomes)
     rows = []
@@ -168,16 +157,19 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
         cols = [row["strategy"], row["frequency"], repr(row["mean_error"])]
         cols += [repr(e) for e in row["per_seed"]]
         lines.append(",".join(cols))
+    if force:  # table.* goes first, so no table stands over a partial sweep
+        for path in filter(os.path.isfile, run_files):
+            os.remove(path)
+    os.makedirs(run_dir, exist_ok=True)
+    for stem, (model, log, mask) in zip(stems, outcomes):
+        if mask is not None:
+            save_mask(mask, stem + ".padm")
+        write_log_jsonl(log, stem + ".jsonl")
+        save_checkpoint(model, stem + ".pada")
     atomic_write_text(table_csv, "\n".join(lines) + "\n")
     atomic_write_text(
         table_json, json.dumps({"seeds": cfg.seeds, "rows": rows}, indent=2) + "\n"
     )
-    if force:  # run files the plan does not list, such as those of seeds it dropped
-        planned = {os.path.basename(p) for p in outputs}
-        for name in os.listdir(run_dir):
-            path = os.path.join(run_dir, name)
-            if name not in planned and _RUN_FILE.fullmatch(name) and os.path.isfile(path):
-                os.remove(path)
     return table_csv, table_json
 
 
@@ -187,7 +179,10 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
     json_path = os.path.join(out_dir, "mask_report.json")
     _check_outputs([csv_path, json_path], force)
     os.makedirs(out_dir, exist_ok=True)
-    report = layerwise_report(load_mask(path_a), load_mask(path_b))
+    try:
+        report = layerwise_report(load_mask(path_a), load_mask(path_b))
+    except StructureMismatchError as exc:  # name both files, which the masks do not know
+        raise StructureMismatchError(f"{path_a} vs {path_b}: {exc}") from exc
     report_to_csv(report, csv_path)
     report_to_json(report, json_path)
     return csv_path, json_path
@@ -213,6 +208,9 @@ def _listed_runs(table_json: str) -> list[tuple]:
             raise FormatError(f"{table_json}: rows[{i}] needs a string strategy and frequency")
     runs = [(row["strategy"], row["frequency"], s) for row in rows for s in seeds]
     listed = sorted((_cell_name(*run), *run) for run in runs)
+    for name, *_ in listed:  # a strategy, frequency or seed no `pada run` plans
+        if not _RUN_FILE.fullmatch(name + ".jsonl"):
+            raise FormatError(f"{table_json}: lists run {name!r}, which no `pada run` writes")
     for (name, *_), (next_name, *_) in zip(listed, listed[1:]):
         if name == next_name:  # a repeated row or seed would count its runs twice
             raise FormatError(f"{table_json}: lists run {name} twice")
@@ -227,6 +225,8 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     logs = []
     for name, *listed in _listed_runs(table_json):
         path = os.path.join(run_out, "runs", f"{name}.jsonl")
+        if not os.path.isfile(path):
+            raise FormatError(f"{table_json}: lists run {name}, but {path} is missing")
         log = read_log_jsonl(path)
         found = [log.final[k] for k in ("strategy", "frequency", "seed")]
         if found != listed:

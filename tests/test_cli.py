@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import shutil
 from dataclasses import asdict, replace
@@ -229,7 +230,7 @@ def test_compare_masks_mismatch_exit_code(tmp_path, capsys):
     assert code != 0
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert err.startswith("structure:")
+    assert err == f"structure: {pa} vs {pb}: masks do not align: tensor 0 ('w'): shape (4,) vs (5,)"
 
 
 def test_main_success_and_failure_paths(tmp_path, capsys):
@@ -477,6 +478,84 @@ def test_run_force_removes_only_the_run_files_the_plan_drops(tmp_path):
         assert (run_dir / name).read_text() == "not a run\n"
 
 
+def run_files(out):
+    """The bytes of every file under ``out``, by relative path."""
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in Path(out).rglob("*")
+        if path.is_file()
+    }
+
+
+def test_a_failed_forced_rerun_leaves_the_finished_run_as_it_was(tmp_path, capsys):
+    # config B trains its DFT, TAG and TAW runs, then fails on the donor that
+    # CD-TAW needs; none of B's runs may land among config A's
+    from pada.params import ParameterSet
+    from pada.trainer import ModelArch, init_model
+
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+    cfg_a, cfg_b = tmp_path / "a.json", tmp_path / "b.json"
+    cfg_a.write_text(json.dumps(doc))
+    doc["target"]["lr"] = 0.2
+    cfg_b.write_text(json.dumps(doc))
+    for command in ("pretrain", "make-donor", "run"):
+        assert main([command, "--config", str(cfg_a)]) == 0
+    narrow = init_model(ModelArch(8, (5,), 4), seed=0)
+    save_checkpoint(ParameterSet(narrow.tensors, "finetuned_donor", narrow.meta),
+                    os.path.join(doc["out"], "donor.pada"))
+    before = run_files(doc["out"])
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(cfg_b), "--force"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("structure: run cd-taw_once_seed0: donor incompatible")
+    assert run_files(doc["out"]) == before
+
+
+def test_a_forced_rerun_that_fails_to_write_leaves_no_table(tmp_path, capsys, monkeypatch):
+    import pada.cli
+
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["strategies"], doc["frequencies"] = ["TAG"], ["once", "iterative"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("pretrain", "make-donor", "run"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    calls, save = [], pada.cli.save_checkpoint
+
+    def fail_on_the_third(ps, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(f"cannot write {path}: no space left")
+        save(ps, path)
+
+    monkeypatch.setattr(pada.cli, "save_checkpoint", fail_on_the_third)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--force"]) == 1
+    third = os.path.join(doc["out"], "runs", "tag_iterative_seed0.pada")
+    assert calls[2] == third
+    assert capsys.readouterr().err.strip() == f"io: cannot write {third}: no space left"
+    assert not any(Path(doc["out"], name).exists() for name in ("table.csv", "table.json"))
+    assert main(["report", doc["out"]]) == 1
+    assert capsys.readouterr().err.strip().startswith(
+        f"config: no table.json under {doc['out']} (not a finished `pada run`)"
+    )
+
+
+def test_run_refuses_run_files_of_any_plan(tmp_path):
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["strategies"], doc["frequencies"] = ["TAG"], ["once"]
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    stray = Path(cfg.out, "runs", "tag_once_seed7.jsonl")  # a seed this plan does not run
+    stray.parent.mkdir()
+    stray.write_bytes(b"stray")
+    with pytest.raises(ConfigError, match=f"output exists: {re.escape(str(stray))} "):
+        cmd_run(cfg)
+    assert sorted(os.listdir(stray.parent)) == [stray.name]
+    assert stray.read_bytes() == b"stray"
+
+
 def test_report_without_table_is_config_error(tmp_path, capsys):
     os.makedirs(tmp_path / "exp" / "runs")
     assert main(["report", str(tmp_path / "exp")]) == 1
@@ -498,6 +577,13 @@ def test_report_without_table_is_config_error(tmp_path, capsys):
         ('{"seeds": [3], "rows": [{"strategy": "DFT", "frequency": "-"}, '
          '{"strategy": "TAG", "frequency": "once"}, {"strategy": "DFT", "frequency": "-"}]}',
          "lists run dft_seed3 twice"),
+        # a run no `pada run` writes, and a run whose log is not under runs/
+        ('{"seeds": [0], "rows": [{"strategy": "TAX", "frequency": "once"}]}',
+         "lists run 'tax_once_seed0', which no `pada run` writes"),
+        ('{"seeds": [-1], "rows": [{"strategy": "DFT", "frequency": "-"}]}',
+         "lists run 'dft_seed-1', which no `pada run` writes"),
+        ('{"seeds": [1], "rows": [{"strategy": "TAG", "frequency": "once"}]}',
+         "lists run tag_once_seed1, but "),
     ],
 )
 def test_report_refuses_a_malformed_table_as_format_error(tmp_path, capsys, text, message):
@@ -776,6 +862,48 @@ def test_report_refuses_a_log_of_another_run_than_table_json_lists(tmp_path, cap
         assert len(err.splitlines()) == 1
         assert err.startswith(f"format: {copy / 'runs' / name}.jsonl: a log of run ")
         assert not (copy / "summary.json").exists()
+
+
+def mutated(data: bytes, rng: random.Random) -> bytes:
+    """``data`` with one bit flipped, cut short, or with 1-8 random bytes inserted."""
+    kind, at = rng.randrange(3), rng.randrange(len(data))
+    if kind == 0:
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if kind == 1:
+        return data[:at]
+    return data[:at] + rng.randbytes(rng.randint(1, 8)) + data[at:]
+
+
+def test_corrupted_inputs_end_in_one_line_naming_the_file(tmp_path, capsys):
+    # each mutation of a file `report` or `compare-masks` reads either still
+    # reads as a file of its kind, or ends in one line naming that file
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["arch"]["hidden"] = [4, 4]
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    cmd_make_donor(cfg)
+    cmd_run(cfg)
+    runs, out = Path(cfg.out, "runs"), str(tmp_path / "out")
+    cases = [
+        (Path(cfg.out, "table.json"), ["report", cfg.out, "--out", out]),
+        (runs / "cd-taw_iterative_seed0.jsonl", ["report", cfg.out, "--out", out]),
+        (runs / "tag_once_seed0.padm",
+         ["compare-masks", str(runs / "tag_once_seed0.padm"), str(runs / "taw_once_seed0.padm"),
+          "--out", out, "--force"]),
+    ]
+    rng = random.Random(20)
+    for path, argv in cases:
+        original = path.read_bytes()
+        for _ in range(300):
+            path.write_bytes(mutated(original, rng))
+            code = main(argv)
+            err = capsys.readouterr().err.strip()
+            if code == 0:
+                assert err == ""
+            else:
+                assert len(err.splitlines()) == 1, err
+                assert err.startswith(("format: ", "structure: ")) and path.name in err, err
+        path.write_bytes(original)
 
 
 def one_cell_at_a_time(pretrained, slots, target_data, cfg, donor=None, eval_data=None):
