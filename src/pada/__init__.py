@@ -40,7 +40,6 @@ from .trainer import (
     UnlabeledBatch,
     evaluate,
     finetune_supervised,
-    forward,
     init_model,
     loss_and_grads,
     pretrain_denoising,

@@ -6,9 +6,10 @@ written atomically.  ``run`` plans every run, seed by seed in table order,
 refuses any file a ``pada run`` writes (``--force`` removes them once
 :func:`~pada.schedule.run_cells` has finished every run), then writes its
 table last: a run that fails to train writes nothing, and a directory
-holding ``table.json`` holds one finished run.  When cells fail, ``run``
-reports the first failing cell in table order, seed by seed, as if the
-cells had run one after another.
+holding ``table.json`` holds one finished run.  Inputs come before training:
+a refused config or checkpoint is named before the first update, and of the
+runs that diverge, the first in table order, seed by seed, is named, as if
+the cells had run one after another.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     if os.path.isdir(run_dir):
         names = sorted(filter(_RUN_FILE.fullmatch, os.listdir(run_dir)))
         run_files += [os.path.join(run_dir, n) for n in names]
+    elif os.path.lexists(run_dir):
+        raise NotADirectoryError(f"cannot write {run_dir}: not a directory")
     _check_outputs(run_files, force)
     cells = cfg.cells()
     stems, slots = [], []  # every run, seed by seed in table order: its files' stem, its slot
@@ -125,14 +128,19 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
             stems.append(os.path.join(run_dir, _cell_name(strategy, freq, seed)))
             slots.append((seed, strategy, cfg.schedules.get(freq)))
 
-    pretrained = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
-    donor = None
-    if any(s == "CD-TAW" for s in cfg.strategies):
-        donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
+    pretrained_path = os.path.join(cfg.out, cfg.pretrained_file)
+    donor_path = os.path.join(cfg.out, cfg.donor_file)
+    pretrained = load_checkpoint(pretrained_path)
+    donor = load_checkpoint(donor_path) if "CD-TAW" in cfg.strategies else None
     task = gen_domain_shift(cfg.task_seed, cfg.task)
-    outcomes = run_cells(
-        pretrained, slots, task.target_labeled, cfg.target, donor, eval_data=task.target_eval
-    )
+    try:
+        outcomes = run_cells(
+            pretrained, slots, task.target_labeled, cfg.target, donor, eval_data=task.target_eval
+        )
+    except StructureMismatchError as exc:  # the donor's layout, checked against the pretrained
+        raise StructureMismatchError(f"{pretrained_path} vs {donor_path}: {exc}") from exc
+    except ValueError as exc:  # the config checked the rest, so the pretrained model does not fit
+        raise StructureMismatchError(f"{pretrained_path}: {exc}") from exc
 
     for stem, outcome in zip(stems, outcomes):
         if isinstance(outcome, Exception):

@@ -171,7 +171,10 @@ def load_config(path: str) -> ExperimentConfig:
             doc = json.load(fh)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(doc)
+    try:
+        return parse_config(doc)
+    except ValueError as exc:  # a ScheduleError too, which is not a ConfigError
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def default_config() -> dict:

@@ -211,27 +211,29 @@ def run_cells(
     stack stops at every prune point of its slots, where each slot that
     prunes there is re-ranked and zeroed.
 
-    Returns one finished run per slot, in order: ``(model, log, initial
-    mask)``, where the log holds the prune events (a DFT slot has neither
-    events nor mask) and the final record, which this function builds once
-    the wave's stack is released, scoring ``eval_data`` when given; or the
-    exception that ended the slot.  A failing slot never stops the others.
+    Every input failure raises before the first update: data ``pretrained``
+    cannot train on, a schedule :func:`validate` refuses for N, or inputs
+    :func:`~pada.strategies.initial_model` refuses, such as a donor of
+    another layout.  Returns one finished run per slot, in order: ``(model,
+    log, initial mask)``, where the log holds the prune events (a DFT slot
+    has neither events nor mask) and the final record, which this function
+    builds once the wave's stack is released, scoring ``eval_data`` when
+    given; or the divergence that ended the slot, which never stops the others.
     """
-    try:
-        if not isinstance(target_data, LabeledBatch):
-            raise ValueError("fine-tuning on the target requires a LabeledBatch")
-        check_data(pretrained, target_data)
-        if eval_data is not None:
-            if not isinstance(eval_data, LabeledBatch):
-                raise ValueError("evaluation requires a LabeledBatch")
-            check_data(pretrained, eval_data)
-    except ValueError as exc:
-        return [exc] * len(slots)
+    if not isinstance(target_data, LabeledBatch):
+        raise ValueError("fine-tuning on the target requires a LabeledBatch")
+    check_data(pretrained, target_data)
+    if eval_data is not None:
+        if not isinstance(eval_data, LabeledBatch):
+            raise ValueError("evaluation requires a LabeledBatch")
+        check_data(pretrained, eval_data)
+    for sched in dict.fromkeys(sched for _, _, sched in slots if sched is not None):
+        validate(sched, cfg.updates)
     taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")
     dft_seeds = {seed for seed, _, sched in slots if sched is None}
     hidden = [(seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds]
     outcomes: list = [None] * len(slots)
-    ranked: dict = {}  # seed -> its DFT model, or the failure that ended it
+    ranked: dict = {}  # seed -> its DFT model, or the divergence that ended it
     for taw in (False, True):
         wave = [i for i, (_, strategy, _) in enumerate(slots) if (strategy == "TAW") == taw]
         work = [slots[i] for i in wave] + ([] if taw else hidden)
@@ -240,11 +242,8 @@ def run_cells(
             if sched is None:  # a DFT model, which its seed's TAW slots rank
                 ranked[seed] = run if isinstance(run, Exception) else run[0]
         for i, run in zip(wave, runs):  # its stack is released; hidden DFTs are not scored
-            try:
-                if not isinstance(run, Exception):
-                    run[1].final = _final_record(slots[i], run[0], cfg, target_data, eval_data)
-            except Exception as exc:
-                run = exc
+            if not isinstance(run, Exception):
+                run[1].final = _final_record(slots[i], run[0], cfg, target_data, eval_data)
             outcomes[i] = run
     return outcomes
 
@@ -262,10 +261,11 @@ class _Member:
 
 
 def _run_wave(pretrained, slots, target_data, cfg, donor, ranked) -> list:
-    """Train ``slots`` as one stack; return each one's ``(model, log, mask)`` or its failure.
+    """Train ``slots`` as one stack; return each one's ``(model, log, mask)`` or its divergence.
 
-    ``ranked`` maps a seed to the model its TAW masks rank, or to the failure
-    that ended it, which ends them too.  The logs hold only prune events.
+    ``ranked`` maps a seed to the model its TAW masks rank, or to the
+    divergence that ended it, which ends them too.  The logs hold only prune
+    events.  A strategy that refuses its inputs raises before anything trains.
     """
     runs: list = [None] * len(slots)
     starts = {}  # mask key -> (zeroed model, mask, update-0 event)
@@ -274,21 +274,17 @@ def _run_wave(pretrained, slots, target_data, cfg, donor, ranked) -> list:
         if sched is None:
             members.append(_Member(i, seed, pretrained, PadaRunLog(), None, []))
             continue
-        try:
-            if isinstance(ranked.get(seed), Exception):  # the model TAW ranks was never finished
-                raise ranked[seed]
-            validate(sched, cfg.updates)
-            r1 = sched.rates[0]
-            key = (strategy, r1, seed) if strategy == "TAW" else (strategy, r1)
-            if key not in starts:
-                model, mask = initial_model(
-                    pretrained, strategy, r1, finetuned=ranked.get(seed), donor=donor
-                )
-                event = _prune_event(0, r1, sparsity(pretrained), model, target_data)
-                starts[key] = (model, mask, event)
-        except Exception as exc:
-            runs[i] = exc
+        if isinstance(ranked.get(seed), Exception):  # the model TAW ranks diverged
+            runs[i] = ranked[seed]
             continue
+        r1 = sched.rates[0]
+        key = (strategy, r1, seed) if strategy == "TAW" else (strategy, r1)
+        if key not in starts:
+            model, mask = initial_model(
+                pretrained, strategy, r1, finetuned=ranked.get(seed), donor=donor
+            )
+            event = _prune_event(0, r1, sparsity(pretrained), model, target_data)
+            starts[key] = (model, mask, event)
         model, mask, event = starts[key]
         # rates[k] prunes at update k*n while k*n <= N; rates[0] was the strategy's
         points = [
@@ -323,7 +319,6 @@ def _run_wave(pretrained, slots, target_data, cfg, donor, ranked) -> list:
     for j, m in alive:
         role = "finetuned_target" if m.mask is None else "adapted"
         runs[m.slot] = (stack.model(j, pretrained, role), m.log, m.mask)
-    del stack  # scoring allocates, and a caught failure's traceback keeps this frame
     return runs
 
 

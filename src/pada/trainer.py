@@ -24,8 +24,8 @@ Every one-model function is an S = 1 call of the kernel on a
 checks once and whose type picks the loss.  :func:`sgd_train` trains and
 builds a ParameterSet only for the model it returns; :func:`loss_and_grads`
 and :func:`sgd_step` are one step's backward pass and update; and
-:func:`forward`, :func:`evaluate` and :func:`dataset_loss` run the forward
-pass alone, without gradient buffers.
+:func:`evaluate` and :func:`dataset_loss` run the forward pass alone,
+without gradient buffers.
 
 No operation freezes a parameter: SGD updates every weight, including ones a
 pruning pass just zeroed, which is what lets zeroed weights regrow.
@@ -178,10 +178,10 @@ def _trunk_depth(names, head: str) -> int:
     depth = 0
     while f"layers.{depth}.weight" in names:
         depth += 1
-    if depth == 0:
-        raise ValueError("parameter set has no trunk layers (layers.0.weight missing)")
-    if f"{head}.weight" not in names:
-        raise ValueError(f"parameter set has no {_HEAD_NAME[head]} head ({head}.weight)")
+    layers = [f"layers.{i}" for i in range(max(depth, 1))] + [head]
+    for name in (f"{layer}.{part}" for layer in layers for part in ("weight", "bias")):
+        if name not in names:
+            raise ValueError(f"parameter set has no {name}, which its {_HEAD_NAME[head]} head reads")
     return depth
 
 
@@ -492,22 +492,9 @@ class ModelStack:
             self.master[t.name][slot] = t.data
 
 
-def _check_input(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
-    x64 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    input_dim = ps["layers.0.weight"].shape[1]
-    if x64.shape[1] != input_dim:
-        raise ValueError(f"input has {x64.shape[1]} features, model expects {input_dim}")
-    return x64
-
-
-def forward(ps: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Batch forward pass through the trunk and the classification head (float64 out)."""
-    return ModelStack.of([ps], "cross_entropy").outputs(_check_input(ps, x))[0]
-
-
 def check_data(ps: ParameterSet, data) -> str:
-    """Refuse data ``ps`` cannot train on or be scored with: wrong type, no rows, wrong
-    width, no head for its loss, or labels outside the classes of that head.
+    """Refuse data ``ps`` cannot train on or be scored with: wrong type, no rows, a tensor
+    its loss's forward pass reads missing, wrong width, or labels outside that head's classes.
 
     Returns the loss kind the data trains with, which its type decides.
     """
@@ -517,7 +504,9 @@ def check_data(ps: ParameterSet, data) -> str:
         raise ValueError("data is empty")
     kind = "cross_entropy" if isinstance(data, LabeledBatch) else "mse_reconstruction"
     _trunk_depth(ps, _LOSS_HEAD[kind])
-    _check_input(ps, data.x)
+    input_dim = ps["layers.0.weight"].shape[1]
+    if data.x.shape[1] != input_dim:
+        raise ValueError(f"input has {data.x.shape[1]} features, model expects {input_dim}")
     if kind == "cross_entropy":
         _check_labels(data.y, ps["cls.weight"].shape[0])
     return kind

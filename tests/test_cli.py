@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pada.cli import cmd_compare_masks, cmd_make_donor, cmd_pretrain, cmd_report, cmd_run, main
-from pada.config import ConfigError, default_config, parse_config
+from pada.config import ConfigError, default_config, load_config, parse_config
 from pada.params import load_checkpoint, save_checkpoint
 from pada.pruning import Mask, MaskEntry, save_mask
 from pada.schedule import read_log_jsonl
@@ -368,27 +368,83 @@ def test_run_nonfinite_donor_is_format_error(tmp_path, capsys):
     assert not os.path.exists(os.path.join(cfg.out, "table.csv"))
 
 
-def test_cell_failure_carries_run_identity(tmp_path, capsys):
-    from pada.params import ParameterSet, save_checkpoint
+def narrow_donor():
+    """An 8-5-4 donor: one hidden layer where small_config's models have two."""
+    from pada.params import ParameterSet
     from pada.trainer import ModelArch, init_model
 
-    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
-    doc["strategies"] = ["CD-TAW"]
-    doc["frequencies"] = ["once"]
-    cfg = parse_config(doc)
-    cmd_pretrain(cfg)
-    # donor with a different hidden width: structurally incompatible
     narrow = init_model(ModelArch(8, (5,), 4), seed=0)
-    bad_donor = ParameterSet(narrow.tensors, "finetuned_donor", narrow.meta)
-    save_checkpoint(bad_donor, os.path.join(cfg.out, cfg.donor_file))
-    cfg_path = str(tmp_path / "config.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(doc, fh)
-    code = main(["run", "--config", cfg_path])
-    assert code == 1
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("structure:")
-    assert "run cd-taw_once_seed0" in err
+    return ParameterSet(narrow.tensors, "finetuned_donor", narrow.meta)
+
+
+@pytest.mark.parametrize("bad", ["donor", "runs-file", "cls-bias"])
+def test_a_bad_input_is_refused_before_any_training(tmp_path, capsys, train_calls, bad):
+    # the DFT, TAG and TAW runs come before CD-TAW in table order, yet each
+    # input ends `pada run` in one line naming its file before any update
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("pretrain", "make-donor"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    out = Path(doc["out"])
+    pre, donor = out / "pretrained.pada", out / "donor.pada"
+    if bad == "donor":
+        save_checkpoint(narrow_donor(), str(donor))
+        want = (f"structure: {pre} vs {donor}: donor incompatible with pretrained model: "
+                "tensor count differs: 8 vs 6")
+    elif bad == "runs-file":
+        (out / "runs").write_text("not a directory\n")
+        want = f"io: cannot write {out / 'runs'}: not a directory"
+    else:  # a name of the same length, so the container stays valid
+        data = pre.read_bytes()
+        assert data.count(b"cls.bias") == 1
+        pre.write_bytes(data.replace(b"cls.bias", b"cls.biaz"))
+        want = f"structure: {pre}: parameter set has no cls.bias, which its classification head reads"
+    before = run_files(out)
+    capsys.readouterr()
+    train_calls.clear()
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.strip() == want
+    assert train_calls == []
+    assert run_files(out) == before
+
+
+def test_an_input_failure_is_reported_before_any_divergence(tmp_path, capsys, train_calls):
+    # diverging_grid's runs diverge, the first in table order being seed 1's
+    # TAW once; an incompatible donor is still the failure reported, and
+    # nothing trains
+    doc, cfg, _ = diverging_grid(tmp_path)
+    pre, donor = (os.path.join(cfg.out, name) for name in (cfg.pretrained_file, cfg.donor_file))
+    save_checkpoint(narrow_donor(), donor)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    train_calls.clear()
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"structure: {pre} vs {donor}: donor incompatible with pretrained model: "
+        "tensor count differs: 8 vs 6"
+    )
+    assert train_calls == []
+
+
+def test_run_cells_returns_finished_runs_and_divergences_only(tmp_path, train_calls):
+    # an input failure raises before the first update; a slot ends only in a
+    # finished run or its divergence
+    from pada.params import StructureMismatchError
+    from pada.schedule import run_cells
+    from pada.trainer import TrainingDivergedError
+
+    _, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
+    slots = grid_slots(cfg)
+    outcomes = run_cells(pre, slots, target, tcfg, donor)
+    diverged = [isinstance(o, TrainingDivergedError) for o in outcomes]
+    assert 0 < sum(diverged) < len(slots)
+    for outcome, failed in zip(outcomes, diverged):
+        assert failed or type(outcome) is tuple and len(outcome) == 3, outcome
+    train_calls.clear()
+    with pytest.raises(StructureMismatchError, match="^donor incompatible with pretrained model"):
+        run_cells(pre, slots, target, tcfg, narrow_donor())
+    assert train_calls == []
 
 
 def test_report_aggregates(tmp_path):
@@ -487,28 +543,26 @@ def run_files(out):
     }
 
 
-def test_a_failed_forced_rerun_leaves_the_finished_run_as_it_was(tmp_path, capsys):
-    # config B trains its DFT, TAG and TAW runs, then fails on the donor that
-    # CD-TAW needs; none of B's runs may land among config A's
-    from pada.params import ParameterSet
-    from pada.trainer import ModelArch, init_model
-
-    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+def test_a_failed_forced_rerun_leaves_the_finished_run_as_it_was(tmp_path, capsys, train_calls):
+    # config B trains every run, and some diverge at its learning rate, as in
+    # diverging_grid; none of B's finished runs may land among config A's
+    doc = small_config(str(tmp_path / "exp"), seeds=(1, 6))
+    doc["arch"]["activation"] = "relu"
     cfg_a, cfg_b = tmp_path / "a.json", tmp_path / "b.json"
     cfg_a.write_text(json.dumps(doc))
-    doc["target"]["lr"] = 0.2
+    doc["target"]["lr"] = 3000.0
     cfg_b.write_text(json.dumps(doc))
     for command in ("pretrain", "make-donor", "run"):
         assert main([command, "--config", str(cfg_a)]) == 0
-    narrow = init_model(ModelArch(8, (5,), 4), seed=0)
-    save_checkpoint(ParameterSet(narrow.tensors, "finetuned_donor", narrow.meta),
-                    os.path.join(doc["out"], "donor.pada"))
     before = run_files(doc["out"])
     capsys.readouterr()
+    train_calls.clear()
 
     assert main(["run", "--config", str(cfg_b), "--force"]) == 1
     err = capsys.readouterr().err.strip()
-    assert err.startswith("structure: run cd-taw_once_seed0: donor incompatible")
+    assert re.fullmatch(r"training: run \S+_seed[16]: training diverged \(non-finite loss\) "
+                        r"at update \d+", err), err
+    assert train_calls
     assert run_files(doc["out"]) == before
 
 
@@ -639,7 +693,7 @@ def test_config_seeds_must_be_a_list_of_integers(tmp_path, capsys, seeds):
     assert main(["pretrain", "--config", cfg_path]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert err.startswith("config: seeds must be")
+    assert err.startswith(f"config: {cfg_path}: seeds must be")
     assert not os.path.exists(doc["out"])
 
 
@@ -674,7 +728,7 @@ def test_config_refuses_coerced_values(tmp_path, capsys, field, value):
     assert main(["pretrain", "--config", cfg_path]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"config: {field} must be ")
+    assert err.startswith(f"config: {cfg_path}: {field} must be ")
     assert err.endswith(f", got {value!r}")
     assert not os.path.exists(doc["out"])
 
@@ -697,7 +751,7 @@ def test_config_refuses_unknown_task_field(tmp_path, capsys):
         json.dump(doc, fh)
     assert main(["pretrain", "--config", cfg_path]) == 1
     err = capsys.readouterr().err.strip()
-    assert err == "config: unknown config field: task.foo"
+    assert err == f"config: {cfg_path}: unknown config field: task.foo"
     assert not os.path.exists(doc["out"])
 
 
@@ -904,6 +958,66 @@ def test_corrupted_inputs_end_in_one_line_naming_the_file(tmp_path, capsys):
                 assert len(err.splitlines()) == 1, err
                 assert err.startswith(("format: ", "structure: ")) and path.name in err, err
         path.write_bytes(original)
+
+
+def test_corrupted_checkpoints_end_run_in_one_line_naming_the_file(tmp_path, capsys, train_calls):
+    # each mutation of a checkpoint `run` reads either still fits and trains,
+    # or is refused before any update in one line naming that file
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["arch"]["hidden"] = [4, 4]
+    doc["schedule"]["total_updates"], doc["schedule"]["interval"] = 8, 2
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("pretrain", "make-donor"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    rng = random.Random(20)
+    for name in ("pretrained.pada", "donor.pada"):
+        path = Path(doc["out"], name)
+        original = path.read_bytes()
+        for _ in range(300):
+            path.write_bytes(mutated(original, rng))
+            train_calls.clear()
+            code = main(["run", "--config", str(cfg_path), "--force"])
+            err = capsys.readouterr().err.strip()
+            if code == 0:
+                assert err == ""
+            else:
+                assert len(err.splitlines()) == 1, err
+                assert err.startswith(("format: ", "structure: ")) and name in err, err
+                assert train_calls == [], err
+        path.write_bytes(original)
+
+
+def test_corrupted_configs_end_run_in_one_line_naming_the_file(tmp_path, capsys, train_calls):
+    # over a finished run, each mutation of its config is refused in one line
+    # naming the config, or is accepted and stops at the collision check; a
+    # mutated `out` names no finished run, so there `run` cannot read the
+    # pretrained model.  Nothing trains.
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["arch"]["hidden"] = [4, 4]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("pretrain", "make-donor", "run"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    collision = f"config: output exists: {Path(doc['out'], 'table.csv')} (use --force to overwrite)"
+    original, rng = cfg_path.read_bytes(), random.Random(20)
+    capsys.readouterr()
+    train_calls.clear()
+    for _ in range(300):
+        cfg_path.write_bytes(mutated(original, rng))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1, err
+        try:
+            cfg = load_config(str(cfg_path))
+        except ConfigError as exc:
+            assert err == f"config: {exc}" and err.startswith(f"config: {cfg_path}: "), err
+            continue
+        if cfg.out == doc["out"]:
+            assert err == collision, err
+        else:
+            assert err.startswith(f"io: cannot read {Path(cfg.out, cfg.pretrained_file)}: "), err
+    assert train_calls == []
 
 
 def one_cell_at_a_time(pretrained, slots, target_data, cfg, donor=None, eval_data=None):

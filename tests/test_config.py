@@ -1,4 +1,5 @@
-"""The config schema: every malformed config ends in one ``config:`` line naming its path."""
+"""The config schema: every malformed config ends in one ``config:`` line naming its file and
+the key's dotted path."""
 
 import json
 import os
@@ -67,6 +68,9 @@ def _pretrain(tmp_path, capsys, doc):
     """``pada pretrain`` on ``doc`` with ``out`` in ``tmp_path``.
 
     Returns the exit code, the stderr lines and whether ``out`` was created.
+    A line naming the config file, ``config: <file>: message``, is returned as
+    ``config: message``; any other line gets an ``unnamed:`` prefix, so that
+    no expected line matches it.
     """
     out = tmp_path / "exp"
     if isinstance(doc, dict) and isinstance(doc.get("out"), str):
@@ -74,7 +78,11 @@ def _pretrain(tmp_path, capsys, doc):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["pretrain", "--config", str(cfg_path)])
-    lines = capsys.readouterr().err.strip().splitlines()
+    named = f"config: {cfg_path}: "
+    lines = [
+        "config: " + line[len(named):] if line.startswith(named) else "unnamed: " + line
+        for line in capsys.readouterr().err.strip().splitlines()
+    ]
     made = out.exists()
     return code, lines, made
 

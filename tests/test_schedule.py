@@ -266,14 +266,16 @@ def test_taw_strategy_inside_run():
 
 
 def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch):
-    # a failure caught in a wave keeps the wave's frame alive in its
-    # traceback, so the wave must drop its stack itself before the runs are
-    # scored; the passing case is test_waves_score_only_after_releasing_their_stack
+    # of seeds 0-3, only seed 3 draws the NaN row in 10 updates of 2, so its
+    # DFT and TAG slots diverge and its TAW slot takes the DFT's divergence;
+    # nothing in a wave is caught, so no traceback keeps a stack alive while
+    # the survivors are scored (the passing case is
+    # test_waves_score_only_after_releasing_their_stack)
     import weakref
 
     import pada.schedule
     from pada.schedule import run_cells
-    from pada.trainer import ModelStack
+    from pada.trainer import ModelStack, TrainingDivergedError
 
     live = weakref.WeakSet()
 
@@ -292,34 +294,55 @@ def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch
     monkeypatch.setattr(pada.schedule, "ModelStack", Tracked)
     monkeypatch.setattr(pada.schedule, "_final_record", scoring)
     pre = init_model(ARCH, 0)
-    bad = PruneSchedule("once", (40.0, 20.0), 5)  # refused inside the wave
-    slots = [(0, "DFT", None), (0, "TAG", bad), (1, "TAG", PruneSchedule("once", (40.0,), 5))]
-    outcomes = run_cells(pre, slots, toy_labeled(), tcfg(updates=10))
-    assert isinstance(outcomes[1], ScheduleError)
-    assert live_when_scoring == [0, 0]
+    data = toy_labeled()
+    x = data.x.copy()
+    x[17] = np.nan
+    once = PruneSchedule("once", (40.0,), 5)
+    slots = [(seed, s, once if s != "DFT" else None) for seed in range(4)
+             for s in ("DFT", "TAG", "TAW")]
+    outcomes = run_cells(pre, slots, LabeledBatch(x, data.y), tcfg(batch=2, updates=10))
+    failed = [slot for slot, o in zip(slots, outcomes) if isinstance(o, TrainingDivergedError)]
+    assert [(seed, s) for seed, s, _ in failed] == [(3, "DFT"), (3, "TAG"), (3, "TAW")]
+    assert live_when_scoring == [0] * 9
 
 
 @pytest.mark.parametrize("bad", ["narrow", "unlabeled"])
-def test_run_cells_refuses_a_bad_eval_set_before_any_training(monkeypatch, bad):
+def test_run_cells_refuses_a_bad_eval_set_before_any_training(train_calls, bad):
     from pada.schedule import run_cells
-    from pada.trainer import ModelStack, UnlabeledBatch
+    from pada.trainer import UnlabeledBatch
 
-    calls = []
-    real = ModelStack.train
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(ModelStack, "train", counting)
     narrow = toy_labeled(n=20, seed=1)
     narrow = LabeledBatch(narrow.x[:, :4], narrow.y)  # the model reads 5 features
     eval_data = narrow if bad == "narrow" else UnlabeledBatch(toy_labeled(n=20, seed=1).x)
     once = PruneSchedule("once", (40.0,), 5)
     slots = [(seed, s, once) for seed in (0, 1) for s in ("TAG", "TAW")] + [(0, "DFT", None)]
     pre = init_model(ARCH, 0)
-    outcomes = run_cells(pre, slots, toy_labeled(), tcfg(updates=50), eval_data=eval_data)
-    assert calls == []
-    assert len(outcomes) == len(slots) and all(o is outcomes[0] for o in outcomes)
     want = "input has 4 features, model expects 5" if bad == "narrow" else "requires a LabeledBatch"
-    assert type(outcomes[0]) is ValueError and want in str(outcomes[0])
+    with pytest.raises(ValueError, match=want) as info:
+        run_cells(pre, slots, toy_labeled(), tcfg(updates=50), eval_data=eval_data)
+    assert type(info.value) is ValueError
+    assert train_calls == []
+
+
+def test_run_cells_validates_each_schedule_once_before_any_training(monkeypatch, train_calls):
+    import pada.schedule
+    from pada.schedule import run_cells
+
+    checked, real = [], pada.schedule.validate
+
+    def counting(sched, updates):
+        checked.append(sched)
+        real(sched, updates)
+
+    monkeypatch.setattr(pada.schedule, "validate", counting)
+    pre = init_model(ARCH, 0)
+    once, twice = PruneSchedule("once", (40.0,), 5), PruneSchedule("iterative", (30.0, 30.0), 5)
+    slots = [(seed, s, sched) for seed in (0, 1) for s in ("TAG", "TAW") for sched in (once, twice)]
+    run_cells(pre, slots + [(0, "DFT", None)], toy_labeled(), tcfg(updates=10))
+    assert checked == [once, twice] and train_calls
+    train_calls.clear()
+    bad = PruneSchedule("once", (40.0, 20.0), 5)  # the last slot, after slots that would train
+    with pytest.raises(ScheduleError, match="'once' takes exactly one pruning rate"):
+        run_cells(pre, [(0, "DFT", None), (0, "TAG", once), (1, "TAG", bad)], toy_labeled(),
+                  tcfg(updates=10))
+    assert train_calls == []

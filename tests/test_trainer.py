@@ -13,7 +13,6 @@ from pada.trainer import (
     dataset_loss,
     evaluate,
     finetune_supervised,
-    forward,
     init_model,
     loss_and_grads,
     pretrain_denoising,
@@ -46,6 +45,11 @@ def recon_output(ps, x):
     return a @ w["recon.weight"].T + w["recon.bias"]
 
 
+def outputs(ps, x):
+    """The classification head's outputs on ``x``: the forward pass of an S = 1 stack."""
+    return ModelStack.of([ps], "cross_entropy").outputs(x)[0]
+
+
 def zero_all(ps):
     out = ps.copy()
     for t in out.tensors:
@@ -56,7 +60,7 @@ def zero_all(ps):
 def test_forward_zero_weights_tanh_zero_output():
     ps = zero_all(init_model(ARCH, 0))
     x = np.random.default_rng(1).normal(size=(5, 6))
-    assert np.all(forward(ps, x) == 0.0)
+    assert np.all(outputs(ps, x) == 0.0)
     # the reconstruction head's squared error against an all-zero target
     assert ModelStack.of([ps], "mse_reconstruction").grads(x, np.zeros_like(x))[0] == 0.0
 
@@ -73,7 +77,7 @@ def test_forward_hand_computed_matrix_vector():
     )
     ps["cls.bias"].data = np.array([0.5, 0.0, -1.0], dtype=np.float32)
     x = np.array([[1.0, 2.0, 0.5]])
-    out = forward(ps, x)
+    out = outputs(ps, x)
     # rows of W dot x: [1+4+1.5, 0-2+0.5, 2+1-1] then + bias
     np.testing.assert_allclose(out, [[6.5 + 0.5, -1.5 + 0.0, 2.0 - 1.0]], atol=1e-6)
 
@@ -82,17 +86,21 @@ def test_forward_batch_row_independence():
     ps = init_model(ARCH, 2)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(9, 6))
-    full = forward(ps, x)
-    single = forward(ps, x[4:5])
+    full = outputs(ps, x)
+    single = outputs(ps, x[4:5])
     # rows are independent; BLAS kernels for different batch shapes may differ
     # in the last ulp, so compare at machine precision rather than bit-exactly
     np.testing.assert_allclose(full[4:5], single, rtol=0, atol=1e-12)
 
 
 def test_forward_dim_mismatch():
+    # every forward-only entry point refuses rows of the wrong width
     ps = init_model(ARCH, 0)
-    with pytest.raises(ValueError, match="features"):
-        forward(ps, np.zeros((2, 7)))
+    rows = LabeledBatch(np.zeros((2, 7)), [0, 0])
+    for stage in (lambda: evaluate(ps, rows), lambda: dataset_loss(ps, rows),
+                  lambda: dataset_loss(ps, UnlabeledBatch(rows.x))):
+        with pytest.raises(ValueError, match="input has 7 features, model expects 6"):
+            stage()
 
 
 def test_cross_entropy_perfect_prediction_near_zero():
@@ -314,11 +322,25 @@ def test_finetune_zero_updates_preserves_body():
 
 
 def test_finetune_requires_head():
-    headless = ParameterSet([Tensor("layers.0.weight", np.ones((4, 6), dtype=np.float32))])
+    trunk = init_model(ARCH, 0).tensors[:4]  # layers.{0,1}.{weight,bias}
     data = toy_labeled(8, seed=33)
     cfg = TrainConfig(lr=0.05, batch=4, updates=1, seed=0)
-    with pytest.raises(ValueError, match="classification head"):
-        finetune_supervised(headless, data, cfg)
+    with pytest.raises(ValueError, match="has no cls.weight, which its classification head reads"):
+        finetune_supervised(ParameterSet(trunk), data, cfg)
+
+
+@pytest.mark.parametrize("name", ["layers.0.weight", "layers.1.bias", "cls.bias"])
+def test_every_tensor_the_forward_pass_reads_is_checked(name):
+    # a step binds every weight and bias up to the loss's head, so each is checked first
+    ps = init_model(ARCH, 0)
+    renamed = ParameterSet([Tensor(t.name.replace(name, name[:-1] + "z"), t.data)
+                            for t in ps.tensors])
+    data = toy_labeled(8, seed=33)
+    cfg = TrainConfig(lr=0.05, batch=4, updates=1, seed=0)
+    for stage in (lambda: finetune_supervised(renamed, data, cfg),
+                  lambda: evaluate(renamed, data), lambda: dataset_loss(renamed, data)):
+        with pytest.raises(ValueError, match=f"has no {name}, which its classification head"):
+            stage()
 
 
 def test_evaluate_perfect_classifier():
@@ -692,7 +714,7 @@ def test_forward_only_calls_equal_the_unbound_reference(activation):
     data = toy_labeled(2000, seed=81, arch=arch)
     w = {t.name: t.data.astype(np.float64)[None] for t in ps.tensors}
     out, _ = ref_forward(w, data.x, activation, "cls", 2)
-    assert forward(ps, data.x).tobytes() == out[0].tobytes()
+    assert outputs(ps, data.x).tobytes() == out[0].tobytes()
     assert evaluate(ps, data) == float(np.mean(out[0].argmax(axis=1) != data.y))
     ce = ref_loss_from_outputs(out, data.y, "cross_entropy")
     assert dataset_loss(ps, data) == float(ce[0])
@@ -719,8 +741,7 @@ def test_labels_outside_the_classes_are_refused(label):
         lambda: loss_and_grads(ps, data),
         lambda: dataset_loss(ps, data),
         lambda: evaluate(ps, data),
+        lambda: run_cells(ps, [(0, "DFT", None)], data, cfg),
     ):
         with pytest.raises(ValueError, match=message):
             stage()
-    (outcome,) = run_cells(ps, [(0, "DFT", None)], data, cfg)
-    assert isinstance(outcome, ValueError) and "class labels" in str(outcome)
