@@ -11,12 +11,9 @@ from .params import (
     FORMAT_VERSION,
     MASK_MAGIC,
     FormatError,
-    NotACheckpointError,
     ParameterSet,
     StructureMismatchError,
     Tensor,
-    TruncatedFileError,
-    UnsupportedVersionError,
     load_checkpoint,
     save_checkpoint,
     structural_mismatch,

@@ -7,9 +7,9 @@ refuses any file a ``pada run`` writes (``--force`` removes them once
 :func:`~pada.schedule.run_cells` has finished every run), then writes its
 table last: a run that fails to train writes nothing, and a directory
 holding ``table.json`` holds one finished run.  Inputs come before training:
-a refused config or checkpoint is named before the first update, and of the
-runs that diverge, the first in table order, seed by seed, is named, as if
-the cells had run one after another.
+``make-donor`` and ``run`` refuse a checkpoint unlike the config's ``arch``
+as they load it, and of the runs that diverge, the first in table order,
+seed by seed, is named, as if the cells had run one after another.
 """
 
 from __future__ import annotations
@@ -25,19 +25,17 @@ from .data import gen_domain_shift
 from .metrics import layerwise_report, report_to_csv, report_to_json
 from .params import (
     FormatError,
+    ParameterSet,
     StructureMismatchError,
     atomic_write_text,
     load_checkpoint,
     save_checkpoint,
+    structural_mismatch,
 )
 from .pruning import load_mask, save_mask
 from .schedule import FREQUENCIES, read_log_jsonl, run_cells, write_log_jsonl
 from .strategies import STRATEGY_KINDS
-from .trainer import TrainingDivergedError, finetune_supervised, pretrain_denoising
-
-
-class RunFailure(Exception):
-    """A grid cell failed; the message carries the run identity."""
+from .trainer import TrainingDivergedError, finetune_supervised, init_model, pretrain_denoising
 
 
 def _check_outputs(paths, force: bool) -> None:
@@ -64,11 +62,23 @@ def cmd_pretrain(cfg: ExperimentConfig, force: bool = False) -> str:
         cfg.arch, task.source_unlabeled, cfg.pretrain))
 
 
+def _load_model(cfg: ExperimentConfig, name: str) -> ParameterSet:
+    """Checkpoint ``name`` under the output directory, refused unless a model of ``cfg.arch``."""
+    path = os.path.join(cfg.out, name)
+    model = load_checkpoint(path)
+    problem = structural_mismatch(init_model(cfg.arch, 0), model)
+    activation = model.meta.get("activation", "tanh")  # as ModelStack.of reads it
+    if problem is None and activation != cfg.arch.activation:
+        problem = f"activation {cfg.arch.activation!r} vs {activation!r}"
+    if problem is not None:
+        raise StructureMismatchError(f"{path}: not a model of the config's arch: {problem}")
+    return model
+
+
 def cmd_make_donor(cfg: ExperimentConfig, force: bool = False) -> str:
     """Fine-tune the pretrained checkpoint on source labels; writes the donor."""
-    src = os.path.join(cfg.out, cfg.pretrained_file)
     return _write_stage(cfg, force, cfg.donor_file, lambda task: finetune_supervised(
-        load_checkpoint(src), task.source_labeled, cfg.donor, role="finetuned_donor"))
+        _load_model(cfg, cfg.pretrained_file), task.source_labeled, cfg.donor, "finetuned_donor"))
 
 
 def _cell_name(strategy: str, freq: str, seed: int) -> str:
@@ -128,23 +138,16 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
             stems.append(os.path.join(run_dir, _cell_name(strategy, freq, seed)))
             slots.append((seed, strategy, cfg.schedules.get(freq)))
 
-    pretrained_path = os.path.join(cfg.out, cfg.pretrained_file)
-    donor_path = os.path.join(cfg.out, cfg.donor_file)
-    pretrained = load_checkpoint(pretrained_path)
-    donor = load_checkpoint(donor_path) if "CD-TAW" in cfg.strategies else None
+    pretrained = _load_model(cfg, cfg.pretrained_file)
+    donor = _load_model(cfg, cfg.donor_file) if "CD-TAW" in cfg.strategies else None
     task = gen_domain_shift(cfg.task_seed, cfg.task)
-    try:
-        outcomes = run_cells(
-            pretrained, slots, task.target_labeled, cfg.target, donor, eval_data=task.target_eval
-        )
-    except StructureMismatchError as exc:  # the donor's layout, checked against the pretrained
-        raise StructureMismatchError(f"{pretrained_path} vs {donor_path}: {exc}") from exc
-    except ValueError as exc:  # the config checked the rest, so the pretrained model does not fit
-        raise StructureMismatchError(f"{pretrained_path}: {exc}") from exc
-
+    # the config and both models fit one arch, so only training can fail here
+    outcomes = run_cells(
+        pretrained, slots, task.target_labeled, cfg.target, donor, eval_data=task.target_eval
+    )
     for stem, outcome in zip(stems, outcomes):
-        if isinstance(outcome, Exception):
-            raise RunFailure(f"run {os.path.basename(stem)}: {outcome}") from outcome
+        if isinstance(outcome, TrainingDivergedError):
+            raise TrainingDivergedError(outcome.step, os.path.basename(stem)) from outcome
 
     by_cell = _errors_by_cell(log.final for _, log, _ in outcomes)
     rows = []
@@ -189,7 +192,7 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
     os.makedirs(out_dir, exist_ok=True)
     try:
         report = layerwise_report(load_mask(path_a), load_mask(path_b))
-    except StructureMismatchError as exc:  # name both files, which the masks do not know
+    except ValueError as exc:  # misaligned or empty; name both files, which the masks do not know
         raise StructureMismatchError(f"{path_a} vs {path_b}: {exc}") from exc
     report_to_csv(report, csv_path)
     report_to_json(report, json_path)
@@ -273,20 +276,18 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     return events_csv, summary_json
 
 
+# the one type that raises each category; anything else is a fault of pada itself
+_CATEGORIES = {
+    FormatError: "format",
+    StructureMismatchError: "structure",
+    TrainingDivergedError: "training",
+    OSError: "io",
+    ConfigError: "config",
+}
+
+
 def _category(exc: Exception) -> str:
-    if isinstance(exc, RunFailure):
-        return _category(exc.__cause__)
-    if isinstance(exc, FormatError):
-        return "format"
-    if isinstance(exc, StructureMismatchError):
-        return "structure"
-    if isinstance(exc, TrainingDivergedError):
-        return "training"
-    if isinstance(exc, OSError):
-        return "io"
-    if isinstance(exc, ValueError):
-        return "config"
-    return "internal"
+    return next((name for kind, name in _CATEGORIES.items() if isinstance(exc, kind)), "internal")
 
 
 def _build_parser() -> argparse.ArgumentParser:

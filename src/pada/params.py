@@ -25,19 +25,7 @@ ROLES = ("pretrained", "finetuned_target", "finetuned_donor", "adapted")
 
 
 class FormatError(Exception):
-    """Base class for container format errors."""
-
-
-class NotACheckpointError(FormatError):
-    """The file does not start with the expected magic bytes."""
-
-
-class UnsupportedVersionError(FormatError):
-    """The file declares a format version this library cannot read."""
-
-
-class TruncatedFileError(FormatError):
-    """The file ends before a declared record is complete."""
+    """A file that does not hold what its format says; the message names the file."""
 
 
 class StructureMismatchError(ValueError):
@@ -207,7 +195,7 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         if self.off + n > len(self.buf):
-            raise TruncatedFileError(
+            raise FormatError(
                 f"{self.path}: truncated {what} (need {n} bytes at offset {self.off})"
             )
         chunk = self.buf[self.off : self.off + n]
@@ -293,12 +281,12 @@ def read_container(path: str, magic: bytes, label: str, payload_nbytes):
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     if len(buf) < 4 or buf[:4] != magic:
-        raise NotACheckpointError(f"{path}: not a {label} (bad magic)")
+        raise FormatError(f"{path}: not a {label} (bad magic)")
     r = _Reader(buf, path)
     r.off = 4
     version = r.u8("version byte")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
+        raise FormatError(f"{path}: unsupported format version {version}")
     count = r.u32("tensor count")
     records = []
     for _ in range(count):

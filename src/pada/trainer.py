@@ -47,11 +47,15 @@ _HEAD_NAME = {"recon": "reconstruction", "cls": "classification"}
 
 
 class TrainingDivergedError(ArithmeticError):
-    """Training hit a non-finite loss; carries the offending update index."""
+    """Training hit a non-finite loss; carries the offending update index and the run, if named."""
 
-    def __init__(self, step: int):
-        super().__init__(f"training diverged (non-finite loss) at update {step}")
-        self.step = step
+    def __init__(self, step: int, run: str | None = None):
+        named = "" if run is None else f"run {run}: "
+        super().__init__(f"{named}training diverged (non-finite loss) at update {step}")
+        self.step, self.run = step, run
+
+    def __reduce__(self):  # pickle rebuilds from the arguments, not from the message
+        return type(self), (self.step, self.run)
 
 
 @dataclass(frozen=True)

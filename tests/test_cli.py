@@ -233,6 +233,17 @@ def test_compare_masks_mismatch_exit_code(tmp_path, capsys):
     assert err == f"structure: {pa} vs {pb}: masks do not align: tensor 0 ('w'): shape (4,) vs (5,)"
 
 
+def test_compare_masks_refuses_empty_masks_naming_both_files(tmp_path, capsys):
+    pa, pb = str(tmp_path / "a.padm"), str(tmp_path / "b.padm")
+    save_mask(Mask([]), pa)
+    save_mask(Mask([]), pb)
+    assert main(["compare-masks", pa, pb, "--out", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"structure: {pa} vs {pb}: cannot compare empty masks"
+    )
+    assert not (tmp_path / "rep" / "mask_report.csv").exists()
+
+
 def test_main_success_and_failure_paths(tmp_path, capsys):
     doc = small_config(str(tmp_path / "exp"), seeds=(0,))
     doc["strategies"] = ["TAG"]
@@ -390,8 +401,7 @@ def test_a_bad_input_is_refused_before_any_training(tmp_path, capsys, train_call
     pre, donor = out / "pretrained.pada", out / "donor.pada"
     if bad == "donor":
         save_checkpoint(narrow_donor(), str(donor))
-        want = (f"structure: {pre} vs {donor}: donor incompatible with pretrained model: "
-                "tensor count differs: 8 vs 6")
+        want = f"structure: {donor}: not a model of the config's arch: tensor count differs: 8 vs 6"
     elif bad == "runs-file":
         (out / "runs").write_text("not a directory\n")
         want = f"io: cannot write {out / 'runs'}: not a directory"
@@ -399,7 +409,8 @@ def test_a_bad_input_is_refused_before_any_training(tmp_path, capsys, train_call
         data = pre.read_bytes()
         assert data.count(b"cls.bias") == 1
         pre.write_bytes(data.replace(b"cls.bias", b"cls.biaz"))
-        want = f"structure: {pre}: parameter set has no cls.bias, which its classification head reads"
+        want = (f"structure: {pre}: not a model of the config's arch: "
+                "tensor 7: name 'cls.bias' vs 'cls.biaz'")
     before = run_files(out)
     capsys.readouterr()
     train_calls.clear()
@@ -414,17 +425,88 @@ def test_an_input_failure_is_reported_before_any_divergence(tmp_path, capsys, tr
     # TAW once; an incompatible donor is still the failure reported, and
     # nothing trains
     doc, cfg, _ = diverging_grid(tmp_path)
-    pre, donor = (os.path.join(cfg.out, name) for name in (cfg.pretrained_file, cfg.donor_file))
+    donor = os.path.join(cfg.out, cfg.donor_file)
     save_checkpoint(narrow_donor(), donor)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
     train_calls.clear()
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.strip() == (
-        f"structure: {pre} vs {donor}: donor incompatible with pretrained model: "
-        "tensor count differs: 8 vs 6"
+        f"structure: {donor}: not a model of the config's arch: tensor count differs: 8 vs 6"
     )
     assert train_calls == []
+
+
+def refuse_checkpoint(tmp_path, capsys, train_calls, doc, edit, command):
+    """Build ``doc``'s checkpoints, ``edit`` them, and return the line ``command`` fails with.
+
+    The refusal must come before any update and leave every file as it was.
+    """
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for stage in ("pretrain", "make-donor"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    edit(Path(doc["out"]), cfg_path)
+    before = run_files(doc["out"])
+    capsys.readouterr()
+    train_calls.clear()
+    assert main([command, "--config", str(cfg_path), "--force"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert train_calls == []
+    assert run_files(doc["out"]) == before
+    return err
+
+
+def transpose_layer_1(out, _):
+    """Save ``layers.1.weight`` transposed: a valid container of the same size."""
+    path = out / "pretrained.pada"
+    ps, size = load_checkpoint(str(path)), path.stat().st_size
+    ps["layers.1.weight"].data = np.ascontiguousarray(ps["layers.1.weight"].data.T)
+    save_checkpoint(ps, str(path))
+    assert path.stat().st_size == size
+
+
+@pytest.mark.parametrize("command, strategies", [
+    ("run", []), ("run", ["TAG"]), ("run", ["CD-TAW"]), ("make-donor", ["TAG"]),
+], ids=["dft-grid", "tag-grid", "cd-taw-grid", "make-donor"])
+def test_a_transposed_weight_is_refused_where_it_is_loaded(
+    tmp_path, capsys, train_calls, command, strategies
+):
+    # whatever the grid trains first, and though the donor is intact, the
+    # pretrained model is named before any update
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["arch"]["hidden"] = [10, 12]
+    doc["strategies"] = strategies
+    err = refuse_checkpoint(tmp_path, capsys, train_calls, doc, transpose_layer_1, command)
+    assert err == (
+        f"structure: {tmp_path / 'exp' / 'pretrained.pada'}: not a model of the config's arch: "
+        "tensor 2 ('layers.1.weight'): shape (12, 10) vs (10, 12)"
+    )
+
+
+def edit_config(key, value):
+    """An edit that sets the config's ``arch[key]`` once the checkpoints exist."""
+    def edit(_, cfg_path):
+        doc = json.loads(cfg_path.read_text())
+        doc["arch"][key] = value
+        cfg_path.write_text(json.dumps(doc))
+    return edit
+
+
+@pytest.mark.parametrize("command", ["make-donor", "run"])
+@pytest.mark.parametrize("key, made, used, problem", [
+    ("hidden", [64, 64], [32, 32], "tensor 0 ('layers.0.weight'): shape (32, 8) vs (64, 8)"),
+    ("activation", "relu", "tanh", "activation 'tanh' vs 'relu'"),
+], ids=["hidden", "activation"])
+def test_a_checkpoint_of_another_arch_is_refused(
+    tmp_path, capsys, train_calls, command, key, made, used, problem
+):
+    # checkpoints made under one arch, then read under another config
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["arch"][key] = made
+    err = refuse_checkpoint(tmp_path, capsys, train_calls, doc, edit_config(key, used), command)
+    pre = tmp_path / "exp" / "pretrained.pada"
+    assert err == f"structure: {pre}: not a model of the config's arch: {problem}"
 
 
 def test_run_cells_returns_finished_runs_and_divergences_only(tmp_path, train_calls):
@@ -988,6 +1070,31 @@ def test_corrupted_checkpoints_end_run_in_one_line_naming_the_file(tmp_path, cap
         path.write_bytes(original)
 
 
+def test_corrupted_checkpoints_end_make_donor_in_one_line_naming_the_file(
+    tmp_path, capsys, train_calls
+):
+    # each mutation of the pretrained model either still fits and trains the
+    # donor, or is refused before any update in one line naming that file
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["arch"]["hidden"] = [4, 4]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    path = Path(doc["out"], "pretrained.pada")
+    original, rng = path.read_bytes(), random.Random(20)
+    for _ in range(300):
+        path.write_bytes(mutated(original, rng))
+        train_calls.clear()
+        code = main(["make-donor", "--config", str(cfg_path), "--force"])
+        err = capsys.readouterr().err.strip()
+        if code == 0:
+            assert err == ""
+        else:
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith(("format: ", "structure: ")) and path.name in err, err
+            assert train_calls == [], err
+
+
 def test_corrupted_configs_end_run_in_one_line_naming_the_file(tmp_path, capsys, train_calls):
     # over a finished run, each mutation of its config is refused in one line
     # naming the config, or is accepted and stops at the collision check; a
@@ -1322,15 +1429,19 @@ def test_waves_score_only_after_releasing_their_stack(tmp_path, monkeypatch):
     assert live_when_scoring == [0] * 2 * 10
 
 
-def test_a_run_failure_takes_the_category_of_its_cause():
-    from pada.cli import RunFailure, _category
-    from pada.params import FormatError
+def test_each_failure_category_has_one_type():
+    # anything else, such as a library ValueError or KeyError, is a fault of
+    # pada itself and never passes as a bad input
+    from pada.cli import _category
+    from pada.params import FormatError, StructureMismatchError
+    from pada.schedule import ScheduleError
+    from pada.trainer import TrainingDivergedError
 
-    try:
-        try:
-            raise FormatError("bad container")
-        except FormatError as exc:
-            raise RunFailure("run dft_seed0: bad container") from exc
-    except RunFailure as failure:
-        assert _category(failure) == "format"
-    assert _category(RunFailure("run dft_seed0: no cause")) == "internal"
+    assert _category(FormatError("p.pada: not a PADA checkpoint (bad magic)")) == "format"
+    assert _category(StructureMismatchError("p.pada: tensor count differs: 8 vs 6")) == "structure"
+    assert _category(TrainingDivergedError(6, "taw_once_seed1")) == "training"
+    assert _category(NotADirectoryError("cannot write runs: not a directory")) == "io"
+    assert _category(ConfigError("seed list must be nonempty")) == "config"
+    for fault in (ValueError("data is empty"), KeyError("cls.bias"),
+                  ScheduleError("interval must be positive")):  # load_config wraps a ScheduleError
+        assert _category(fault) == "internal"

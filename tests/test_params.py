@@ -3,11 +3,8 @@ import pytest
 
 from pada.params import (
     FormatError,
-    NotACheckpointError,
     ParameterSet,
     Tensor,
-    TruncatedFileError,
-    UnsupportedVersionError,
     atomic_write_text,
     flat_prunable_values,
     load_checkpoint,
@@ -79,7 +76,7 @@ def test_roundtrip_preserves_order_names_flags_meta(tmp_path):
 def test_wrong_magic(tmp_path):
     path = tmp_path / "bad.pada"
     path.write_bytes(b"NOPE" + bytes(32))
-    with pytest.raises(NotACheckpointError, match="not a PADA checkpoint"):
+    with pytest.raises(FormatError, match="bad.pada: not a PADA checkpoint \\(bad magic\\)"):
         load_checkpoint(str(path))
 
 
@@ -89,7 +86,7 @@ def test_truncated_payload(tmp_path):
     save_checkpoint(ps, str(path))
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])  # cuts inside the 400-byte float payload
-    with pytest.raises(TruncatedFileError, match="truncated tensor data"):
+    with pytest.raises(FormatError, match="t.pada: truncated tensor data"):
         load_checkpoint(str(path))
 
 
@@ -100,7 +97,7 @@ def test_unsupported_version(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 99
     path.write_bytes(bytes(raw))
-    with pytest.raises(UnsupportedVersionError):
+    with pytest.raises(FormatError, match="v.pada: unsupported format version 99"):
         load_checkpoint(str(path))
 
 

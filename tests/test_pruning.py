@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pada.params import (
-    NotACheckpointError,
+    FormatError,
     ParameterSet,
     StructureMismatchError,
     Tensor,
@@ -230,7 +230,7 @@ def test_mask_magic_differs_from_checkpoint(tmp_path):
     mask = compute_ump_mask(ps, 50.0)
     path = str(tmp_path / "m.padm")
     save_mask(mask, path)
-    with pytest.raises(NotACheckpointError, match="not a PADA checkpoint"):
+    with pytest.raises(FormatError, match="m.padm: not a PADA checkpoint"):
         load_checkpoint(path)
 
 

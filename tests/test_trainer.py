@@ -382,6 +382,19 @@ def test_divergence_error_carries_step():
     assert "update" in str(info.value)
 
 
+@pytest.mark.parametrize("run", [None, "taw_once_seed1"])
+def test_divergence_error_survives_pickling(run):
+    # worker processes that train seed blocks would hand a divergence back pickled
+    import pickle
+
+    exc = TrainingDivergedError(6, run)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is TrainingDivergedError
+    assert (back.step, back.run, str(back)) == (6, run, str(exc))
+    named = "" if run is None else f"run {run}: "
+    assert str(back) == f"{named}training diverged (non-finite loss) at update 6"
+
+
 def test_nonfinite_loss_is_returned_as_it_is():
     # as ModelStack.grads returns it; training turns it into a divergence
     ps = init_model(ModelArch(2, (3,), 2, activation="relu"), 44)
