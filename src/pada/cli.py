@@ -15,6 +15,7 @@ seed by seed, is named, as if the cells had run one after another.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -50,9 +51,10 @@ def _write_stage(cfg: ExperimentConfig, force: bool, name: str, train) -> str:
     """Write ``train(task)``'s checkpoint to ``name`` under the output directory."""
     out_path = os.path.join(cfg.out, name)
     _check_outputs([out_path], force)
-    os.makedirs(cfg.out, exist_ok=True)
     # the task draws nothing until a split is read, so ``train`` may load its inputs first
-    save_checkpoint(train(gen_domain_shift(cfg.task_seed, cfg.task)), out_path)
+    model = train(gen_domain_shift(cfg.task_seed, cfg.task))
+    os.makedirs(cfg.out, exist_ok=True)  # only now, so a refused input leaves no directory
+    save_checkpoint(model, out_path)
     return out_path
 
 
@@ -189,11 +191,11 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
     csv_path = os.path.join(out_dir, "mask_report.csv")
     json_path = os.path.join(out_dir, "mask_report.json")
     _check_outputs([csv_path, json_path], force)
-    os.makedirs(out_dir, exist_ok=True)
     try:
         report = layerwise_report(load_mask(path_a), load_mask(path_b))
     except ValueError as exc:  # misaligned or empty; name both files, which the masks do not know
         raise StructureMismatchError(f"{path_a} vs {path_b}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)  # only now, so a refused mask leaves no directory
     report_to_csv(report, csv_path)
     report_to_json(report, json_path)
     return csv_path, json_path
@@ -290,7 +292,8 @@ def _category(exc: Exception) -> str:
     return next((name for kind, name in _CATEGORIES.items() if isinstance(exc, kind)), "internal")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one parser per process: building one costs more than a small subcommand
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pada", description="prune-assisted domain adaptation experiment harness"
     )
@@ -332,7 +335,7 @@ def _seeds_option(text: str) -> list[int]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command in ("pretrain", "make-donor", "run"):
             cfg = load_config(args.config)

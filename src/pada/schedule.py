@@ -20,15 +20,24 @@ points depend on the schedule alone, so a wave of cells over all seeds
 trains as one :class:`~pada.trainer.ModelStack`, with one minibatch per
 seed, that stops at each of its cells' prune points.  A cell keeps its stack
 slot for the whole wave, unread once it diverges.  TAW ranks its seed's DFT
-model, so the TAW cells form a second wave; :func:`run_cells` alone knows
-this, hands wave 2 the DFT models and scores the runs it returns once each
-wave has released its stack.  A wave only trains the cells it is given.
-:func:`run_pada` and :func:`run_dft` are one-cell calls of the same executor.
+model, so the TAW cells form a second wave, which gets the DFT models; the
+runs of each wave are scored once it has released its stack.  A wave only
+trains the cells it is given.  Nothing else reads another cell, so a seed's
+DFT and TAW cells, and its TAG and CD-TAW cells, are units that
+:func:`run_cells` may train apart: it checks every input and ranks the
+seed-independent masks first, then trains contiguous blocks of units at
+once, one per usable CPU and 2 at most, the first in its own process and
+the other in a forked worker.  :func:`run_pada` and :func:`run_dft` are
+one-cell calls of the same executor.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field
 from typing import get_type_hints
 
@@ -194,7 +203,7 @@ def run_cells(
     donor: ParameterSet | None = None,
     eval_data: LabeledBatch | None = None,
 ) -> list:
-    """Fine-tune every slot on the target data, in as few stacks as TAW allows.
+    """Fine-tune every slot on the target data, in as few stacks as TAW allows, on up to 2 CPUs.
 
     ``slots`` are ``(seed, strategy, schedule)`` triples; a slot without a
     schedule is direct fine-tuning (DFT).  Every slot trains N =
@@ -203,22 +212,30 @@ def run_cells(
     is not read.  A wave of slots advances as one
     :class:`~pada.trainer.ModelStack` with one minibatch per seed.  Wave 1
     holds the DFT, TAG and CD-TAW slots.  Wave 2 holds the TAW slots, whose
-    initial masks rank their seed's DFT model: this function hands wave 2
-    the DFT models, adding to wave 1, unscored and unreturned, one for a
-    seed without a DFT slot.  TAG and CD-TAW rank models no seed changes,
-    so their slots with the same strategy and r1 share one initial mask,
-    ranked once for all seeds; TAW slots share theirs within a seed.  The
-    stack stops at every prune point of its slots, where each slot that
+    initial masks rank their seed's DFT model: wave 2 gets the DFT models,
+    and wave 1 adds, unscored and unreturned, one for a seed without a DFT
+    slot.  TAG and CD-TAW rank models no seed changes, so their slots with
+    the same strategy and r1 share one initial mask, ranked here once for
+    all seeds before anything trains; TAW slots share theirs within a seed.
+    The stack stops at every prune point of its slots, where each slot that
     prunes there is re-ranked and zeroed.
+
+    Only TAW reads another run, so a seed's slots form two units that share
+    nothing but read-only inputs: its chain (its DFT slot, or the DFT model
+    its TAW slots rank, and its TAW slots) and its TAG and CD-TAW slots.
+    :func:`_blocks` cuts the units into one block per usable CPU, 2 at
+    most.  Each block runs both waves and scores its runs, the first here and
+    the other in a forked worker, both at once.  A run's bits do not depend on
+    its block.
 
     Every input failure raises before the first update: data ``pretrained``
     cannot train on, a schedule :func:`validate` refuses for N, or inputs
     :func:`~pada.strategies.initial_model` refuses, such as a donor of
     another layout.  Returns one finished run per slot, in order: ``(model,
     log, initial mask)``, where the log holds the prune events (a DFT slot
-    has neither events nor mask) and the final record, which this function
-    builds once the wave's stack is released, scoring ``eval_data`` when
-    given; or the divergence that ended the slot, which never stops the others.
+    has neither events nor mask) and the final record, which a block builds
+    once the wave's stack is released, scoring ``eval_data`` when given; or
+    the divergence that ended the slot, which never stops the others.
     """
     if not isinstance(target_data, LabeledBatch):
         raise ValueError("fine-tuning on the target requires a LabeledBatch")
@@ -229,6 +246,122 @@ def run_cells(
         check_data(pretrained, eval_data)
     for sched in dict.fromkeys(sched for _, _, sched in slots if sched is not None):
         validate(sched, cfg.updates)
+    starts = {}  # (strategy, r1) -> (zeroed model, mask, update-0 event), for every seed
+    for _, strategy, sched in slots:
+        if sched is not None and strategy != "TAW" and (strategy, sched.rates[0]) not in starts:
+            r1 = sched.rates[0]
+            starts[strategy, r1] = _start(pretrained, strategy, r1, target_data, donor=donor)
+
+    def run_block(block):
+        return _run_block(pretrained, [slots[i] for i in block], target_data, cfg, starts, eval_data)
+
+    blocks = _blocks(slots, _workers())
+    outcomes: list = [None] * len(slots)
+    for block, runs in zip(blocks, _in_workers(run_block, blocks)):
+        for i, run in zip(block, runs):
+            outcomes[i] = run
+    return outcomes
+
+
+def _workers() -> int:
+    """How many blocks :func:`run_cells` may train at once: the CPUs this process may use, at most 2.
+
+    Only 2 blocks have been measured; more would also cut every stack shorter.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(2, cpus)
+
+
+def _blocks(slots: list, workers: int) -> list:
+    """Cut the slots' indices into at most ``workers`` blocks of whole units, balanced by slot count.
+
+    A seed has two units: its DFT and TAW slots, and its TAG and CD-TAW
+    slots.  The units keep the plan order of their first slots, a block
+    takes contiguous units, and its indices are sorted.
+    """
+    units: dict = {}
+    for i, (seed, strategy, sched) in enumerate(slots):
+        units.setdefault((seed, sched is None or strategy == "TAW"), []).append(i)
+    units = list(units.values())
+    ends = list(itertools.accumulate(len(unit) for unit in units))
+    workers = max(1, min(workers, len(units)))
+    cuts = [0]
+    for k in range(1, workers):  # the unit boundary nearest k/workers of the slots
+        share = k * ends[-1] / workers
+        cuts.append(min(range(cuts[-1] + 1, len(units) - workers + k + 1),
+                        key=lambda c: abs(ends[c - 1] - share)))
+    cuts.append(len(units))
+    return [sorted(i for unit in units[a:b] for i in unit) for a, b in zip(cuts, cuts[1:])]
+
+
+def _in_workers(work, blocks: list) -> list:
+    """``[work(block) for block in blocks]``: the first block here, each other in a forked worker.
+
+    A worker pickles its result, or the exception it raised, into a pipe and
+    ends with ``os._exit``.  Every worker is reaped before this returns or
+    raises, and killed first if this process failed.  Raises the first
+    worker's exception, or :class:`RuntimeError` for a worker that ended
+    without a reply: a fault of pada, not of its inputs.
+    """
+    workers, replies = [], []  # (pid, read end of its pipe); what each sent
+    try:
+        for block in blocks[1:]:
+            read, write = os.pipe()
+            # fork, not spawn: a spawned worker starts Python and imports numpy
+            # and pada again, which takes longer than a one-seed grid trains
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _serve(write, work, block)
+            os.close(write)
+            workers.append((pid, os.fdopen(read, "rb")))
+        results = [work(blocks[0])]
+        replies = [pipe.read() for _, pipe in workers]
+    finally:
+        ends = []
+        for pid, pipe in workers:
+            pipe.close()
+            if len(replies) < len(workers):
+                os.kill(pid, signal.SIGKILL)
+            ends.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for reply, end in zip(replies, ends):
+        if end != 0:
+            how = f"killed by signal {-end}" if end < 0 else f"exit code {end}"
+            raise RuntimeError(f"a training worker ended without its runs ({how})")
+        ok, result = pickle.loads(reply)
+        if not ok:
+            raise result
+        results.append(result)
+    return results
+
+
+def _serve(write: int, work, block) -> None:
+    """In a forked worker: send ``work(block)``, or what it raised, through ``write``, then exit."""
+    code = 1
+    try:
+        try:
+            reply = (True, work(block))
+        except BaseException as exc:  # the parent raises it
+            reply = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_block(pretrained, slots, target_data, cfg, starts, eval_data) -> list:
+    """Train a block of whole units in two waves; return each slot's scored run or its divergence.
+
+    ``starts`` holds the start of each TAG and CD-TAW slot.  Wave 2 gets the
+    DFT models its TAW slots rank, and each wave's runs are scored once its
+    stack is released.  Hidden DFT models are not scored.
+    """
     taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")
     dft_seeds = {seed for seed, _, sched in slots if sched is None}
     hidden = [(seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds]
@@ -237,7 +370,7 @@ def run_cells(
     for taw in (False, True):
         wave = [i for i, (_, strategy, _) in enumerate(slots) if (strategy == "TAW") == taw]
         work = [slots[i] for i in wave] + ([] if taw else hidden)
-        runs = _run_wave(pretrained, work, target_data, cfg, donor, ranked)
+        runs = _run_wave(pretrained, work, target_data, cfg, starts, ranked)
         for (seed, _, sched), run in zip(work, runs):
             if sched is None:  # a DFT model, which its seed's TAW slots rank
                 ranked[seed] = run if isinstance(run, Exception) else run[0]
@@ -260,15 +393,16 @@ class _Member:
     points: list  # pending (update, rate) prune points, in order
 
 
-def _run_wave(pretrained, slots, target_data, cfg, donor, ranked) -> list:
+def _run_wave(pretrained, slots, target_data, cfg, starts, ranked) -> list:
     """Train ``slots`` as one stack; return each one's ``(model, log, mask)`` or its divergence.
 
+    ``starts`` maps a TAG or CD-TAW slot's ``(strategy, r1)`` to its start.
     ``ranked`` maps a seed to the model its TAW masks rank, or to the
     divergence that ended it, which ends them too.  The logs hold only prune
-    events.  A strategy that refuses its inputs raises before anything trains.
+    events.
     """
     runs: list = [None] * len(slots)
-    starts = {}  # mask key -> (zeroed model, mask, update-0 event)
+    starts = dict(starts)  # and this wave's TAW starts, one per seed and r1
     members = []
     for i, (seed, strategy, sched) in enumerate(slots):
         if sched is None:
@@ -280,11 +414,7 @@ def _run_wave(pretrained, slots, target_data, cfg, donor, ranked) -> list:
         r1 = sched.rates[0]
         key = (strategy, r1, seed) if strategy == "TAW" else (strategy, r1)
         if key not in starts:
-            model, mask = initial_model(
-                pretrained, strategy, r1, finetuned=ranked.get(seed), donor=donor
-            )
-            event = _prune_event(0, r1, sparsity(pretrained), model, target_data)
-            starts[key] = (model, mask, event)
+            starts[key] = _start(pretrained, strategy, r1, target_data, finetuned=ranked[seed])
         model, mask, event = starts[key]
         # rates[k] prunes at update k*n while k*n <= N; rates[0] was the strategy's
         points = [
@@ -366,6 +496,12 @@ def run_dft(
     """
     slot = (cfg.seed, "DFT", None)
     return _result(run_cells(pretrained, [slot], target_data, cfg, eval_data=eval_data)[0])
+
+
+def _start(pretrained, strategy, r1, target_data, finetuned=None, donor=None) -> tuple:
+    """A slot's start: the model ``strategy`` zeroes at ``r1``, its mask and its update-0 event."""
+    model, mask = initial_model(pretrained, strategy, r1, finetuned=finetuned, donor=donor)
+    return model, mask, _prune_event(0, r1, sparsity(pretrained), model, target_data)
 
 
 def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEvent:

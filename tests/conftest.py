@@ -16,3 +16,17 @@ def train_calls(monkeypatch):
 
     monkeypatch.setattr(ModelStack, "train", counting)
     return calls
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` makes ``run_cells`` train in ``n`` blocks at most, as on ``n`` usable CPUs.
+
+    A test that instruments its own process sets 1, so that every block runs there.
+    """
+    import pada.schedule
+
+    def use(n):
+        monkeypatch.setattr(pada.schedule, "_workers", lambda: n)
+
+    return use

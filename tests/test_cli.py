@@ -11,7 +11,7 @@ import pytest
 
 from pada.cli import cmd_compare_masks, cmd_make_donor, cmd_pretrain, cmd_report, cmd_run, main
 from pada.config import ConfigError, default_config, load_config, parse_config
-from pada.params import load_checkpoint, save_checkpoint
+from pada.params import FormatError, load_checkpoint, save_checkpoint
 from pada.pruning import Mask, MaskEntry, save_mask
 from pada.schedule import read_log_jsonl
 
@@ -242,6 +242,26 @@ def test_compare_masks_refuses_empty_masks_naming_both_files(tmp_path, capsys):
         f"structure: {pa} vs {pb}: cannot compare empty masks"
     )
     assert not (tmp_path / "rep" / "mask_report.csv").exists()
+
+
+def test_a_refused_compare_masks_creates_no_directory(tmp_path, capsys):
+    pa, missing = tmp_path / "a.padm", tmp_path / "missing.padm"
+    save_mask(Mask([]), str(pa))
+    for a, b in ((pa, pa), (pa, missing)):  # empty masks, then a mask that is not there
+        assert main(["compare-masks", str(a), str(b), "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith(("structure: ", "io: "))
+        assert not (tmp_path / "rep").exists()
+
+
+def test_a_refused_make_donor_creates_no_directory(tmp_path, capsys):
+    # the pretrained checkpoint is read from the output directory, which --out
+    # points where there is none
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config(str(tmp_path / "exp"), seeds=(0,))))
+    assert main(["make-donor", "--config", str(cfg_path), "--out", str(tmp_path / "new")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("io: ") and "pretrained.pada" in err, err
+    assert not (tmp_path / "new").exists()
 
 
 def test_main_success_and_failure_paths(tmp_path, capsys):
@@ -1178,25 +1198,31 @@ def test_stacked_run_equals_one_cell_at_a_time(tmp_path, monkeypatch):
         assert stacked[name] == serial[name], name
 
 
-def test_seed_independent_masks_are_ranked_once_per_grid(tmp_path, monkeypatch):
+def test_seed_independent_masks_are_ranked_once_per_grid(tmp_path, monkeypatch, workers):
     # TAG ranks the pretrained model and CD-TAW the donor, whatever the seed;
-    # TAW ranks each seed's own fine-tune
+    # TAW ranks each seed's own fine-tune.  Every process that ranks a mask,
+    # a forked worker too, appends its source to one file
     import pada.strategies
 
     cfg = prep(tmp_path, seeds=(0, 1, 2))
-    sources = []
+    ranked = tmp_path / "ranked.txt"
     real = pada.strategies.compute_ump_mask
 
     def counting(ps, rate, source):
-        sources.append(source)
+        with open(ranked, "a", encoding="utf-8") as fh:
+            fh.write(source + "\n")
         return real(ps, rate, source=source)
 
     monkeypatch.setattr(pada.strategies, "compute_ump_mask", counting)
-    cmd_run(cfg)
     r1s = {sched.rates[0] for sched in cfg.schedules.values()}
     assert len(r1s) == 2
-    assert sources.count("TAG") == sources.count("CD-TAW") == len(r1s)
-    assert sources.count("TAW") == 3 * len(r1s)
+    for n in (1, 2):
+        ranked.write_text("")
+        workers(n)
+        cmd_run(cfg, force=True)
+        sources = ranked.read_text().splitlines()
+        assert sources.count("TAG") == sources.count("CD-TAW") == len(r1s), n
+        assert sources.count("TAW") == 3 * len(r1s), n
 
 
 def diverging_grid(tmp_path):
@@ -1363,10 +1389,10 @@ def test_run_cells_finishes_each_run_as_one_cell_at_a_time(tmp_path):
 
 
 @pytest.mark.bit_identity
-def test_hidden_dft_model_is_ranked_but_never_scored(tmp_path, monkeypatch):
+def test_hidden_dft_model_is_ranked_but_never_scored(tmp_path, monkeypatch, workers):
     # without DFT cells, run_cells trains each seed's DFT model for its TAW
     # slots, whose masks rank exactly that model, and scores only the slots
-    # it was given
+    # it was given; one block, so that every run is scored in this process
     import pada.schedule
     from pada.pruning import compute_ump_mask
     from pada.schedule import run_cells, run_dft
@@ -1386,6 +1412,7 @@ def test_hidden_dft_model_is_ranked_but_never_scored(tmp_path, monkeypatch):
         return real(slot, *args)
 
     monkeypatch.setattr(pada.schedule, "_final_record", recording)
+    workers(1)
     outcomes = run_cells(pre, slots, target, cfg.target, donor, scored)
     assert sorted(slots.index(slot) for slot in finished) == list(range(len(slots)))
     assert len(outcomes) == len(slots) == 2 * 9
@@ -1396,8 +1423,9 @@ def test_hidden_dft_model_is_ranked_but_never_scored(tmp_path, monkeypatch):
             assert mask == compute_ump_mask(dft[seed], sched.rates[0])
 
 
-def test_waves_score_only_after_releasing_their_stack(tmp_path, monkeypatch):
-    # scoring allocates its own buffers, so a wave's stack must be gone by then
+def test_waves_score_only_after_releasing_their_stack(tmp_path, monkeypatch, workers):
+    # scoring allocates its own buffers, so a wave's stack must be gone by
+    # then; one block, so that both waves run in this process
     import weakref
 
     import pada.schedule
@@ -1421,12 +1449,158 @@ def test_waves_score_only_after_releasing_their_stack(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pada.schedule, "ModelStack", Tracked)
     monkeypatch.setattr(pada.schedule, "_final_record", scoring)
+    workers(1)
     cfg = prep(tmp_path, seeds=(0, 1))
     pre, donor, target, scored = grid_inputs(cfg)
     outcomes = run_cells(pre, grid_slots(cfg), target, cfg.target, donor, scored)
     assert not any(isinstance(o, Exception) for o in outcomes)
     assert made == [2 * 7, 2 * 3]
     assert live_when_scoring == [0] * 2 * 10
+
+
+def counting_blocks(monkeypatch):
+    """The number of blocks each ``run_cells`` call trains, in order."""
+    import pada.schedule
+
+    counts, real = [], pada.schedule._in_workers
+
+    def counting(work, blocks):
+        counts.append(len(blocks))
+        return real(work, blocks)
+
+    monkeypatch.setattr(pada.schedule, "_in_workers", counting)
+    return counts
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("include_dft", [True, False], ids=["dft", "hidden-dft"])
+def test_one_and_two_workers_write_the_same_run_directory(
+    tmp_path, monkeypatch, workers, include_dft
+):
+    # three seeds: with DFT cells, the first block holds seed 0's runs and
+    # seed 1's DFT and TAW runs; without, the second block trains the hidden
+    # DFT models of seeds 1 and 2
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1, 2))
+    doc["include_dft"] = include_dft
+    cfg = parse_config(doc)
+    cmd_pretrain(cfg)
+    cmd_make_donor(cfg)
+    blocks = counting_blocks(monkeypatch)
+    written = {}
+    for n in (1, 2):
+        workers(n)
+        cmd_run(cfg, force=True)
+        written[n] = run_files(cfg.out)
+        assert_no_child_left()
+    assert blocks == [1, 2]
+    cells = 10 if include_dft else 9
+    assert len(written[1]) == 2 + 2 + 3 * (cells + cells + 9)
+    assert written[1] == written[2]
+
+
+@pytest.mark.bit_identity
+def test_one_and_two_workers_name_the_same_diverged_run(tmp_path, capsys, monkeypatch, workers):
+    # seed 6's DFT model diverges at update 5 in the worker's block, before any
+    # run of seed 1 in this process, but seed 1's TAW once run comes first in
+    # table order, so it is the one named
+    from pada.schedule import run_cells
+
+    doc, cfg, (pre, target, tcfg, donor) = diverging_grid(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    slots = grid_slots(cfg)
+    blocks = counting_blocks(monkeypatch)
+    outcomes, errs = {}, {}
+    for n in (1, 2):
+        workers(n)
+        outcomes[n] = run_cells(pre, slots, target, tcfg, donor)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        errs[n] = capsys.readouterr().err.strip()
+        assert not os.path.exists(os.path.join(cfg.out, "runs"))
+        assert_no_child_left()
+    assert blocks == [1, 1, 2, 2]
+    assert errs[1] == errs[2] == (
+        "training: run taw_once_seed1: training diverged (non-finite loss) at update 6"
+    )
+    for slot, a, b in zip(slots, outcomes[1], outcomes[2]):
+        if isinstance(a, Exception):
+            assert type(b) is type(a) and b.step == a.step, slot
+            continue
+        assert a[0] == b[0] and a[2] == b[2], slot
+        assert a[1].events == b[1].events and a[1].final == b[1].final, slot
+
+
+def raising(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("where, fail, want", [
+    ("worker", raising(ValueError("a fault in a worker")), "internal: a fault in a worker"),
+    ("worker", raising(FormatError("a bad input")), "format: a bad input"),
+    ("worker", lambda: os._exit(3), "internal: a training worker ended without its runs (exit code 3)"),
+    ("worker", lambda: os.kill(os.getpid(), 9),
+     "internal: a training worker ended without its runs (killed by signal 9)"),
+    ("parent", raising(ValueError("a fault in block 0")), "internal: a fault in block 0"),
+], ids=["worker-raises", "worker-refuses", "worker-exits", "worker-killed", "parent-raises"])
+def test_a_failed_block_ends_in_one_line_and_leaves_no_child(
+    tmp_path, capsys, monkeypatch, workers, where, fail, want
+):
+    import pada.schedule
+
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("pretrain", "make-donor", "run"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    assert_no_child_left()
+    before = run_files(doc["out"])
+    parent, real = os.getpid(), pada.schedule._run_block
+
+    def failing(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            fail()
+        return real(*args)
+
+    monkeypatch.setattr(pada.schedule, "_run_block", failing)
+    workers(2)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--force"]) == 1
+    assert capsys.readouterr().err.strip() == want
+    assert_no_child_left()
+    assert run_files(doc["out"]) == before
+
+
+def test_a_failed_fork_closes_its_pipe(tmp_path, monkeypatch, workers):
+    import pada.schedule
+
+    cfg = prep(tmp_path, seeds=(0,))
+    pre, donor, target, scored = grid_inputs(cfg)
+    pipes, real = [], os.pipe
+
+    def pipe():
+        pipes.extend(real())
+        return pipes[-2:]
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    workers(2)
+    with pytest.raises(BlockingIOError):
+        pada.schedule.run_cells(pre, grid_slots(cfg), target, cfg.target, donor, scored)
+    assert len(pipes) == 2
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert_no_child_left()
 
 
 def test_each_failure_category_has_one_type():

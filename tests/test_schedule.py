@@ -265,12 +265,13 @@ def test_taw_strategy_inside_run():
     assert log.events[0].train_loss == dataset_loss(start, data)
 
 
-def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch):
+def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch, workers):
     # of seeds 0-3, only seed 3 draws the NaN row in 10 updates of 2, so its
     # DFT and TAG slots diverge and its TAW slot takes the DFT's divergence;
     # nothing in a wave is caught, so no traceback keeps a stack alive while
     # the survivors are scored (the passing case is
-    # test_waves_score_only_after_releasing_their_stack)
+    # test_waves_score_only_after_releasing_their_stack); one block, so that
+    # every wave runs in this process
     import weakref
 
     import pada.schedule
@@ -293,6 +294,7 @@ def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch
 
     monkeypatch.setattr(pada.schedule, "ModelStack", Tracked)
     monkeypatch.setattr(pada.schedule, "_final_record", scoring)
+    workers(1)
     pre = init_model(ARCH, 0)
     data = toy_labeled()
     x = data.x.copy()
@@ -346,3 +348,36 @@ def test_run_cells_validates_each_schedule_once_before_any_training(monkeypatch,
         run_cells(pre, [(0, "DFT", None), (0, "TAG", once), (1, "TAG", bad)], toy_labeled(),
                   tcfg(updates=10))
     assert train_calls == []
+
+
+def test_blocks_take_whole_units_balanced_by_slot_count():
+    # a seed's units: its DFT and TAW slots, and its TAG and CD-TAW slots
+    from pada.schedule import _blocks
+
+    scheds = [PruneSchedule("once", (40.0,), 5), PruneSchedule("iterative", (30.0, 30.0), 5),
+              PruneSchedule("dynamic_iterative", (40.0, 20.0), 5)]
+    cells = [("DFT", None)] + [(s, sched) for s in ("TAG", "TAW", "CD-TAW") for sched in scheds]
+
+    def grid(seeds, dft=True):
+        return [(seed, s, sched) for seed in seeds for s, sched in cells[0 if dft else 1:]]
+
+    chain, free = [0, 4, 5, 6], [1, 2, 3, 7, 8, 9]
+    assert _blocks(grid([0]), 1) == [list(range(10))]
+    assert _blocks(grid([0]), 2) == _blocks(grid([0]), 8) == [chain, free]
+    assert _blocks(grid(range(10)), 2) == [list(range(50)), list(range(50, 100))]
+    assert _blocks(grid([0, 1, 2]), 2) == [sorted([*range(10), *(10 + i for i in chain)]),
+                                            sorted([*(10 + i for i in free), *range(20, 30)])]
+    # without DFT slots, a seed's TAG slots come first; its chain is its TAW slots
+    assert _blocks(grid([0], dft=False), 2) == [[0, 1, 2, 6, 7, 8], [3, 4, 5]]
+    assert _blocks([], 2) == [[]]
+
+
+def test_at_most_two_blocks_train_at_once(monkeypatch):
+    # W > 2 was never measured, and each added block cuts every stack shorter
+    import os
+
+    from pada.schedule import _workers
+
+    for cpus, want in ((1, 1), (2, 2), (20, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _, n=cpus: set(range(n)), raising=False)
+        assert _workers() == want
