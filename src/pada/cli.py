@@ -35,7 +35,7 @@ from .params import (
 )
 from .pruning import load_mask, save_mask
 from .schedule import FREQUENCIES, read_log_jsonl, run_cells, write_log_jsonl
-from .strategies import STRATEGY_KINDS
+from .strategies import RANKED_MODEL, STRATEGY_KINDS
 from .trainer import TrainingDivergedError, finetune_supervised, init_model, pretrain_denoising
 
 
@@ -100,9 +100,7 @@ def _errors_by_cell(finals) -> dict[tuple[str, str], dict[int, float]]:
     """Final error rates of the runs, grouped by (strategy, frequency), keyed by seed."""
     cells: dict[tuple[str, str], dict[int, float]] = {}
     for fin in finals:
-        if "error_rate" in fin:
-            key = (fin["strategy"], fin["frequency"])
-            cells.setdefault(key, {})[fin["seed"]] = fin["error_rate"]
+        cells.setdefault((fin["strategy"], fin["frequency"]), {})[fin["seed"]] = fin["error_rate"]
     return cells
 
 
@@ -141,7 +139,8 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
             slots.append((seed, strategy, cfg.schedules.get(freq)))
 
     pretrained = _load_model(cfg, cfg.pretrained_file)
-    donor = _load_model(cfg, cfg.donor_file) if "CD-TAW" in cfg.strategies else None
+    ranks = {RANKED_MODEL.get(strategy) for strategy, _ in cells}
+    donor = _load_model(cfg, cfg.donor_file) if "donor" in ranks else None
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     # the config and both models fit one arch, so only training can fail here
     outcomes = run_cells(
@@ -244,6 +243,8 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
         found = [log.final[k] for k in ("strategy", "frequency", "seed")]
         if found != listed:
             raise FormatError(f"{path}: a log of run {found}, but table.json lists {listed}")
+        if "error_rate" not in log.final:  # every `pada run` run is scored
+            raise FormatError(f"{path}: the final record has no error_rate")
         logs.append((name, log))
     out_dir = out_dir or run_out
     os.makedirs(out_dir, exist_ok=True)

@@ -29,7 +29,10 @@ from .params import (
     write_container,
 )
 
-STRATEGY_KINDS = ("TAG", "TAW", "CD-TAW")  # pada.strategies's kinds, here so masks can name them
+# pada.strategies's kinds and the model each one's initial mask ranks (the pre-trained
+# model, the seed's direct fine-tuned (DFT) model or the donor), here so masks can name them
+RANKED_MODEL = {"TAG": "pretrained", "TAW": "dft", "CD-TAW": "donor"}
+STRATEGY_KINDS = tuple(RANKED_MODEL)
 MASK_SOURCES = (*STRATEGY_KINDS, "in-loop")  # a mask's strategy, or in-loop pruning
 
 

@@ -19,16 +19,17 @@ of a seed draw the same minibatches from ``default_rng(seed)``, and prune
 points depend on the schedule alone, so a wave of cells over all seeds
 trains as one :class:`~pada.trainer.ModelStack`, with one minibatch per
 seed, that stops at each of its cells' prune points.  A cell keeps its stack
-slot for the whole wave, unread once it diverges.  TAW ranks its seed's DFT
-model, so the TAW cells form a second wave, which gets the DFT models; the
-runs of each wave are scored once it has released its stack.  A wave only
-trains the cells it is given.  Nothing else reads another cell, so a seed's
-DFT and TAW cells, and its TAG and CD-TAW cells, are units that
-:func:`run_cells` may train apart: it checks every input and ranks the
-seed-independent masks first, then trains contiguous blocks of units at
-once, one per usable CPU and 2 at most, the first in its own process and
-the other in a forked worker.  :func:`run_pada` and :func:`run_dft` are
-one-cell calls of the same executor.
+slot for the whole wave, unread once it diverges.  A cell's initial mask
+ranks the model :data:`~pada.pruning.RANKED_MODEL` names for its strategy,
+and the cells whose masks rank their seed's DFT model (TAW) form a second
+wave, ranked from the first wave's DFT models.  A wave only trains the
+starts it is given; its runs are scored once it has released its stack.
+Nothing else reads another cell, so a seed's DFT and second-wave cells, and
+its other cells, are units that :func:`run_cells` may train apart: it checks
+every input and ranks the seed-independent masks first, then trains
+contiguous blocks of units at once, one per usable CPU and 2 at most, the
+first in its own process and the other in a forked worker.  :func:`run_pada`
+and :func:`run_dft` are one-cell calls of the same executor.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .params import FormatError, ParameterSet, atomic_write_text
-from .pruning import Mask, apply_zeroing, compute_ump_mask, sparsity
+from .pruning import RANKED_MODEL, Mask, apply_zeroing, compute_ump_mask, sparsity
 from .strategies import initial_model
 from .trainer import (
     LabeledBatch,
@@ -156,7 +157,10 @@ _IS = {
 
 
 def _check_record(kind: str, rec: dict) -> None:
-    """Raise ValueError unless the ``kind`` record ``rec`` has each field, of its type."""
+    """Raise ValueError unless the ``kind`` record ``rec`` has each field, of its type, and no other."""
+    unknown = rec.keys() - _FIELDS[kind].keys()
+    if unknown:
+        raise ValueError(f"{kind} record has an unknown field {min(unknown)!r}")
     for key, want in _FIELDS[kind].items():
         if key not in rec:
             if key != "error_rate":
@@ -203,30 +207,26 @@ def run_cells(
     donor: ParameterSet | None = None,
     eval_data: LabeledBatch | None = None,
 ) -> list:
-    """Fine-tune every slot on the target data, in as few stacks as TAW allows, on up to 2 CPUs.
+    """Fine-tune every slot on the target data, in as few stacks as the ranked models allow, on up to 2 CPUs.
 
     ``slots`` are ``(seed, strategy, schedule)`` triples; a slot without a
     schedule is direct fine-tuning (DFT).  Every slot trains N =
     ``cfg.updates`` updates at ``cfg``'s learning rate and batch size, drawing
     its minibatches from its own ``default_rng(seed)`` stream; ``cfg.seed``
     is not read.  A wave of slots advances as one
-    :class:`~pada.trainer.ModelStack` with one minibatch per seed.  Wave 1
-    holds the DFT, TAG and CD-TAW slots.  Wave 2 holds the TAW slots, whose
-    initial masks rank their seed's DFT model: wave 2 gets the DFT models,
-    and wave 1 adds, unscored and unreturned, one for a seed without a DFT
-    slot.  TAG and CD-TAW rank models no seed changes, so their slots with
-    the same strategy and r1 share one initial mask, ranked here once for
-    all seeds before anything trains; TAW slots share theirs within a seed.
-    The stack stops at every prune point of its slots, where each slot that
-    prunes there is re-ranked and zeroed.
-
-    Only TAW reads another run, so a seed's slots form two units that share
-    nothing but read-only inputs: its chain (its DFT slot, or the DFT model
-    its TAW slots rank, and its TAW slots) and its TAG and CD-TAW slots.
-    :func:`_blocks` cuts the units into one block per usable CPU, 2 at
-    most.  Each block runs both waves and scores its runs, the first here and
-    the other in a forked worker, both at once.  A run's bits do not depend on
-    its block.
+    :class:`~pada.trainer.ModelStack` with one minibatch per seed, stopping
+    at every prune point of its slots to re-rank and zero each slot that
+    prunes there.  A slot's initial mask ranks the model
+    :data:`~pada.pruning.RANKED_MODEL` names for its strategy.  A mask that
+    ranks no DFT model is ranked here, before anything trains, once per
+    strategy and r1 for all seeds.  The slots whose masks rank their seed's
+    DFT model form wave 2, ranked once per seed, strategy and r1 from wave
+    1's DFT models; wave 1 adds, unscored and unreturned, the DFT model of a
+    seed without a DFT slot.  A seed's chain (its DFT model and wave-2
+    slots) and its other slots are units that share only read-only inputs:
+    :func:`_blocks` cuts them into one block per usable CPU, 2 at most, and
+    each block runs both waves and scores its runs, the first here and the
+    other in a forked worker, at once.  A run's bits do not depend on its block.
 
     Every input failure raises before the first update: data ``pretrained``
     cannot train on, a schedule :func:`validate` refuses for N, or inputs
@@ -246,11 +246,8 @@ def run_cells(
         check_data(pretrained, eval_data)
     for sched in dict.fromkeys(sched for _, _, sched in slots if sched is not None):
         validate(sched, cfg.updates)
-    starts = {}  # (strategy, r1) -> (zeroed model, mask, update-0 event), for every seed
-    for _, strategy, sched in slots:
-        if sched is not None and strategy != "TAW" and (strategy, sched.rates[0]) not in starts:
-            r1 = sched.rates[0]
-            starts[strategy, r1] = _start(pretrained, strategy, r1, target_data, donor=donor)
+    first = [slot for slot in slots if slot[2] is not None and not _ranks_dft(slot)]
+    starts = _rank_starts(pretrained, first, target_data, donor=donor)
 
     def run_block(block):
         return _run_block(pretrained, [slots[i] for i in block], target_data, cfg, starts, eval_data)
@@ -263,6 +260,11 @@ def run_cells(
     return outcomes
 
 
+def _ranks_dft(slot) -> bool:
+    """Whether ``slot``'s initial mask ranks its seed's DFT model, so that it trains after that model."""
+    return slot[2] is not None and RANKED_MODEL.get(slot[1]) == "dft"
+
+
 def _workers() -> int:
     """How many blocks :func:`run_cells` may train at once: the CPUs this process may use, at most 2.
 
@@ -273,71 +275,62 @@ def _workers() -> int:
 
 
 def _blocks(slots: list, workers: int) -> list:
-    """Cut the slots' indices into at most ``workers`` blocks of whole units, balanced by slot count.
+    """Cut the slots' indices into 1 block of whole units, or 2 if ``workers`` > 1, balanced by slot count.
 
-    A seed has two units: its DFT and TAW slots, and its TAG and CD-TAW
-    slots.  The units keep the plan order of their first slots, a block
-    takes contiguous units, and its indices are sorted.
+    A seed has two units: its chain (its DFT slot and the slots whose masks
+    rank its DFT model) and its other slots.  The units keep the plan order
+    of their first slots; the cut is the unit boundary nearest half the slots.
     """
     units: dict = {}
-    for i, (seed, strategy, sched) in enumerate(slots):
-        units.setdefault((seed, sched is None or strategy == "TAW"), []).append(i)
+    for i, slot in enumerate(slots):
+        units.setdefault((slot[0], slot[2] is None or _ranks_dft(slot)), []).append(i)
     units = list(units.values())
+    if workers < 2 or len(units) < 2:
+        return [sorted(i for unit in units for i in unit)]
     ends = list(itertools.accumulate(len(unit) for unit in units))
-    workers = max(1, min(workers, len(units)))
-    cuts = [0]
-    for k in range(1, workers):  # the unit boundary nearest k/workers of the slots
-        share = k * ends[-1] / workers
-        cuts.append(min(range(cuts[-1] + 1, len(units) - workers + k + 1),
-                        key=lambda c: abs(ends[c - 1] - share)))
-    cuts.append(len(units))
-    return [sorted(i for unit in units[a:b] for i in unit) for a, b in zip(cuts, cuts[1:])]
+    cut = min(range(1, len(units)), key=lambda c: abs(ends[c - 1] - ends[-1] / 2))
+    return [sorted(i for unit in part for i in unit) for part in (units[:cut], units[cut:])]
 
 
 def _in_workers(work, blocks: list) -> list:
-    """``[work(block) for block in blocks]``: the first block here, each other in a forked worker.
+    """``[work(block) for block in blocks]`` for 1 or 2 blocks: the first here, the second in a forked worker.
 
-    A worker pickles its result, or the exception it raised, into a pipe and
-    ends with ``os._exit``.  Every worker is reaped before this returns or
-    raises, and killed first if this process failed.  Raises the first
-    worker's exception, or :class:`RuntimeError` for a worker that ended
-    without a reply: a fault of pada, not of its inputs.
+    The worker pickles its result, or what it raised, into a pipe and ends
+    with ``os._exit``; it is reaped before this returns or raises, killed
+    first if this process failed.  Its exception is raised here, and its end
+    without a reply is a :class:`RuntimeError`: a fault of pada, not of its inputs.
     """
-    workers, replies = [], []  # (pid, read end of its pipe); what each sent
+    if len(blocks) == 1:
+        return [work(blocks[0])]
+    read, write = os.pipe()
+    # fork, not spawn: a spawned worker starts Python and imports numpy and
+    # pada again, which takes longer than a one-seed grid trains
     try:
-        for block in blocks[1:]:
-            read, write = os.pipe()
-            # fork, not spawn: a spawned worker starts Python and imports numpy
-            # and pada again, which takes longer than a one-seed grid trains
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _serve(write, work, block)
-            os.close(write)
-            workers.append((pid, os.fdopen(read, "rb")))
-        results = [work(blocks[0])]
-        replies = [pipe.read() for _, pipe in workers]
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        _serve(write, work, blocks[1])
+    os.close(write)
+    reply = None
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            mine = work(blocks[0])
+            reply = pipe.read()
     finally:
-        ends = []
-        for pid, pipe in workers:
-            pipe.close()
-            if len(replies) < len(workers):
-                os.kill(pid, signal.SIGKILL)
-            ends.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for reply, end in zip(replies, ends):
-        if end != 0:
-            how = f"killed by signal {-end}" if end < 0 else f"exit code {end}"
-            raise RuntimeError(f"a training worker ended without its runs ({how})")
-        ok, result = pickle.loads(reply)
-        if not ok:
-            raise result
-        results.append(result)
-    return results
+        if reply is None:
+            os.kill(pid, signal.SIGKILL)
+        end = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if end != 0:
+        how = f"killed by signal {-end}" if end < 0 else f"exit code {end}"
+        raise RuntimeError(f"a training worker ended without its runs ({how})")
+    ok, theirs = pickle.loads(reply)
+    if not ok:
+        raise theirs
+    return [mine, theirs]
 
 
 def _serve(write: int, work, block) -> None:
@@ -358,27 +351,52 @@ def _serve(write: int, work, block) -> None:
 def _run_block(pretrained, slots, target_data, cfg, starts, eval_data) -> list:
     """Train a block of whole units in two waves; return each slot's scored run or its divergence.
 
-    ``starts`` holds the start of each TAG and CD-TAW slot.  Wave 2 gets the
-    DFT models its TAW slots rank, and each wave's runs are scored once its
-    stack is released.  Hidden DFT models are not scored.
+    ``starts`` maps each slot whose mask ranks no DFT model to its start.
+    Wave 2's starts are ranked from wave 1's DFT models, hidden ones too,
+    which are not scored.  Each wave's runs are scored once its stack is released.
     """
-    taw_seeds = dict.fromkeys(seed for seed, strategy, _ in slots if strategy == "TAW")
+    in_wave2 = [_ranks_dft(slot) for slot in slots]
     dft_seeds = {seed for seed, _, sched in slots if sched is None}
-    hidden = [(seed, "DFT", None) for seed in taw_seeds if seed not in dft_seeds]
+    ranking = dict.fromkeys(slot[0] for slot, later in zip(slots, in_wave2) if later)
+    hidden = [(seed, "DFT", None) for seed in ranking if seed not in dft_seeds]
     outcomes: list = [None] * len(slots)
-    ranked: dict = {}  # seed -> its DFT model, or the divergence that ended it
-    for taw in (False, True):
-        wave = [i for i, (_, strategy, _) in enumerate(slots) if (strategy == "TAW") == taw]
-        work = [slots[i] for i in wave] + ([] if taw else hidden)
-        runs = _run_wave(pretrained, work, target_data, cfg, starts, ranked)
+    dft: dict = {}  # seed -> its DFT model, or the divergence that ended it
+    for wave2 in (False, True):
+        wave = [i for i, later in enumerate(in_wave2) if later == wave2]
+        work = [slots[i] for i in wave] + ([] if wave2 else hidden)
+        if wave2:
+            starts = _rank_starts(pretrained, work, target_data, dft=dft)
+        runs = _run_wave(pretrained, work, [starts.get(slot) for slot in work], target_data, cfg)
         for (seed, _, sched), run in zip(work, runs):
-            if sched is None:  # a DFT model, which its seed's TAW slots rank
-                ranked[seed] = run if isinstance(run, Exception) else run[0]
+            if sched is None:
+                dft[seed] = run if isinstance(run, Exception) else run[0]
         for i, run in zip(wave, runs):  # its stack is released; hidden DFTs are not scored
             if not isinstance(run, Exception):
                 run[1].final = _final_record(slots[i], run[0], cfg, target_data, eval_data)
             outcomes[i] = run
     return outcomes
+
+
+def _rank_starts(pretrained, slots, target_data, donor=None, dft=None) -> dict:
+    """Map each pruning slot to its start: the model its strategy zeroes at r1, its mask and its update-0 event.
+
+    Slots of one strategy and r1 share one start, and of one seed too if
+    their masks rank its DFT model: ``dft`` maps the seed to that model, or
+    to the divergence that ended it, which is then their start and ends them.
+    """
+    starts, by_key = {}, {}
+    for slot in slots:
+        seed, strategy, sched = slot
+        r1 = sched.rates[0]
+        key = (strategy, r1, seed) if _ranks_dft(slot) else (strategy, r1)
+        finetuned = dft.get(seed) if dft else None
+        if isinstance(finetuned, Exception):
+            by_key[key] = finetuned
+        elif key not in by_key:
+            model, mask = initial_model(pretrained, strategy, r1, finetuned=finetuned, donor=donor)
+            by_key[key] = model, mask, _prune_event(0, r1, sparsity(pretrained), model, target_data)
+        starts[slot] = by_key[key]
+    return starts
 
 
 @dataclass
@@ -393,36 +411,25 @@ class _Member:
     points: list  # pending (update, rate) prune points, in order
 
 
-def _run_wave(pretrained, slots, target_data, cfg, starts, ranked) -> list:
-    """Train ``slots`` as one stack; return each one's ``(model, log, mask)`` or its divergence.
+def _run_wave(pretrained, slots, starts, target_data, cfg) -> list:
+    """Train ``slots`` as one stack from ``starts``; return each one's ``(model, log, mask)`` or its divergence.
 
-    ``starts`` maps a TAG or CD-TAW slot's ``(strategy, r1)`` to its start.
-    ``ranked`` maps a seed to the model its TAW masks rank, or to the
-    divergence that ended it, which ends them too.  The logs hold only prune
-    events.
+    A slot's start is :func:`_rank_starts`'s, which may be the divergence that
+    ends it untrained, or None for a DFT slot.  The logs hold only prune events.
     """
     runs: list = [None] * len(slots)
-    starts = dict(starts)  # and this wave's TAW starts, one per seed and r1
     members = []
-    for i, (seed, strategy, sched) in enumerate(slots):
-        if sched is None:
+    for i, ((seed, _, sched), start) in enumerate(zip(slots, starts)):
+        if isinstance(start, Exception):  # the model its mask ranks diverged
+            runs[i] = start
+        elif start is None:
             members.append(_Member(i, seed, pretrained, PadaRunLog(), None, []))
-            continue
-        if isinstance(ranked.get(seed), Exception):  # the model TAW ranks diverged
-            runs[i] = ranked[seed]
-            continue
-        r1 = sched.rates[0]
-        key = (strategy, r1, seed) if strategy == "TAW" else (strategy, r1)
-        if key not in starts:
-            starts[key] = _start(pretrained, strategy, r1, target_data, finetuned=ranked[seed])
-        model, mask, event = starts[key]
-        # rates[k] prunes at update k*n while k*n <= N; rates[0] was the strategy's
-        points = [
-            (k * sched.interval, rate)
-            for k, rate in enumerate(sched.rates)
-            if 0 < k and k * sched.interval <= cfg.updates
-        ]
-        members.append(_Member(i, seed, model, PadaRunLog([event]), mask, points))
+        else:
+            model, mask, event = start
+            # rates[k] prunes at update k*n while k*n <= N; rates[0] was the strategy's
+            points = [(k * sched.interval, rate) for k, rate in enumerate(sched.rates)
+                      if 0 < k and k * sched.interval <= cfg.updates]
+            members.append(_Member(i, seed, model, PadaRunLog([event]), mask, points))
     if not members:
         return runs
 
@@ -475,10 +482,9 @@ def run_pada(
     schedule's first rate r1.  Event i lands at update i*n while rates remain
     and i*n <= N; the logged "train_loss" is the loss over the full target
     labeled set at that point.  Returns the adapted model (no persistent
-    mask) and the finished run log.  TAW ranks the seed's DFT model, as
-    :func:`run_dft` trains it, and CD-TAW ``donor``.  The initial
-    mask is :func:`~pada.strategies.initial_model`'s for the same pretrained
-    model, strategy and r1.
+    mask) and the finished run log.  The initial mask is
+    :func:`~pada.strategies.initial_model`'s for the same pretrained model,
+    strategy and r1, ranking ``donor`` or the DFT model :func:`run_dft` trains.
     """
     slot = (cfg.seed, strategy, sched)
     return _result(run_cells(pretrained, [slot], target_data, cfg, donor, eval_data)[0])
@@ -496,12 +502,6 @@ def run_dft(
     """
     slot = (cfg.seed, "DFT", None)
     return _result(run_cells(pretrained, [slot], target_data, cfg, eval_data=eval_data)[0])
-
-
-def _start(pretrained, strategy, r1, target_data, finetuned=None, donor=None) -> tuple:
-    """A slot's start: the model ``strategy`` zeroes at ``r1``, its mask and its update-0 event."""
-    model, mask = initial_model(pretrained, strategy, r1, finetuned=finetuned, donor=donor)
-    return model, mask, _prune_event(0, r1, sparsity(pretrained), model, target_data)
 
 
 def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEvent:

@@ -3,7 +3,7 @@
 The three strategies differ only in where the magnitudes that rank the
 weights come from; each masks at r1, the schedule's first rate, and the
 resulting mask is always applied to the pre-trained model's values.  A
-strategy is named by its kind string, one of :data:`STRATEGY_KINDS`.
+kind string names each strategy, and :data:`RANKED_MODEL` the model it ranks.
 
 * TAG ranks the pre-trained model's own weights.
 * TAW ranks the weights of the pre-trained model after fine-tuning on the
@@ -17,7 +17,7 @@ strategy is named by its kind string, one of :data:`STRATEGY_KINDS`.
 from __future__ import annotations
 
 from .params import ParameterSet, StructureMismatchError, structural_mismatch
-from .pruning import STRATEGY_KINDS, Mask, apply_zeroing, compute_ump_mask
+from .pruning import RANKED_MODEL, STRATEGY_KINDS, Mask, apply_zeroing, compute_ump_mask
 
 
 def tag_mask(pretrained: ParameterSet, r1: float) -> Mask:
@@ -62,20 +62,21 @@ def initial_model(
 ) -> tuple[ParameterSet, Mask]:
     """Mask the pre-trained model at rate ``r1`` with strategy ``kind`` and zero it.
 
-    ``kind`` is one of :data:`STRATEGY_KINDS`; TAW needs the target
-    fine-tuned model and CD-TAW the donor.  Returns the zeroed model (all
+    ``kind`` is one of :data:`STRATEGY_KINDS`; it needs the input that
+    :data:`RANKED_MODEL` names for it.  Returns the zeroed model (all
     weights still trainable) together with the mask so callers can analyze
     mask similarity later.
     """
-    if kind == "TAG":
+    ranks = RANKED_MODEL.get(kind)
+    if ranks == "pretrained":
         mask = tag_mask(pretrained, r1)
-    elif kind == "TAW":
+    elif ranks == "dft":
         if finetuned is None:
-            raise ValueError("TAW requires the target fine-tuned model")
+            raise ValueError(f"{kind} requires the target fine-tuned model")
         mask = taw_mask(pretrained, finetuned, r1)
-    elif kind == "CD-TAW":
+    elif ranks == "donor":
         if donor is None:
-            raise ValueError("CD-TAW requires a donor parameter set")
+            raise ValueError(f"{kind} requires a donor parameter set")
         mask = cdtaw_mask(pretrained, donor, r1)
     else:
         raise ValueError(f"unknown strategy kind {kind!r}, expected one of {STRATEGY_KINDS}")

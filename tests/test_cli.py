@@ -264,6 +264,19 @@ def test_a_refused_make_donor_creates_no_directory(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_a_grid_without_cd_taw_cells_reads_no_donor(tmp_path, capsys):
+    # CD-TAW is named, but no frequency plans a cell of it: only DFT trains
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["strategies"], doc["frequencies"] = ["CD-TAW"], []
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    assert not (tmp_path / "exp" / "donor.pada").exists()
+    assert sorted(os.listdir(tmp_path / "exp" / "runs")) == ["dft_seed0.jsonl", "dft_seed0.pada"]
+
+
 def test_main_success_and_failure_paths(tmp_path, capsys):
     doc = small_config(str(tmp_path / "exp"), seeds=(0,))
     doc["strategies"] = ["TAG"]
@@ -913,6 +926,7 @@ BAD_FINALS = [  # (field, its new value or DROP, the message)
     ("strategy", 3, "final record's strategy must be a string, got 3"),
     ("train_loss", [0.5], "final record's train_loss must be a number, got [0.5]"),
     ("final_sparsity", "0.4", "final record's final_sparsity must be a number, got '0.4'"),
+    ("note", "hand-added", "final record has an unknown field 'note'"),
 ]
 
 
@@ -932,6 +946,22 @@ def test_report_refuses_a_malformed_final_record(tmp_path, capsys, key, value, m
 
     err = refuse_edited_log(tmp_path, capsys, edit)
     assert err.endswith(f"line 2: {message}")
+
+
+def test_report_refuses_a_listed_run_that_was_not_scored(tmp_path, capsys):
+    # every `pada run` run is scored; a seed without an error rate would drop
+    # out of its cell's mean in summary.json but not in table.json
+    cfg = prep(tmp_path, seeds=(0, 1))
+    cmd_run(cfg)
+    path = Path(cfg.out, "runs", "tag_once_seed1.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    final = json.loads(lines[-1])
+    del final["error_rate"]
+    path.write_text("".join(lines[:-1]) + json.dumps(final) + "\n", encoding="utf-8")
+    assert main(["report", cfg.out]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"format: {path}: the final record has no error_rate"
+    assert not Path(cfg.out, "summary.json").exists()
 
 
 @pytest.mark.parametrize(
