@@ -1,15 +1,16 @@
 """Experiment harness CLI.
 
-Subcommands: pretrain, make-donor, run, compare-masks, report.  Every
-subcommand is deterministic given its config file and inputs; outputs are
-written atomically.  ``run`` plans every run, seed by seed in table order,
-refuses any file a ``pada run`` writes (``--force`` removes them once
-:func:`~pada.schedule.run_cells` has finished every run), then writes its
-table last: a run that fails to train writes nothing, and a directory
-holding ``table.json`` holds one finished run.  Inputs come before training:
-``make-donor`` and ``run`` refuse a checkpoint unlike the config's ``arch``
-as they load it, and of the runs that diverge, the first in table order,
-seed by seed, is named, as if the cells had run one after another.
+Subcommands: pretrain, make-donor, run, compare-masks, report.  Each is
+deterministic given its config file and inputs, claims its outputs
+(:func:`_claim`) before it loads an input, and writes them atomically.  ``run``
+plans every run, seed by seed in table order, refuses any file a ``pada run``
+writes (``--force`` removes them once :func:`~pada.schedule.run_cells` has
+finished every run), then writes its table last: a run that fails to train
+writes nothing, and a directory holding ``table.json`` holds one finished run.
+Inputs come before training: ``make-donor`` and ``run`` refuse a checkpoint
+unlike the config's ``arch`` as they load it, and of the runs that diverge, the
+first in table order, seed by seed, is named, as if the cells had run one after
+another.
 """
 
 from __future__ import annotations
@@ -39,18 +40,24 @@ from .strategies import RANKED_MODEL, STRATEGY_KINDS
 from .trainer import TrainingDivergedError, finetune_supervised, init_model, pretrain_denoising
 
 
-def _check_outputs(paths, force: bool) -> None:
-    if force:
-        return
-    for p in paths:
-        if os.path.exists(p):
-            raise ConfigError(f"output exists: {p} (use --force to overwrite)")
+def _claim(out_dir: str, names, force: bool) -> list[str]:
+    """Paths ``names`` under ``out_dir``, refused before any work if the first existing path at
+    or above ``out_dir`` is not a directory, or unless ``force`` if one of them exists."""
+    top = out_dir
+    while top and not os.path.lexists(top):
+        top = os.path.dirname(top)  # "" is the working directory
+    if top and not os.path.isdir(top):
+        raise NotADirectoryError(f"cannot write {top}: not a directory")
+    paths = [os.path.join(out_dir, name) for name in names]
+    taken = [path for path in paths if not force and os.path.exists(path)]
+    if taken:
+        raise ConfigError(f"output exists: {taken[0]} (use --force to overwrite)")
+    return paths
 
 
 def _write_stage(cfg: ExperimentConfig, force: bool, name: str, train) -> str:
     """Write ``train(task)``'s checkpoint to ``name`` under the output directory."""
-    out_path = os.path.join(cfg.out, name)
-    _check_outputs([out_path], force)
+    [out_path] = _claim(cfg.out, [name], force)
     # the task draws nothing until a split is read, so ``train`` may load its inputs first
     model = train(gen_domain_shift(cfg.task_seed, cfg.task))
     os.makedirs(cfg.out, exist_ok=True)  # only now, so a refused input leaves no directory
@@ -122,15 +129,10 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     file ``_RUN_FILE`` names under runs/; with ``force`` it removes them first.
     """
     run_dir = os.path.join(cfg.out, "runs")
-    table_csv = os.path.join(cfg.out, "table.csv")
-    table_json = os.path.join(cfg.out, "table.json")
-    run_files = [table_csv, table_json]  # the files of any `pada run`: table.*, then runs/ sorted
-    if os.path.isdir(run_dir):
-        names = sorted(filter(_RUN_FILE.fullmatch, os.listdir(run_dir)))
-        run_files += [os.path.join(run_dir, n) for n in names]
-    elif os.path.lexists(run_dir):
-        raise NotADirectoryError(f"cannot write {run_dir}: not a directory")
-    _check_outputs(run_files, force)
+    names = os.listdir(run_dir) if os.path.isdir(run_dir) else []  # _claim refuses a runs file
+    run_files = _claim(cfg.out, ["table.csv", "table.json"], force)  # table.*, then runs/ sorted
+    run_files += _claim(run_dir, sorted(filter(_RUN_FILE.fullmatch, names)), force)
+    table_csv, table_json = run_files[:2]
     cells = cfg.cells()
     stems, slots = [], []  # every run, seed by seed in table order: its files' stem, its slot
     for seed in cfg.seeds:
@@ -187,9 +189,7 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
 
 def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = False):
     """IOU/MMA similarity report for two mask files (CSV + JSON)."""
-    csv_path = os.path.join(out_dir, "mask_report.csv")
-    json_path = os.path.join(out_dir, "mask_report.json")
-    _check_outputs([csv_path, json_path], force)
+    csv_path, json_path = _claim(out_dir, ["mask_report.csv", "mask_report.json"], force)
     try:
         report = layerwise_report(load_mask(path_a), load_mask(path_b))
     except ValueError as exc:  # misaligned or empty; name both files, which the masks do not know
@@ -234,6 +234,9 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     table_json = os.path.join(run_out, "table.json")
     if not os.path.isfile(table_json):
         raise ConfigError(f"no table.json under {run_out} (not a finished `pada run`)")
+    out_dir = out_dir or run_out
+    # report rewrites its aggregates, so an existing one is no collision
+    events_csv, summary_json = _claim(out_dir, ["events.csv", "summary.json"], force=True)
     logs = []
     for name, *listed in _listed_runs(table_json):
         path = os.path.join(run_out, "runs", f"{name}.jsonl")
@@ -246,7 +249,6 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
         if "error_rate" not in log.final:  # every `pada run` run is scored
             raise FormatError(f"{path}: the final record has no error_rate")
         logs.append((name, log))
-    out_dir = out_dir or run_out
     os.makedirs(out_dir, exist_ok=True)
 
     lines = ["run,strategy,frequency,seed,update,rate,sparsity_before,sparsity_after,train_loss"]
@@ -258,7 +260,6 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
                 f"{ev.update},{ev.rate!r},{ev.sparsity_before!r},{ev.sparsity_after!r},"
                 f"{ev.train_loss!r}"
             )
-    events_csv = os.path.join(out_dir, "events.csv")
     atomic_write_text(events_csv, "\n".join(lines) + "\n")
 
     runs = [{"run": name, "final": log.final} for name, log in logs]
@@ -272,7 +273,6 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
         }
         for k, v in sorted(by_cell.items())
     ]
-    summary_json = os.path.join(out_dir, "summary.json")
     atomic_write_text(
         summary_json, json.dumps({"cells": cells, "runs": runs}, indent=2) + "\n"
     )

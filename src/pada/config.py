@@ -145,7 +145,7 @@ def parse_config(doc) -> ExperimentConfig:
             raise ConfigError(f"unknown frequency {f!r} in config")
         schedules[f] = PruneSchedule(f, rates[f], sched["interval"])
         validate(schedules[f], sched["total_updates"])
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         task_seed=task_seed,
         task=task,
         arch=_section(ModelArch, top["arch"], "arch", "hidden", "activation",
@@ -163,6 +163,10 @@ def parse_config(doc) -> ExperimentConfig:
         pretrained_file=top.get("pretrained", "pretrained.pada"),
         donor_file=top.get("donor_checkpoint", "donor.pada"),
     )
+    if not cfg.cells():
+        raise ConfigError("the grid plans no run: include_dft is false, and strategies or "
+                          "frequencies is empty")
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -51,6 +51,8 @@ class DomainShiftSpec:
             raise ValueError("target_labeled must be positive")
         if self.noise_std < 0 or self.class_std < 0:
             raise ValueError("noise levels must be >= 0")
+        if self.mean_scale < 0:
+            raise ValueError("mean_scale must be >= 0")
 
     @property
     def target_labeled_size(self) -> int:

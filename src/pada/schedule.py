@@ -145,13 +145,14 @@ _FIELDS = {
         "frequency": "a string",
         "final_sparsity": "a number",
         "train_loss": "a number",
-        "error_rate": "a number",
+        "error_rate": "a number in [0, 1]",  # a fraction of the evaluation rows
         "seed": "a non-negative integer",
     },
 }
 _IS = {
     "a string": lambda v: type(v) is str,
     "a number": lambda v: type(v) in (int, float),
+    "a number in [0, 1]": lambda v: type(v) in (int, float) and 0 <= v <= 1,  # so not NaN
     "a non-negative integer": lambda v: type(v) is int and v >= 0,
 }
 
@@ -181,18 +182,16 @@ def read_log_jsonl(path: str) -> PadaRunLog:
             try:
                 rec = json.loads(line.decode("utf-8"))
                 kind = rec.pop("kind", None) if isinstance(rec, dict) else None
-                if kind == "prune":
-                    log.events.append(PruneEvent(**rec))
-                elif kind == "final":
-                    log.final = rec
-                else:
+                if kind not in ("prune", "final"):
                     raise ValueError(f"unknown record kind {kind!r}")
                 _check_record(kind, rec)
                 if final_line is not None:
                     raise ValueError(f"{kind} record after the final record of line {final_line}")
-                if kind == "final":
-                    final_line = lineno
-            except (ValueError, TypeError) as exc:  # not UTF-8 JSON, or not a record of a log
+                if kind == "prune":
+                    log.events.append(PruneEvent(**rec))
+                else:
+                    log.final, final_line = rec, lineno
+            except ValueError as exc:  # not UTF-8 JSON, or not a record of a log
                 raise FormatError(f"{path}, line {lineno}: {exc}") from exc
     if final_line is None:
         raise FormatError(f"{path}, line {lineno + 1}: the log ends without a final record")

@@ -725,6 +725,43 @@ def test_run_refuses_run_files_of_any_plan(tmp_path):
     assert stray.read_bytes() == b"stray"
 
 
+def all_paths(root):
+    """Every file and directory under ``root``, with each file's bytes."""
+    return {str(p): p.read_bytes() if p.is_file() else None for p in Path(root).rglob("*")}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "make-donor", "run", "compare-masks", "report"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_an_output_directory_under_a_file_is_refused_before_any_work(
+    tmp_path, capsys, train_calls, command, under
+):
+    # each subcommand claims its outputs before it loads an input or trains,
+    # so a file where its output directory belongs ends it in one `io:` line
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["strategies"], doc["frequencies"] = ["TAG"], ["once"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for stage in ("pretrain", "make-donor", "run"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = str(blocker / "sub" if under else blocker)
+    if command == "compare-masks":
+        mask = os.path.join(doc["out"], "runs", "tag_once_seed0.padm")
+        argv = [command, mask, mask, "--out", out]
+    elif command == "report":
+        argv = [command, doc["out"], "--out", out]
+    else:
+        argv = [command, "--config", str(cfg_path), "--out", out]
+    before = all_paths(tmp_path)
+    capsys.readouterr()
+    train_calls.clear()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"io: cannot write {blocker}: not a directory"
+    assert train_calls == []
+    assert all_paths(tmp_path) == before
+
+
 def test_report_without_table_is_config_error(tmp_path, capsys):
     os.makedirs(tmp_path / "exp" / "runs")
     assert main(["report", str(tmp_path / "exp")]) == 1
@@ -875,7 +912,7 @@ def test_config_refuses_unknown_task_field(tmp_path, capsys):
     [
         ('{"kind": "layer", "name": "layers.0.weight"}\n', "unknown record kind 'layer'"),
         ('{"update": 5}\n', "unknown record kind None"),
-        ('{"kind": "prune", "update": 5}\n', "missing 4 required positional arguments"),
+        ('{"kind": "prune", "update": 5}\n', "prune record has no rate"),
         ('{"kind": "prune", "upd', "Unterminated string"),
     ],
 )
@@ -916,7 +953,12 @@ BAD_FINALS = [  # (field, its new value or DROP, the message)
     ("seed", DROP, "final record has no seed"),
     ("strategy", DROP, "final record has no strategy"),
     ("total_updates", DROP, "final record has no total_updates"),
-    ("error_rate", "x", "final record's error_rate must be a number, got 'x'"),
+    ("error_rate", "x", "final record's error_rate must be a number in [0, 1], got 'x'"),
+    # json reads NaN and Infinity, but no fraction of the evaluation rows is one
+    ("error_rate", float("nan"), "final record's error_rate must be a number in [0, 1], got nan"),
+    ("error_rate", float("inf"), "final record's error_rate must be a number in [0, 1], got inf"),
+    ("error_rate", 1.5, "final record's error_rate must be a number in [0, 1], got 1.5"),
+    ("error_rate", -0.1, "final record's error_rate must be a number in [0, 1], got -0.1"),
     ("seed", "0", "final record's seed must be a non-negative integer, got '0'"),
     ("seed", -1, "final record's seed must be a non-negative integer, got -1"),
     ("seed", True, "final record's seed must be a non-negative integer, got True"),
@@ -978,7 +1020,10 @@ def test_report_refuses_a_log_not_ending_in_one_final_record(tmp_path, capsys, e
     assert refuse_edited_log(tmp_path, capsys, edit).endswith(message)
 
 
-BAD_PRUNES = [  # (field, its new value, the message)
+BAD_PRUNES = [  # (field, its new value or DROP, the message)
+    ("rate", DROP, "prune record has no rate"),
+    ("train_loss", DROP, "prune record has no train_loss"),
+    ("note", "hand-added", "prune record has an unknown field 'note'"),
     ("update", "0", "prune record's update must be a non-negative integer, got '0'"),
     ("update", -500, "prune record's update must be a non-negative integer, got -500"),
     ("update", 0.0, "prune record's update must be a non-negative integer, got 0.0"),
@@ -990,13 +1035,18 @@ BAD_PRUNES = [  # (field, its new value, the message)
 
 
 @pytest.mark.parametrize(
-    "key, value, message", BAD_PRUNES, ids=[f"{k}={v!r}" for k, v, _ in BAD_PRUNES]
+    "key, value, message",
+    BAD_PRUNES,
+    ids=[f"{k}={'drop' if v is DROP else repr(v)}" for k, v, _ in BAD_PRUNES],
 )
 def test_report_refuses_a_malformed_prune_record(tmp_path, capsys, key, value, message):
     # a prune record's fields reach events.csv as written, so each is type-checked
     def edit(lines):
         event = json.loads(lines[0])
-        event[key] = value
+        if value is DROP:
+            del event[key]
+        else:
+            event[key] = value
         return [json.dumps(event) + "\n", lines[1]]
 
     assert refuse_edited_log(tmp_path, capsys, edit).endswith(f"line 1: {message}")

@@ -144,6 +144,7 @@ def test_left_out_optional_keys_parse_to_their_defaults():
         ("donor.batch", 0, "donor: batch size must be positive"),
         ("pretrain.denoise_std", -0.1, "pretrain: denoise_std must be >= 0"),
         ("task.num_classes", 0, "task: degenerate task spec: need at least 1 class"),
+        ("task.mean_scale", -0.5, "task: mean_scale must be >= 0"),
         ("arch.activation", "gelu", "arch: unknown activation 'gelu'"),
     ],
 )
@@ -160,11 +161,14 @@ def test_bounds_name_their_section_before_any_stage_runs(tmp_path, capsys, path,
         ("strategies", ["CD-TAW", "TAG", "CD-TAW", "TAG"], "duplicate strategies: ['CD-TAW', 'TAG']"),
         ("frequencies", ["once", "once"], "duplicate frequencies: ['once']"),
         ("seeds", [3, 1, 3], "duplicate seeds in seed list: [3]"),
+        ("frequencies", [], "the grid plans no run: include_dft is false, and strategies or "
+                            "frequencies is empty"),
     ],
 )
 def test_duplicate_grid_entries_are_refused(tmp_path, capsys, key, value, message):
+    # without the DFT cells, so a grid whose strategies or frequencies are empty plans no run
     doc = default_config()
-    doc[key] = value
+    doc["include_dft"], doc[key] = False, value
     code, lines, made = _pretrain(tmp_path, capsys, doc)
     assert (code, lines, made) == (1, [f"config: {message}"], False)
 
