@@ -22,7 +22,7 @@ import os
 import re
 import sys
 
-from .config import ConfigError, ExperimentConfig, check_seeds, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .data import gen_domain_shift
 from .metrics import layerwise_report, report_to_csv, report_to_json
 from .params import (
@@ -38,6 +38,23 @@ from .pruning import load_mask, save_mask
 from .schedule import FREQUENCIES, read_log_jsonl, run_cells, write_log_jsonl
 from .strategies import RANKED_MODEL, STRATEGY_KINDS
 from .trainer import TrainingDivergedError, finetune_supervised, init_model, pretrain_denoising
+
+
+# the stage checkpoints under ``out``; a donor fine-tuned elsewhere goes at <out>/donor.pada
+_PRETRAINED, _DONOR = "pretrained.pada", "donor.pada"
+
+
+def _cell_name(strategy: str, freq: str, seed: int) -> str:
+    if strategy == "DFT":
+        return f"dft_seed{seed}"
+    return f"{strategy.lower()}_{freq}_seed{seed}"
+
+
+# the name of any file `pada run` writes under runs/, whatever the plan
+_RUN_FILE = re.compile(
+    r"(?:dft|(?:%s)_(?:%s))_seed[0-9]+\.(?:jsonl|pada|padm)"
+    % ("|".join(re.escape(kind.lower()) for kind in STRATEGY_KINDS), "|".join(FREQUENCIES))
+)
 
 
 def _claim(out_dir: str, names, force: bool) -> list[str]:
@@ -67,7 +84,7 @@ def _write_stage(cfg: ExperimentConfig, force: bool, name: str, train) -> str:
 
 def cmd_pretrain(cfg: ExperimentConfig, force: bool = False) -> str:
     """Denoising pre-training on the source unlabeled split; writes a checkpoint."""
-    return _write_stage(cfg, force, cfg.pretrained_file, lambda task: pretrain_denoising(
+    return _write_stage(cfg, force, _PRETRAINED, lambda task: pretrain_denoising(
         cfg.arch, task.source_unlabeled, cfg.pretrain))
 
 
@@ -86,21 +103,8 @@ def _load_model(cfg: ExperimentConfig, name: str) -> ParameterSet:
 
 def cmd_make_donor(cfg: ExperimentConfig, force: bool = False) -> str:
     """Fine-tune the pretrained checkpoint on source labels; writes the donor."""
-    return _write_stage(cfg, force, cfg.donor_file, lambda task: finetune_supervised(
-        _load_model(cfg, cfg.pretrained_file), task.source_labeled, cfg.donor, "finetuned_donor"))
-
-
-def _cell_name(strategy: str, freq: str, seed: int) -> str:
-    if strategy == "DFT":
-        return f"dft_seed{seed}"
-    return f"{strategy.lower()}_{freq}_seed{seed}"
-
-
-# the name of any file `pada run` writes under runs/, whatever the plan
-_RUN_FILE = re.compile(
-    r"(?:dft|(?:%s)_(?:%s))_seed[0-9]+\.(?:jsonl|pada|padm)"
-    % ("|".join(re.escape(kind.lower()) for kind in STRATEGY_KINDS), "|".join(FREQUENCIES))
-)
+    return _write_stage(cfg, force, _DONOR, lambda task: finetune_supervised(
+        _load_model(cfg, _PRETRAINED), task.source_labeled, cfg.donor, "finetuned_donor"))
 
 
 def _errors_by_cell(finals) -> dict[tuple[str, str], dict[int, float]]:
@@ -140,9 +144,9 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
             stems.append(os.path.join(run_dir, _cell_name(strategy, freq, seed)))
             slots.append((seed, strategy, cfg.schedules.get(freq)))
 
-    pretrained = _load_model(cfg, cfg.pretrained_file)
+    pretrained = _load_model(cfg, _PRETRAINED)
     ranks = {RANKED_MODEL.get(strategy) for strategy, _ in cells}
-    donor = _load_model(cfg, cfg.donor_file) if "donor" in ranks else None
+    donor = _load_model(cfg, _DONOR) if "donor" in ranks else None
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     # the config and both models fit one arch, so only training can fail here
     outcomes = run_cells(
@@ -300,17 +304,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_cmd(name, help_text):
+    for name, help_text in [
+        ("pretrain", "denoising pre-training; writes the pretrained checkpoint"),
+        ("make-donor", "source-domain fine-tuning; writes the donor checkpoint"),
+        ("run", "run the strategy/frequency grid over all seeds"),
+    ]:  # the config file sets everything else, the output directory included
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", default=None, help="override the config's output directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        return p
-
-    add_config_cmd("pretrain", "denoising pre-training; writes the pretrained checkpoint")
-    add_config_cmd("make-donor", "source-domain fine-tuning; writes the donor checkpoint")
-    p_run = add_config_cmd("run", "run the strategy/frequency grid over all seeds")
-    p_run.add_argument("--seeds", default=None, help="comma-separated seed list override")
 
     p_cmp = sub.add_parser("compare-masks", help="IOU/MMA report for two .padm files")
     p_cmp.add_argument("mask_a")
@@ -324,31 +325,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seeds_option(text: str) -> list[int]:
-    """The ``--seeds`` override as non-negative ints; empty items are skipped."""
-    try:
-        seeds = [int(s) for s in text.split(",") if s]
-    except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
-    if any(s < 0 for s in seeds):
-        raise ConfigError(f"--seeds must be non-negative, got {text!r}")
-    return seeds
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command in ("pretrain", "make-donor", "run"):
             cfg = load_config(args.config)
-            if args.out is not None:
-                cfg.out = args.out
             if args.command == "pretrain":
                 written = [cmd_pretrain(cfg, force=args.force)]
             elif args.command == "make-donor":
                 written = [cmd_make_donor(cfg, force=args.force)]
             else:
-                if args.seeds is not None:
-                    cfg.seeds = check_seeds(_seeds_option(args.seeds))
                 written = cmd_run(cfg, force=args.force)
         elif args.command == "compare-masks":
             written = cmd_compare_masks(args.mask_a, args.mask_b, args.out, force=args.force)

@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON document fully captures a run.
 
 The document pins the synthetic task, the architecture, the per-stage train
-configs, the schedule rates per frequency, the strategy/frequency grid and
-the seed sweep, so rerunning the same config reproduces every output byte.
+configs, the schedule rates per frequency, the strategy/frequency grid, the
+seed sweep and the output directory, and nothing else sets any of them, so
+rerunning the same config reproduces every output byte.
 The dataclasses are the schema of the sections that build them (:func:`_section`).
 """
 
@@ -91,14 +92,7 @@ def _distinct(values: list, what: str) -> list:
     return values
 
 
-def check_seeds(seeds: list[int]) -> list[int]:
-    """The seed sweep; it must be nonempty and hold no duplicates."""
-    if not seeds:
-        raise ConfigError("seed list must be nonempty")
-    return _distinct(seeds, "seeds in seed list")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     task_seed: int
     task: DomainShiftSpec
@@ -110,9 +104,7 @@ class ExperimentConfig:
     schedules: dict[str, PruneSchedule]  # each grid frequency's validated schedule, in grid order
     include_dft: bool
     seeds: list[int]
-    out: str
-    pretrained_file: str
-    donor_file: str
+    out: str  # the directory every stage writes to, and make-donor and run read from
 
     def cells(self) -> list[tuple[str, str]]:
         """(strategy, frequency) grid in table order; DFT first when included."""
@@ -125,7 +117,7 @@ def parse_config(doc) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain JSON document."""
     sections = dict.fromkeys(("task", "arch", "pretrain", "donor", "target", "schedule"), dict)
     required = {"strategies": list[str], "frequencies": list[str], "seeds": list[Seed], "out": str}
-    optional = {"include_dft": bool, "pretrained": str, "donor_checkpoint": str}
+    optional = {"include_dft": bool}
     top = _object(doc, "", sections | required | optional, optional)
     task = {"seed": Seed} | _TYPES[DomainShiftSpec]
     task = _object(top["task"], "task", task, _DEFAULTED[DomainShiftSpec])
@@ -158,11 +150,13 @@ def parse_config(doc) -> ExperimentConfig:
         strategies=_distinct(top["strategies"], "strategies"),
         schedules=schedules,
         include_dft=top.get("include_dft", True),
-        seeds=check_seeds(top["seeds"]),
+        seeds=_distinct(top["seeds"], "seeds in seed list"),
         out=top["out"],
-        pretrained_file=top.get("pretrained", "pretrained.pada"),
-        donor_file=top.get("donor_checkpoint", "donor.pada"),
     )
+    if not cfg.seeds:
+        raise ConfigError("seed list must be nonempty")
+    if not cfg.out or "\0" in cfg.out:  # no stage could write there
+        raise ConfigError(f"out must be a nonempty path without a null byte, got {cfg.out!r}")
     if not cfg.cells():
         raise ConfigError("the grid plans no run: include_dft is false, and strategies or "
                           "frequencies is empty")
@@ -199,6 +193,4 @@ def default_config() -> dict:
         "include_dft": True,
         "seeds": list(range(10)),
         "out": "runs/default",
-        "pretrained": "pretrained.pada",
-        "donor_checkpoint": "donor.pada",
     }

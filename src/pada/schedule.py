@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import pickle
 import signal
@@ -136,22 +137,22 @@ def write_log_jsonl(log: PadaRunLog, path: str) -> None:
 
 
 # what each field of a record must be; "error_rate" only when the run was scored
-_KIND = {int: "a non-negative integer", float: "a number"}
+_KIND = {int: "a non-negative integer", float: "a finite number"}
 _FIELDS = {
     "prune": {name: _KIND[tp] for name, tp in get_type_hints(PruneEvent).items()},
     "final": {
         "total_updates": "a non-negative integer",
         "strategy": "a string",
         "frequency": "a string",
-        "final_sparsity": "a number",
-        "train_loss": "a number",
+        "final_sparsity": "a finite number",
+        "train_loss": "a finite number",
         "error_rate": "a number in [0, 1]",  # a fraction of the evaluation rows
         "seed": "a non-negative integer",
     },
 }
 _IS = {
     "a string": lambda v: type(v) is str,
-    "a number": lambda v: type(v) in (int, float),
+    "a finite number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
     "a number in [0, 1]": lambda v: type(v) in (int, float) and 0 <= v <= 1,  # so not NaN
     "a non-negative integer": lambda v: type(v) is int and v >= 0,
 }

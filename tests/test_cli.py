@@ -184,8 +184,8 @@ def test_taw_without_the_dft_cell_writes_the_same_other_files(tmp_path):
 
 def test_make_donor_roles_and_zero_updates(tmp_path):
     cfg = prep(tmp_path)
-    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
-    donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
+    pre = load_checkpoint(os.path.join(cfg.out, "pretrained.pada"))
+    donor = load_checkpoint(os.path.join(cfg.out, "donor.pada"))
     assert donor.role == "finetuned_donor"
     assert any(
         not np.array_equal(a.data, b.data) for a, b in zip(pre.tensors, donor.tensors)
@@ -196,8 +196,8 @@ def test_make_donor_roles_and_zero_updates(tmp_path):
     cfg0 = parse_config(doc)
     cmd_pretrain(cfg0)
     cmd_make_donor(cfg0)
-    pre0 = load_checkpoint(os.path.join(cfg0.out, cfg0.pretrained_file))
-    donor0 = load_checkpoint(os.path.join(cfg0.out, cfg0.donor_file))
+    pre0 = load_checkpoint(os.path.join(cfg0.out, "pretrained.pada"))
+    donor0 = load_checkpoint(os.path.join(cfg0.out, "donor.pada"))
     assert donor0.tensors == pre0.tensors  # body identical without updates
 
 
@@ -254,11 +254,11 @@ def test_a_refused_compare_masks_creates_no_directory(tmp_path, capsys):
 
 
 def test_a_refused_make_donor_creates_no_directory(tmp_path, capsys):
-    # the pretrained checkpoint is read from the output directory, which --out
-    # points where there is none
+    # the pretrained checkpoint is read from the output directory, which the
+    # config points where there is none
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(small_config(str(tmp_path / "exp"), seeds=(0,))))
-    assert main(["make-donor", "--config", str(cfg_path), "--out", str(tmp_path / "new")]) == 1
+    cfg_path.write_text(json.dumps(small_config(str(tmp_path / "new"), seeds=(0,))))
+    assert main(["make-donor", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("io: ") and "pretrained.pada" in err, err
     assert not (tmp_path / "new").exists()
@@ -316,41 +316,24 @@ def test_each_subcommand_prints_the_paths_it_wrote(tmp_path, capsys):
         assert capsys.readouterr().out == "".join(f"wrote {path}\n" for path in written)
 
 
-def test_main_seeds_override(tmp_path):
-    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
-    doc["strategies"] = ["TAG"]
-    doc["frequencies"] = ["once"]
-    cfg_path = str(tmp_path / "config.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(doc, fh)
-    assert main(["pretrain", "--config", cfg_path]) == 0
-    assert main(["make-donor", "--config", cfg_path]) == 0
-    assert main(["run", "--config", cfg_path, "--seeds", "5"]) == 0
-    header = Path(doc["out"], "table.csv").read_text().splitlines()[0]
-    assert header == "strategy,frequency,mean_error,seed_5"
-
-
 @pytest.mark.parametrize(
-    "seeds, message",
-    [
-        (",", "nonempty"),
-        ("3,3", "duplicate"),
-        ("1.5", "--seeds must be comma-separated integers, got '1.5'"),
-        ("a", "--seeds must be comma-separated integers, got 'a'"),
-        ("0,-1", "--seeds must be non-negative, got '0,-1'"),
-    ],
+    "command, option, value",
+    [("pretrain", "--out", "elsewhere"), ("make-donor", "--out", "elsewhere"),
+     ("run", "--out", "elsewhere"), ("run", "--seeds", "5")],
 )
-def test_bad_seeds_override_is_config_error(tmp_path, capsys, seeds, message):
-    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
-    cfg_path = str(tmp_path / "config.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(doc, fh)
-    assert main(["run", "--config", cfg_path, "--seeds", seeds]) == 1
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert err.startswith("config:")
-    assert message in err
-    assert not os.path.exists(os.path.join(doc["out"], "table.csv"))
+def test_an_option_that_would_override_the_config_is_a_usage_error(
+    tmp_path, capsys, train_calls, command, option, value
+):
+    # the config alone says what a stage does and where it writes
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config(str(tmp_path / "exp"), seeds=(0,))))
+    value = str(tmp_path / value) if option == "--out" else value
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+    assert train_calls == []
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_config_duplicate_seeds_rejected(tmp_path):
@@ -397,7 +380,7 @@ def test_run_nonfinite_donor_is_format_error(tmp_path, capsys):
     cfg = parse_config(doc)
     cmd_pretrain(cfg)
     cmd_make_donor(cfg)
-    donor_path = os.path.join(cfg.out, cfg.donor_file)
+    donor_path = os.path.join(cfg.out, "donor.pada")
     donor = load_checkpoint(donor_path)
     donor["layers.1.weight"].data[0, 0] = np.nan
     save_checkpoint(donor, donor_path)
@@ -458,7 +441,7 @@ def test_an_input_failure_is_reported_before_any_divergence(tmp_path, capsys, tr
     # TAW once; an incompatible donor is still the failure reported, and
     # nothing trains
     doc, cfg, _ = diverging_grid(tmp_path)
-    donor = os.path.join(cfg.out, cfg.donor_file)
+    donor = os.path.join(cfg.out, "donor.pada")
     save_checkpoint(narrow_donor(), donor)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
@@ -604,10 +587,13 @@ def test_report_reads_only_the_last_run(tmp_path):
         json.dump(doc, fh)
     assert main(["pretrain", "--config", cfg_path]) == 0
     assert main(["make-donor", "--config", cfg_path]) == 0
-    assert main(["run", "--config", cfg_path, "--seeds", "0,1"]) == 0
+    assert main(["run", "--config", cfg_path]) == 0
     stale = Path(doc["out"], "runs", "dft_seed0.jsonl")
     first_log = stale.read_bytes()
-    assert main(["run", "--config", cfg_path, "--seeds", "1", "--force"]) == 0
+    doc["seeds"] = [1]
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg_path, "--force"]) == 0
     # --force removed the seed-0 files; a log put back by hand is not read
     assert not stale.exists()
     stale.write_bytes(first_log)
@@ -643,7 +629,10 @@ def test_run_force_removes_only_the_run_files_the_plan_drops(tmp_path):
     seed1 = sorted(n for n in os.listdir(run_dir) if n.endswith("_seed1" + Path(n).suffix))
     assert len(seed1) == 10 + 10 + 9
 
-    assert main(["run", "--config", cfg_path, "--seeds", "1", "--force"]) == 0
+    doc["seeds"] = [1]
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["run", "--config", cfg_path, "--force"]) == 0
     assert sorted(os.listdir(run_dir)) == sorted(seed1 + kept + ["taw_once_seed9.pada"])
     for name in kept:
         assert (run_dir / name).read_text() == "not a run\n"
@@ -751,8 +740,10 @@ def test_an_output_directory_under_a_file_is_refused_before_any_work(
         argv = [command, mask, mask, "--out", out]
     elif command == "report":
         argv = [command, doc["out"], "--out", out]
-    else:
-        argv = [command, "--config", str(cfg_path), "--out", out]
+    else:  # a second config, the same but for its out
+        blocked_cfg = tmp_path / "blocked.json"
+        blocked_cfg.write_text(json.dumps({**doc, "out": out}))
+        argv = [command, "--config", str(blocked_cfg)]
     before = all_paths(tmp_path)
     capsys.readouterr()
     train_calls.clear()
@@ -809,7 +800,7 @@ def test_taw_masks_rank_the_seed_fine_tune(tmp_path):
 
     cfg = prep(tmp_path, seeds=(3,))
     cmd_run(cfg)
-    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
+    pre = load_checkpoint(os.path.join(cfg.out, "pretrained.pada"))
     target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
     finetuned = finetune_supervised(pre, target, replace(cfg.target, seed=3))
     for freq, sched in cfg.schedules.items():
@@ -966,8 +957,12 @@ BAD_FINALS = [  # (field, its new value or DROP, the message)
      "final record's total_updates must be a non-negative integer, got 60.0"),
     ("frequency", None, "final record's frequency must be a string, got None"),
     ("strategy", 3, "final record's strategy must be a string, got 3"),
-    ("train_loss", [0.5], "final record's train_loss must be a number, got [0.5]"),
-    ("final_sparsity", "0.4", "final record's final_sparsity must be a number, got '0.4'"),
+    ("train_loss", [0.5], "final record's train_loss must be a finite number, got [0.5]"),
+    ("final_sparsity", "0.4", "final record's final_sparsity must be a finite number, got '0.4'"),
+    # json reads NaN and Infinity, which would reach summary.json as written
+    ("final_sparsity", float("nan"),
+     "final record's final_sparsity must be a finite number, got nan"),
+    ("train_loss", float("inf"), "final record's train_loss must be a finite number, got inf"),
     ("note", "hand-added", "final record has an unknown field 'note'"),
 ]
 
@@ -1027,10 +1022,13 @@ BAD_PRUNES = [  # (field, its new value or DROP, the message)
     ("update", "0", "prune record's update must be a non-negative integer, got '0'"),
     ("update", -500, "prune record's update must be a non-negative integer, got -500"),
     ("update", 0.0, "prune record's update must be a non-negative integer, got 0.0"),
-    ("rate", "x", "prune record's rate must be a number, got 'x'"),
-    ("sparsity_before", None, "prune record's sparsity_before must be a number, got None"),
-    ("sparsity_after", True, "prune record's sparsity_after must be a number, got True"),
-    ("train_loss", [1.0], "prune record's train_loss must be a number, got [1.0]"),
+    ("rate", "x", "prune record's rate must be a finite number, got 'x'"),
+    ("sparsity_before", None, "prune record's sparsity_before must be a finite number, got None"),
+    ("sparsity_after", True, "prune record's sparsity_after must be a finite number, got True"),
+    ("train_loss", [1.0], "prune record's train_loss must be a finite number, got [1.0]"),
+    # json reads NaN and Infinity, which would reach events.csv as written
+    ("rate", float("nan"), "prune record's rate must be a finite number, got nan"),
+    ("train_loss", float("-inf"), "prune record's train_loss must be a finite number, got -inf"),
 ]
 
 
@@ -1223,7 +1221,7 @@ def test_corrupted_configs_end_run_in_one_line_naming_the_file(tmp_path, capsys,
         if cfg.out == doc["out"]:
             assert err == collision, err
         else:
-            assert err.startswith(f"io: cannot read {Path(cfg.out, cfg.pretrained_file)}: "), err
+            assert err.startswith(f"io: cannot read {Path(cfg.out, 'pretrained.pada')}: "), err
     assert train_calls == []
 
 
@@ -1320,8 +1318,8 @@ def diverging_grid(tmp_path):
     cfg = parse_config(doc)
     cmd_pretrain(cfg)
     cmd_make_donor(cfg)
-    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
-    donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
+    pre = load_checkpoint(os.path.join(cfg.out, "pretrained.pada"))
+    donor = load_checkpoint(os.path.join(cfg.out, "donor.pada"))
     target = gen_domain_shift(cfg.task_seed, cfg.task).target_labeled
     return doc, cfg, (pre, target, cfg.target, donor)
 
@@ -1400,7 +1398,7 @@ def test_run_cells_trains_the_dft_model_taw_ranks(tmp_path):
     from pada.strategies import initial_model
 
     cfg = prep(tmp_path, seeds=(0, 1))
-    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
+    pre = load_checkpoint(os.path.join(cfg.out, "pretrained.pada"))
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     target, scored = task.target_labeled, task.target_eval
     slots = [(seed, "TAW", sched) for seed in cfg.seeds for sched in cfg.schedules.values()]
@@ -1429,8 +1427,8 @@ def grid_inputs(cfg):
     """(pretrained, donor, target data, eval data) of a prepared grid config."""
     from pada.data import gen_domain_shift
 
-    pre = load_checkpoint(os.path.join(cfg.out, cfg.pretrained_file))
-    donor = load_checkpoint(os.path.join(cfg.out, cfg.donor_file))
+    pre = load_checkpoint(os.path.join(cfg.out, "pretrained.pada"))
+    donor = load_checkpoint(os.path.join(cfg.out, "donor.pada"))
     task = gen_domain_shift(cfg.task_seed, cfg.task)
     return pre, donor, task.target_labeled, task.target_eval
 

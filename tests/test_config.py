@@ -25,10 +25,7 @@ OPTIONAL = {
     "arch.activation": DEFAULTS[ModelArch]["activation"],
     "pretrain.denoise_std": DEFAULTS[TrainConfig]["denoise_std"],
     "include_dft": True,
-    "pretrained": "pretrained.pada",
-    "donor_checkpoint": "donor.pada",
 }
-ATTRIBUTES = {"pretrained": "pretrained_file", "donor_checkpoint": "donor_file"}
 # the keys holding a seed (a list of them, for ``seeds``), which may not be negative
 SEEDS = ("task.seed", "pretrain.seed", "donor.seed", "seeds")
 
@@ -50,7 +47,7 @@ def _parsed(cfg, path):
     *sections, key = path.split(".")
     for name in sections:
         cfg = getattr(cfg, name)
-    return getattr(cfg, ATTRIBUTES.get(key, key))
+    return getattr(cfg, key)
 
 
 def _edited(path, edit):
@@ -65,7 +62,7 @@ def _edited(path, edit):
 
 
 def _pretrain(tmp_path, capsys, doc):
-    """``pada pretrain`` on ``doc`` with ``out`` in ``tmp_path``.
+    """``pada pretrain`` on ``doc`` with its default ``out`` moved into ``tmp_path``.
 
     Returns the exit code, the stderr lines and whether ``out`` was created.
     A line naming the config file, ``config: <file>: message``, is returned as
@@ -73,7 +70,7 @@ def _pretrain(tmp_path, capsys, doc):
     no expected line matches it.
     """
     out = tmp_path / "exp"
-    if isinstance(doc, dict) and isinstance(doc.get("out"), str):
+    if isinstance(doc, dict) and doc.get("out") == default_config()["out"]:
         doc["out"] = str(out)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -157,12 +154,35 @@ def test_bounds_name_their_section_before_any_stage_runs(tmp_path, capsys, path,
 @pytest.mark.parametrize(
     "key, value, message",
     [
+        ("out", "", "out must be a nonempty path without a null byte, got ''"),
+        ("out", "exp\0x", "out must be a nonempty path without a null byte, got 'exp\\x00x'"),
+        # the stage checkpoints have fixed names under out, which no key renames
+        ("pretrained", "pretrained.pada", "unknown config field: pretrained"),
+        ("donor_checkpoint", "donor.pada", "unknown config field: donor_checkpoint"),
+    ],
+    ids=["empty-out", "null-byte-out", "pretrained", "donor_checkpoint"],
+)
+def test_an_unusable_out_or_a_removed_key_is_refused_before_any_stage_runs(
+    tmp_path, capsys, monkeypatch, key, value, message
+):
+    monkeypatch.chdir(tmp_path)  # where a relative out would be made
+    doc = default_config()
+    doc[key] = value
+    code, lines, made = _pretrain(tmp_path, capsys, doc)
+    assert (code, lines, made) == (1, [f"config: {message}"], False)
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
         ("strategies", ["TAG", "TAW", "TAG"], "duplicate strategies: ['TAG']"),
         ("strategies", ["CD-TAW", "TAG", "CD-TAW", "TAG"], "duplicate strategies: ['CD-TAW', 'TAG']"),
         ("frequencies", ["once", "once"], "duplicate frequencies: ['once']"),
         ("seeds", [3, 1, 3], "duplicate seeds in seed list: [3]"),
         ("frequencies", [], "the grid plans no run: include_dft is false, and strategies or "
                             "frequencies is empty"),
+        ("seeds", [], "seed list must be nonempty"),
     ],
 )
 def test_duplicate_grid_entries_are_refused(tmp_path, capsys, key, value, message):
