@@ -4,9 +4,10 @@ Subcommands: pretrain, make-donor, run, compare-masks, report.  Each is
 deterministic given its config file and inputs, claims its outputs
 (:func:`_claim`) before it loads an input, and writes them atomically.  ``run``
 plans every run, seed by seed in table order, refuses any file a ``pada run``
-writes (``--force`` removes them once :func:`~pada.schedule.run_cells` has
-finished every run), then writes its table last: a run that fails to train
-writes nothing, and a directory holding ``table.json`` holds one finished run.
+writes and the aggregates a ``pada report`` made of an earlier table
+(``--force`` removes them once :func:`~pada.schedule.run_cells` has finished
+every run), then writes its table last: a run that fails to train writes
+nothing, and a directory holding ``table.json`` holds one finished run.
 Inputs come before training: ``make-donor`` and ``run`` refuse a checkpoint
 unlike the config's ``arch`` as they load it, and of the runs that diverge, the
 first in table order, seed by seed, is named, as if the cells had run one after
@@ -21,6 +22,8 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
+from operator import attrgetter, itemgetter
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import gen_domain_shift
@@ -29,13 +32,14 @@ from .params import (
     FormatError,
     ParameterSet,
     StructureMismatchError,
-    atomic_write_text,
     load_checkpoint,
     save_checkpoint,
     structural_mismatch,
+    write_csv,
+    write_json,
 )
 from .pruning import load_mask, save_mask
-from .schedule import FREQUENCIES, read_log_jsonl, run_cells, write_log_jsonl
+from .schedule import FREQUENCIES, PruneEvent, read_log_jsonl, run_cells, write_log_jsonl
 from .strategies import RANKED_MODEL, STRATEGY_KINDS
 from .trainer import TrainingDivergedError, finetune_supervised, init_model, pretrain_denoising
 
@@ -49,6 +53,9 @@ def _cell_name(strategy: str, freq: str, seed: int) -> str:
         return f"dft_seed{seed}"
     return f"{strategy.lower()}_{freq}_seed{seed}"
 
+
+# what `pada report` writes; a forced `pada run` removes them from its `out` with its own files
+_AGGREGATES = ("events.csv", "summary.json")
 
 # the name of any file `pada run` writes under runs/, whatever the plan
 _RUN_FILE = re.compile(
@@ -129,12 +136,14 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
 
     Writes one .jsonl log, one final .pada checkpoint and (for PADA cells)
     the initial .padm mask per run, plus the comparison table as CSV + JSON,
-    once every run has finished.  It refuses to start over table.* or any
-    file ``_RUN_FILE`` names under runs/; with ``force`` it removes them first.
+    once every run has finished.  It refuses to start over table.*, the
+    ``_AGGREGATES`` of ``pada report`` or any file ``_RUN_FILE`` names under
+    runs/; with ``force`` it removes them first.
     """
     run_dir = os.path.join(cfg.out, "runs")
     names = os.listdir(run_dir) if os.path.isdir(run_dir) else []  # _claim refuses a runs file
-    run_files = _claim(cfg.out, ["table.csv", "table.json"], force)  # table.*, then runs/ sorted
+    # table.*, then report's aggregates of an earlier table, then runs/ sorted
+    run_files = _claim(cfg.out, ["table.csv", "table.json", *_AGGREGATES], force)
     run_files += _claim(run_dir, sorted(filter(_RUN_FILE.fullmatch, names)), force)
     table_csv, table_json = run_files[:2]
     cells = cfg.cells()
@@ -168,13 +177,6 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
                 "per_seed": [by_seed[seed] for seed in cfg.seeds],
             }
         )
-
-    header = ["strategy", "frequency", "mean_error"] + [f"seed_{s}" for s in cfg.seeds]
-    lines = [",".join(header)]
-    for row in rows:
-        cols = [row["strategy"], row["frequency"], repr(row["mean_error"])]
-        cols += [repr(e) for e in row["per_seed"]]
-        lines.append(",".join(cols))
     if force:  # table.* goes first, so no table stands over a partial sweep
         for path in filter(os.path.isfile, run_files):
             os.remove(path)
@@ -184,10 +186,12 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
             save_mask(mask, stem + ".padm")
         write_log_jsonl(log, stem + ".jsonl")
         save_checkpoint(model, stem + ".pada")
-    atomic_write_text(table_csv, "\n".join(lines) + "\n")
-    atomic_write_text(
-        table_json, json.dumps({"seeds": cfg.seeds, "rows": rows}, indent=2) + "\n"
+    write_csv(
+        table_csv,
+        ["strategy", "frequency", "mean_error"] + [f"seed_{s}" for s in cfg.seeds],
+        [[row["strategy"], row["frequency"], row["mean_error"], *row["per_seed"]] for row in rows],
     )
+    write_json(table_json, {"seeds": cfg.seeds, "rows": rows})
     return table_csv, table_json
 
 
@@ -205,6 +209,7 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
 
 
 _CELL_KEYS = ("strategy", "frequency")
+_RUN_KEYS = (*_CELL_KEYS, "seed")  # what names a run in its final record
 
 
 def _listed_runs(table_json: str) -> list[tuple]:
@@ -240,14 +245,14 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
         raise ConfigError(f"no table.json under {run_out} (not a finished `pada run`)")
     out_dir = out_dir or run_out
     # report rewrites its aggregates, so an existing one is no collision
-    events_csv, summary_json = _claim(out_dir, ["events.csv", "summary.json"], force=True)
+    events_csv, summary_json = _claim(out_dir, _AGGREGATES, force=True)
     logs = []
     for name, *listed in _listed_runs(table_json):
         path = os.path.join(run_out, "runs", f"{name}.jsonl")
         if not os.path.isfile(path):
             raise FormatError(f"{table_json}: lists run {name}, but {path} is missing")
         log = read_log_jsonl(path)
-        found = [log.final[k] for k in ("strategy", "frequency", "seed")]
+        found = [log.final[k] for k in _RUN_KEYS]
         if found != listed:
             raise FormatError(f"{path}: a log of run {found}, but table.json lists {listed}")
         if "error_rate" not in log.final:  # every `pada run` run is scored
@@ -255,16 +260,10 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
         logs.append((name, log))
     os.makedirs(out_dir, exist_ok=True)
 
-    lines = ["run,strategy,frequency,seed,update,rate,sparsity_before,sparsity_after,train_loss"]
-    for name, log in logs:
-        fin = log.final
-        for ev in log.events:
-            lines.append(
-                f"{name},{fin['strategy']},{fin['frequency']},{fin['seed']},"
-                f"{ev.update},{ev.rate!r},{ev.sparsity_before!r},{ev.sparsity_after!r},"
-                f"{ev.train_loss!r}"
-            )
-    atomic_write_text(events_csv, "\n".join(lines) + "\n")
+    event_keys = [f.name for f in fields(PruneEvent)]
+    run_of, event_of = itemgetter(*_RUN_KEYS), attrgetter(*event_keys)
+    events = [[name, *run_of(log.final), *event_of(ev)] for name, log in logs for ev in log.events]
+    write_csv(events_csv, ["run", *_RUN_KEYS, *event_keys], events)
 
     runs = [{"run": name, "final": log.final} for name, log in logs]
     by_cell = _errors_by_cell(log.final for _, log in logs)
@@ -277,9 +276,7 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
         }
         for k, v in sorted(by_cell.items())
     ]
-    atomic_write_text(
-        summary_json, json.dumps({"cells": cells, "runs": runs}, indent=2) + "\n"
-    )
+    write_json(summary_json, {"cells": cells, "runs": runs})
     return events_csv, summary_json
 
 

@@ -9,12 +9,11 @@ denominators are exposed for tests; division happens once at the end.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .params import StructureMismatchError, atomic_write_text, structural_mismatch
+from .params import StructureMismatchError, structural_mismatch, write_csv, write_json
 from .pruning import Mask
 
 
@@ -122,15 +121,13 @@ def layerwise_report(ma: Mask, mb: Mask) -> SimilarityReport:
 
 def report_to_csv(report: SimilarityReport, path: str) -> None:
     """Rows of (layer, iou, mma); the first row is the global score."""
-    lines = ["layer,iou,mma"]
-    lines.append(f"_global_,{report.global_iou!r},{report.global_mma!r}")
-    for layer in report.layers:
-        lines.append(f"{layer.name},{layer.iou!r},{layer.mma!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [("_global_", report.global_iou, report.global_mma)]
+    rows += [(layer.name, layer.iou, layer.mma) for layer in report.layers]
+    write_csv(path, ["layer", "iou", "mma"], rows)
 
 
 def report_to_json(report: SimilarityReport, path: str) -> None:
-    doc = {
+    write_json(path, {
         "global": {
             "iou": report.global_iou,
             "mma": report.global_mma,
@@ -138,14 +135,5 @@ def report_to_json(report: SimilarityReport, path: str) -> None:
         },
         "mask_a": {"source": report.source_a, "rate": report.rate_a},
         "mask_b": {"source": report.source_b, "rate": report.rate_b},
-        "layers": [
-            {
-                "name": layer.name,
-                "iou": layer.iou,
-                "mma": layer.mma,
-                "empty_union": layer.empty_union,
-            }
-            for layer in report.layers
-        ],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+        "layers": [asdict(layer) for layer in report.layers],
+    })

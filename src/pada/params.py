@@ -9,10 +9,10 @@ and a packed-bit payload, stores pruning masks (see :mod:`pada.pruning`).
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,16 +219,15 @@ class _Reader:
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
-    # write-temp-then-rename so partially written files are never observed
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    # write-temp-then-rename so partially written files are never observed; "x" makes the temp
+    # file as open(path, "w") would make the file, so the umask sets its mode
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".pada-tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pada-tmp-")
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except OSError as exc:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -236,6 +235,27 @@ def _atomic_write(path: str, payload: bytes) -> None:
 def atomic_write_text(path: str, text: str) -> None:
     """Write a text file atomically (UTF-8, write-temp-then-rename)."""
     _atomic_write(path, text.encode("utf-8"))
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write comma-joined lines, each value by ``str`` (a float's ``repr``); no NaN or infinity."""
+    rows = [header, *rows]
+    text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    # a float's text holds "nan" or "inf" only when the float is not finite
+    if ("nan" in text or "inf" in text) and any(
+        isinstance(v, float) and not math.isfinite(v) for row in rows for v in row
+    ):
+        raise ValueError(f"cannot write {path}: a value is NaN or infinite")
+    atomic_write_text(path, text)
+
+
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` indented by 2, floats by ``repr``; strict JSON has no NaN or infinity."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+    atomic_write_text(path, text)
 
 
 def write_container(

@@ -71,6 +71,8 @@ class Mask:
     def __post_init__(self):
         if self.source not in MASK_SOURCES:
             raise ValueError(f"unknown mask source {self.source!r}")
+        if not 0.0 <= self.rate <= 100.0:  # NaN fails this too
+            raise ValueError(f"mask rate must lie in [0, 100], got {self.rate!r}")
 
     @property
     def total_bits(self) -> int:

@@ -128,12 +128,10 @@ class PadaRunLog:
 
 
 def write_log_jsonl(log: PadaRunLog, path: str) -> None:
-    """One JSON object per line: prune events in order, then a final record."""
-    lines = []
-    for ev in log.events:
-        lines.append(json.dumps({"kind": "prune", **asdict(ev)}))
-    lines.append(json.dumps({"kind": "final", **log.final}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One JSON object per line: prune events in order, then a final record; no NaN or inf."""
+    records = [{"kind": "prune", **asdict(ev)} for ev in log.events]
+    records.append({"kind": "final", **log.final})
+    atomic_write_text(path, "".join(json.dumps(r, allow_nan=False) + "\n" for r in records))
 
 
 # what each field of a record must be; "error_rate" only when the run was scored

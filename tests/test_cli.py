@@ -11,7 +11,7 @@ import pytest
 
 from pada.cli import cmd_compare_masks, cmd_make_donor, cmd_pretrain, cmd_report, cmd_run, main
 from pada.config import ConfigError, default_config, load_config, parse_config
-from pada.params import FormatError, load_checkpoint, save_checkpoint
+from pada.params import MASK_MAGIC, FormatError, load_checkpoint, save_checkpoint, write_container
 from pada.pruning import Mask, MaskEntry, save_mask
 from pada.schedule import read_log_jsonl
 
@@ -242,6 +242,17 @@ def test_compare_masks_refuses_empty_masks_naming_both_files(tmp_path, capsys):
         f"structure: {pa} vs {pb}: cannot compare empty masks"
     )
     assert not (tmp_path / "rep" / "mask_report.csv").exists()
+
+
+def test_compare_masks_refuses_a_nan_rate_and_writes_no_report(tmp_path, capsys):
+    pa, pb = str(tmp_path / "a.padm"), str(tmp_path / "b.padm")
+    save_mask(Mask([MaskEntry("w", np.ones(4, dtype=bool))], source="TAG", rate=50.0), pa)
+    write_container(pb, MASK_MAGIC, [("w", True, (4,), b"\x0f")], {"source": "TAG", "rate": "nan"})
+    assert main(["compare-masks", pa, pb, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"format: {pb}: mask rate must lie in [0, 100], got nan"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["a.padm", "b.padm"]
 
 
 def test_a_refused_compare_masks_creates_no_directory(tmp_path, capsys):
@@ -609,6 +620,31 @@ def test_report_reads_only_the_last_run(tmp_path):
     ]
     events = Path(doc["out"], "events.csv").read_text().splitlines()[1:]
     assert all(line.split(",")[3] == "1" for line in events)
+
+
+def test_a_forced_run_removes_the_aggregates_of_the_table_it_replaces(tmp_path, capsys):
+    # events.csv and summary.json describe the table report read, so a new table ends them
+    doc = small_config(str(tmp_path / "exp"), seeds=(0, 1))
+    doc["strategies"], doc["frequencies"] = ["TAG"], ["once"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for argv in (["pretrain"], ["make-donor"], ["run"]):
+        assert main([*argv, "--config", str(cfg_path)]) == 0
+    assert main(["report", doc["out"]]) == 0
+    out = Path(doc["out"])
+    for name in ("table.csv", "table.json"):
+        (out / name).unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"config: output exists: {out / 'events.csv'} (use --force to overwrite)"
+    )
+
+    doc["seeds"] = [5]
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path), "--force"]) == 0
+    assert json.loads((out / "table.json").read_text())["seeds"] == [5]
+    assert not (out / "events.csv").exists() and not (out / "summary.json").exists()
 
 
 def test_run_force_removes_only_the_run_files_the_plan_drops(tmp_path):

@@ -143,6 +143,12 @@ def test_left_out_optional_keys_parse_to_their_defaults():
         ("task.num_classes", 0, "task: degenerate task spec: need at least 1 class"),
         ("task.mean_scale", -0.5, "task: mean_scale must be >= 0"),
         ("arch.activation", "gelu", "arch: unknown activation 'gelu'"),
+        ("strategies", ["XYZ"], "unknown strategy 'XYZ' in config"),
+        ("task.target_labeled", 0, "task: target_labeled must be positive"),
+        ("task.noise_std", -1, "task: noise levels must be >= 0"),
+        ("arch.hidden", [], "arch: at least one hidden layer is required"),
+        ("arch.hidden", [0], "arch: all layer widths must be positive"),
+        ("pretrain.updates", -1, "pretrain: update count must be >= 0"),
     ],
 )
 def test_bounds_name_their_section_before_any_stage_runs(tmp_path, capsys, path, value, message):

@@ -1,7 +1,13 @@
+import math
+import os
+import re
+import stat
+
 import numpy as np
 import pytest
 
 from pada.params import (
+    MASK_MAGIC,
     FormatError,
     ParameterSet,
     Tensor,
@@ -10,6 +16,9 @@ from pada.params import (
     load_checkpoint,
     save_checkpoint,
     structural_mismatch,
+    write_container,
+    write_csv,
+    write_json,
 )
 from pada.pruning import compute_ump_mask, load_mask, save_mask
 
@@ -163,6 +172,16 @@ def test_nonfinite_weights_are_format_errors(tmp_path, bad):
     assert path in str(info.value)
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-5", "150"])
+def test_a_mask_rate_outside_0_to_100_is_a_format_error(tmp_path, rate):
+    # a report copies the rate out, so a NaN one would reach mask_report.json
+    path = str(tmp_path / "m.padm")
+    write_container(path, MASK_MAGIC, [("w", True, (4,), b"\x05")], {"source": "TAG", "rate": rate})
+    with pytest.raises(FormatError, match=r"mask rate must lie in \[0, 100\]") as info:
+        load_mask(path)
+    assert path in str(info.value)
+
+
 def test_role_is_a_reserved_meta_key(tmp_path):
     with pytest.raises(ValueError, match="reserved"):
         ParameterSet([], role="adapted", meta={"role": "pretrained"})
@@ -181,6 +200,8 @@ WRITERS = {
     "text": lambda path: atomic_write_text(path, "x\n"),
     "checkpoint": lambda path: save_checkpoint(two_tensor_set(), path),
     "mask": lambda path: save_mask(compute_ump_mask(two_tensor_set(), 50.0), path),
+    "csv": lambda path: write_csv(path, ["a"], [[1.0]]),
+    "json": lambda path: write_json(path, {"a": 1.0}),
 }
 
 
@@ -195,6 +216,40 @@ def test_a_failed_write_names_its_path_once_and_leaves_no_temp_file(tmp_path, wr
     assert str(info.value).count(f"cannot write {path}: ") == 1
     assert "cannot write" not in str(info.value.__cause__)  # wrapped once, not twice
     assert list(tmp_path.rglob(".pada-tmp-*")) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_every_writer_gives_its_file_the_mode_open_would(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "open", "w"):
+            pass
+        for name, write in WRITERS.items():
+            write(str(tmp_path / name))
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["open", *WRITERS], 0o666 & ~umask)
+
+
+def test_results_files_write_floats_by_repr_and_the_rest_by_str(tmp_path):
+    # a string that reads like a non-finite float is only a string
+    write_csv(str(tmp_path / "t.csv"), ["a", "b", "c", "d"], [["nan", 0.1, 3, np.float64(1 / 3)]])
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\nnan,0.1,3,0.3333333333333333\n"
+    write_json(str(tmp_path / "t.json"), {"a": [0.1, True]})
+    assert (tmp_path / "t.json").read_text() == '{\n  "a": [\n    0.1,\n    true\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("writer", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_results_file_refuses_nan_and_infinity_and_leaves_no_file(tmp_path, writer, bad):
+    path = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=f"^cannot write {re.escape(path)}: "):
+        if writer == "csv":
+            write_csv(path, ["run", "rate"], [["a", 0.5], ["b", bad]])
+        else:
+            write_json(path, {"runs": [{"rate": 0.5}, {"rate": bad}]})
+    assert os.listdir(tmp_path) == []
 
 
 def test_flat_view_order_and_length():
