@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -33,6 +32,7 @@ from .params import (
     ParameterSet,
     StructureMismatchError,
     load_checkpoint,
+    read_json,
     save_checkpoint,
     structural_mismatch,
     write_csv,
@@ -66,15 +66,19 @@ _RUN_FILE = re.compile(
 
 def _claim(out_dir: str, names, force: bool) -> list[str]:
     """Paths ``names`` under ``out_dir``, refused before any work if the first existing path at
-    or above ``out_dir`` is not a directory, or unless ``force`` if one of them exists."""
+    or above ``out_dir`` is not a directory, if one of them exists but is not a file, or unless
+    ``force`` if one of them exists."""
     top = out_dir
     while top and not os.path.lexists(top):
         top = os.path.dirname(top)  # "" is the working directory
     if top and not os.path.isdir(top):
         raise NotADirectoryError(f"cannot write {top}: not a directory")
     paths = [os.path.join(out_dir, name) for name in names]
-    taken = [path for path in paths if not force and os.path.exists(path)]
-    if taken:
+    taken = [path for path in paths if os.path.exists(path)]
+    for path in taken:
+        if not os.path.isfile(path):
+            raise OSError(f"cannot write {path}: not a file")
+    if taken and not force:
         raise ConfigError(f"output exists: {taken[0]} (use --force to overwrite)")
     return paths
 
@@ -141,17 +145,22 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> tuple[str, str]:
     runs/; with ``force`` it removes them first.
     """
     run_dir = os.path.join(cfg.out, "runs")
-    names = os.listdir(run_dir) if os.path.isdir(run_dir) else []  # _claim refuses a runs file
-    # table.*, then report's aggregates of an earlier table, then runs/ sorted
-    run_files = _claim(cfg.out, ["table.csv", "table.json", *_AGGREGATES], force)
-    run_files += _claim(run_dir, sorted(filter(_RUN_FILE.fullmatch, names)), force)
-    table_csv, table_json = run_files[:2]
     cells = cfg.cells()
     stems, slots = [], []  # every run, seed by seed in table order: its files' stem, its slot
     for seed in cfg.seeds:
         for strategy, freq in cells:
             stems.append(os.path.join(run_dir, _cell_name(strategy, freq, seed)))
             slots.append((seed, strategy, cfg.schedules.get(freq)))
+    # the files of this plan's runs, and each run file of any plan
+    names = {os.path.basename(stem) + ext for stem, (_, _, sched) in zip(stems, slots)
+             for ext in (".jsonl", ".pada", ".padm")[: 2 if sched is None else 3]}
+    if os.path.isdir(run_dir):  # _claim refuses a runs file
+        names.update(name for name in filter(_RUN_FILE.fullmatch, os.listdir(run_dir))
+                     if os.path.isfile(os.path.join(run_dir, name)))
+    # table.*, then report's aggregates of an earlier table, then runs/ sorted
+    run_files = _claim(cfg.out, ["table.csv", "table.json", *_AGGREGATES], force)
+    run_files += _claim(run_dir, sorted(names), force)
+    table_csv, table_json = run_files[:2]
 
     pretrained = _load_model(cfg, _PRETRAINED)
     ranks = {RANKED_MODEL.get(strategy) for strategy, _ in cells}
@@ -214,11 +223,10 @@ _RUN_KEYS = (*_CELL_KEYS, "seed")  # what names a run in its final record
 
 def _listed_runs(table_json: str) -> list[tuple]:
     """Each listed run's (name, strategy, frequency, seed), sorted by name; or a FormatError."""
-    with open(table_json, "r", encoding="utf-8") as fh:
-        try:
-            table = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise FormatError(f"{table_json}: not JSON ({exc})") from exc
+    try:
+        table = read_json(table_json)
+    except ValueError as exc:
+        raise FormatError(f"{table_json}: {exc}") from exc
     rows, seeds = (table.get(k) if type(table) is dict else None for k in ("rows", "seeds"))
     if type(rows) is not list or type(seeds) is not list or any(type(s) is not int for s in seeds):
         raise FormatError(
@@ -249,7 +257,7 @@ def cmd_report(run_out: str, out_dir: str | None = None) -> tuple[str, str]:
     logs = []
     for name, *listed in _listed_runs(table_json):
         path = os.path.join(run_out, "runs", f"{name}.jsonl")
-        if not os.path.isfile(path):
+        if not os.path.exists(path):  # read_log_jsonl refuses one that is there but unreadable
             raise FormatError(f"{table_json}: lists run {name}, but {path} is missing")
         log = read_log_jsonl(path)
         found = [log.final[k] for k in _RUN_KEYS]

@@ -9,12 +9,12 @@ The dataclasses are the schema of the sections that build them (:func:`_section`
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NewType, get_args, get_origin, get_type_hints
 
 from .data import DomainShiftSpec
+from .params import read_json
 from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, PruneSchedule, validate
 from .strategies import STRATEGY_KINDS
 from .trainer import TrainConfig, ModelArch
@@ -54,7 +54,7 @@ def _value(value, tp, path: str):
             return int(value)
         if tp is float and type(value) in (int, float) and math.isfinite(value):
             return float(value)
-        if type(value) is tp:  # str, bool, dict
+        if tp in (str, bool, dict) and type(value) is tp:
             return value
     except (ConfigError, OverflowError):  # an item refused, or an int too large for a float
         pass
@@ -165,12 +165,7 @@ def parse_config(doc) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        return parse_config(doc)
+        return parse_config(read_json(path))
     except ValueError as exc:  # a ScheduleError too, which is not a ConfigError
         raise ConfigError(f"{path}: {exc}") from exc
 

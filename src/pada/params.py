@@ -137,9 +137,12 @@ class ParameterSet:
 
 
 def _check_meta(meta: dict[str, str]) -> None:
-    # the checkpoint format writes "role" itself, from ParameterSet.role
+    # the checkpoint format writes "role" itself, from ParameterSet.role, and holds only strings
     if "role" in meta:
         raise ValueError("metadata key 'role' is reserved; set ParameterSet.role instead")
+    bad = next((item for item in meta.items() if not all(type(v) is str for v in item)), None)
+    if bad is not None:
+        raise ValueError(f"metadata keys and values must be strings, got {bad[0]!r}: {bad[1]!r}")
 
 
 def flat_prunable_values(ps: ParameterSet) -> np.ndarray:
@@ -176,19 +179,23 @@ def structural_mismatch(a, b) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Binary container
-#
-# Layout (all integers little-endian, see docs/formats.md for a hex example):
-#   magic[4]  version:u8  tensor_count:u32
-#   per tensor: name_len:u16  name(utf8)  prunable:u8  rank:u8  dims:u32[rank]
-#               payload (float32[n] for checkpoints, packed bits for masks)
-#   metadata: pair_count:u32, then per pair key_len:u16 key(utf8)
-#             value_len:u32 value(utf8)
+# Binary container, laid out as docs/formats.md's tables say
 # ---------------------------------------------------------------------------
+
+# its integer fields, little-endian; write_container packs them and _Reader unpacks them
+_U8, _U16, _U32 = struct.Struct("<B"), struct.Struct("<H"), struct.Struct("<I")
+
+
+def _text(text: str, width: struct.Struct, what: str) -> bytes:
+    """``text`` as UTF-8 after its byte length in ``width``, as :meth:`_Reader.text` reads it."""
+    raw = text.encode("utf-8")
+    if len(raw) >> 8 * width.size:
+        raise ValueError(f"{what} too long: {text!r}")
+    return width.pack(len(raw)) + raw
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path: str):
+    def __init__(self, buf: bytes, path):
         self.buf = buf
         self.path = path
         self.off = 0
@@ -202,20 +209,37 @@ class _Reader:
         self.off += n
         return chunk
 
-    def text(self, n: int, what: str) -> str:
+    def uint(self, width: struct.Struct, what: str) -> int:
+        try:
+            (value,) = width.unpack_from(self.buf, self.off)
+        except struct.error:  # the file ends inside the field
+            self.take(width.size, what)  # raises the truncation's FormatError
+        self.off += width.size
+        return value
+
+    def text(self, width: struct.Struct, what: str) -> str:
+        n = self.uint(width, what)  # a cut length prefix is a truncated ``what`` too
         try:
             return self.take(n, what).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.path}: {what} is not UTF-8 ({exc})") from exc
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
 
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
+def read_file(path) -> bytes:
+    """The bytes of input file ``path``; a failure is an OSError ``cannot read <path>: <reason>``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+
+def read_json(path):
+    """Input file ``path`` as one UTF-8 JSON document, else a ValueError ``not JSON (…)``."""
+    try:
+        return json.loads(read_file(path).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"not JSON ({exc})") from exc
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
@@ -229,7 +253,7 @@ def _atomic_write(path: str, payload: bytes) -> None:
     except OSError as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -265,70 +289,52 @@ def write_container(
     metadata: dict[str, str],
 ) -> None:
     """Serialize (name, prunable, shape, payload) records plus metadata pairs."""
-    parts = [magic, bytes([FORMAT_VERSION]), struct.pack("<I", len(records))]
+    parts = [magic, _U8.pack(FORMAT_VERSION), _U32.pack(len(records))]
     for name, prunable, shape, payload in records:
-        name_b = name.encode("utf-8")
-        if len(name_b) > 0xFFFF:
-            raise ValueError(f"tensor name too long: {name!r}")
         if len(shape) > 0xFF:
             raise ValueError(f"tensor rank too large: {len(shape)}")
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(bytes([1 if prunable else 0]))
-        parts.append(bytes([len(shape)]))
-        parts.append(struct.pack(f"<{len(shape)}I", *shape) if shape else b"")
-        parts.append(payload)
-    parts.append(struct.pack("<I", len(metadata)))
+        parts += [_text(name, _U16, "tensor name"), _U8.pack(1 if prunable else 0),
+                  _U8.pack(len(shape)), *map(_U32.pack, shape), payload]
+    parts.append(_U32.pack(len(metadata)))
     for key, value in metadata.items():
-        key_b = key.encode("utf-8")
-        value_b = value.encode("utf-8")
-        parts.append(struct.pack("<H", len(key_b)))
-        parts.append(key_b)
-        parts.append(struct.pack("<I", len(value_b)))
-        parts.append(value_b)
+        parts += [_text(key, _U16, "metadata key"), _text(value, _U32, "metadata value")]
     _atomic_write(path, b"".join(parts))
 
 
-def read_container(path: str, magic: bytes, label: str, payload_nbytes):
+def read_container(path: str, magic: bytes, label: str, payload_nbytes, required: tuple[str, ...]):
     """Parse a container; ``payload_nbytes(n_elements)`` sizes each payload.
 
     Returns (records, metadata) where records are
-    (name, prunable, shape, payload_bytes) tuples.
+    (name, prunable, shape, payload_bytes) tuples; a metadata key of
+    ``required`` that the file lacks is a FormatError.
     """
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    if len(buf) < 4 or buf[:4] != magic:
+    buf = read_file(path)
+    if not buf.startswith(magic):
         raise FormatError(f"{path}: not a {label} (bad magic)")
     r = _Reader(buf, path)
-    r.off = 4
-    version = r.u8("version byte")
+    r.off = len(magic)
+    version = r.uint(_U8, "version byte")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    count = r.u32("tensor count")
     records = []
-    for _ in range(count):
-        name_len = r.u16("tensor name length")
-        name = r.text(name_len, "tensor name")
-        prunable = bool(r.u8("prunable flag"))
-        rank = r.u8("tensor rank")
-        shape = tuple(r.u32("tensor dims") for _ in range(rank))
+    for _ in range(r.uint(_U32, "tensor count")):
+        name = r.text(_U16, "tensor name")
+        prunable = bool(r.uint(_U8, "prunable flag"))
+        rank = r.uint(_U8, "tensor rank")
+        shape = tuple(r.uint(_U32, "tensor dims") for _ in range(rank))
         if 0 in shape:
             raise FormatError(f"{path}: tensor {name!r}: dims must be positive, got {shape}")
         payload = r.take(payload_nbytes(math.prod(shape)), "tensor data")
         records.append((name, prunable, shape, payload))
     metadata: dict[str, str] = {}
-    pair_count = r.u32("metadata count")
-    for _ in range(pair_count):
-        key_len = r.u16("metadata key length")
-        key = r.text(key_len, "metadata key")
-        value_len = r.u32("metadata value length")
-        value = r.text(value_len, "metadata value")
-        metadata[key] = value
+    for _ in range(r.uint(_U32, "metadata count")):
+        key = r.text(_U16, "metadata key")
+        metadata[key] = r.text(_U32, "metadata value")
     if r.off != len(buf):
         raise FormatError(f"{path}: {len(buf) - r.off} trailing bytes after the metadata")
+    for key in required:
+        if key not in metadata:
+            raise FormatError(f"{path}: no {key} metadata")
     return records, metadata
 
 
@@ -346,9 +352,9 @@ def save_checkpoint(ps: ParameterSet, path: str) -> None:
 def load_checkpoint(path: str) -> ParameterSet:
     """Read a .pada file; exact inverse of :func:`save_checkpoint`."""
     records, metadata = read_container(
-        path, CHECKPOINT_MAGIC, "PADA checkpoint", lambda n: 4 * n
+        path, CHECKPOINT_MAGIC, "PADA checkpoint", lambda n: 4 * n, ("role",)
     )
-    role = metadata.pop("role", "pretrained")
+    role = metadata.pop("role")
     try:
         tensors = [
             Tensor(name, np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), prunable)

@@ -178,7 +178,7 @@ def save_mask(mask: Mask, path: str) -> None:
 def load_mask(path: str) -> Mask:
     """Read a .padm file; exact inverse of :func:`save_mask`."""
     records, metadata = read_container(
-        path, MASK_MAGIC, "PADA mask", lambda n: (n + 7) // 8
+        path, MASK_MAGIC, "PADA mask", lambda n: (n + 7) // 8, ("source", "rate")
     )
     entries = []
     for name, _prunable, shape, payload in records:
@@ -187,7 +187,6 @@ def load_mask(path: str) -> Mask:
         ).astype(bool)
         entries.append(MaskEntry(name, bits.reshape(shape)))
     try:
-        rate = float(metadata.get("rate", "0.0"))
-        return Mask(entries, source=metadata.get("source", "in-loop"), rate=rate)
+        return Mask(entries, source=metadata["source"], rate=float(metadata["rate"]))
     except ValueError as exc:  # well-formed container, invalid content
         raise FormatError(f"{path}: {exc}") from exc

@@ -34,6 +34,7 @@ and :func:`run_dft` are one-cell calls of the same executor.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -45,7 +46,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .params import FormatError, ParameterSet, atomic_write_text
+from .params import FormatError, ParameterSet, atomic_write_text, read_file
 from .pruning import RANKED_MODEL, Mask, apply_zeroing, compute_ump_mask, sparsity
 from .strategies import initial_model
 from .trainer import (
@@ -176,22 +177,22 @@ def read_log_jsonl(path: str) -> PadaRunLog:
     have the types :func:`write_log_jsonl` writes.
     """
     log, final_line, lineno = PadaRunLog(), None, 0
-    with open(path, "rb") as fh:  # each line is decoded where a bad byte can name it
-        for lineno, line in enumerate(fh, 1):
-            try:
-                rec = json.loads(line.decode("utf-8"))
-                kind = rec.pop("kind", None) if isinstance(rec, dict) else None
-                if kind not in ("prune", "final"):
-                    raise ValueError(f"unknown record kind {kind!r}")
-                _check_record(kind, rec)
-                if final_line is not None:
-                    raise ValueError(f"{kind} record after the final record of line {final_line}")
-                if kind == "prune":
-                    log.events.append(PruneEvent(**rec))
-                else:
-                    log.final, final_line = rec, lineno
-            except ValueError as exc:  # not UTF-8 JSON, or not a record of a log
-                raise FormatError(f"{path}, line {lineno}: {exc}") from exc
+    # split at "\n" only, as a file object splits; each line is decoded where a bad byte can name it
+    for lineno, line in enumerate(io.BytesIO(read_file(path)), 1):
+        try:
+            rec = json.loads(line.decode("utf-8"))
+            kind = rec.pop("kind", None) if isinstance(rec, dict) else None
+            if kind not in ("prune", "final"):
+                raise ValueError(f"unknown record kind {kind!r}")
+            _check_record(kind, rec)
+            if final_line is not None:
+                raise ValueError(f"{kind} record after the final record of line {final_line}")
+            if kind == "prune":
+                log.events.append(PruneEvent(**rec))
+            else:
+                log.final, final_line = rec, lineno
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or not a record of a log
+            raise FormatError(f"{path}, line {lineno}: {exc}") from exc
     if final_line is None:
         raise FormatError(f"{path}, line {lineno + 1}: the log ends without a final record")
     return log

@@ -789,6 +789,42 @@ def test_an_output_directory_under_a_file_is_refused_before_any_work(
     assert all_paths(tmp_path) == before
 
 
+@pytest.mark.parametrize("command, output", [
+    ("run", "runs/dft_seed0.pada"),
+    ("run", "table.json"),
+    ("report", "summary.json"),
+    ("compare-masks", "masks/mask_report.json"),
+])
+def test_an_output_that_is_not_a_file_is_refused_before_any_work(
+    tmp_path, capsys, train_calls, command, output
+):
+    # no file can replace a directory, so, with or without --force, a subcommand that went on
+    # would train, and remove the files it replaces, before its write failed
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    doc["strategies"], doc["frequencies"] = ["TAG"], ["once"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    for stage in ("pretrain", "make-donor", "run"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    blocked = Path(doc["out"], output)
+    if blocked.exists():
+        blocked.unlink()
+    blocked.mkdir(parents=True)
+    mask = os.path.join(doc["out"], "runs", "tag_once_seed0.padm")
+    argv = {
+        "run": ["run", "--config", str(cfg_path), "--force"],
+        "report": ["report", doc["out"]],
+        "compare-masks": ["compare-masks", mask, mask, "--out", str(blocked.parent)],
+    }[command]
+    before = all_paths(tmp_path)
+    capsys.readouterr()
+    train_calls.clear()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"io: cannot write {blocked}: not a file"
+    assert train_calls == []
+    assert all_paths(tmp_path) == before
+
+
 def test_report_without_table_is_config_error(tmp_path, capsys):
     os.makedirs(tmp_path / "exp" / "runs")
     assert main(["report", str(tmp_path / "exp")]) == 1
@@ -955,6 +991,17 @@ def test_report_refuses_malformed_log_records(tmp_path, capsys, line, message):
     assert err.startswith("format:")
     assert "tag_once_seed0.jsonl, line 3: " in err and message in err
 
+
+
+def test_report_cannot_read_a_listed_log_that_is_a_directory(tmp_path, capsys):
+    # the log is there, so it is not missing, but no file can be read from it
+    cfg = prep(tmp_path, seeds=(0,))
+    cmd_run(cfg)
+    path = Path(cfg.out, "runs", "tag_once_seed0.jsonl")
+    path.unlink()
+    path.mkdir()
+    assert main(["report", cfg.out]) == 1
+    assert capsys.readouterr().err.strip() == f"io: cannot read {path}: Is a directory"
 
 
 def refuse_edited_log(tmp_path, capsys, edit):

@@ -149,6 +149,11 @@ def test_left_out_optional_keys_parse_to_their_defaults():
         ("arch.hidden", [], "arch: at least one hidden layer is required"),
         ("arch.hidden", [0], "arch: all layer widths must be positive"),
         ("pretrain.updates", -1, "pretrain: update count must be >= 0"),
+        # json.dumps writes NaN and Infinity, which Python's json reads back
+        ("pretrain.denoise_std", float("nan"), "pretrain.denoise_std must be a number, got nan"),
+        ("target.lr", float("inf"), "target.lr must be a number, got inf"),
+        ("target.lr", float("nan"), "target.lr must be a number, got nan"),
+        ("task.rotation_deg", float("inf"), "task.rotation_deg must be a number, got inf"),
     ],
 )
 def test_bounds_name_their_section_before_any_stage_runs(tmp_path, capsys, path, value, message):

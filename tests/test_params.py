@@ -2,10 +2,12 @@ import math
 import os
 import re
 import stat
+import struct
 
 import numpy as np
 import pytest
 
+from pada.config import ConfigError, load_config
 from pada.params import (
     MASK_MAGIC,
     FormatError,
@@ -21,6 +23,7 @@ from pada.params import (
     write_json,
 )
 from pada.pruning import compute_ump_mask, load_mask, save_mask
+from pada.schedule import read_log_jsonl
 
 
 def two_tensor_set():
@@ -159,6 +162,20 @@ def test_corrupt_container_bytes_are_format_errors(tmp_path, kind):
     assert set(outcomes["truncated"]) == {"format"}
     assert set(outcomes["flipped"]) == {"format", "loaded"}
 
+    # the writer always writes the first pair's key, so a file without it is corrupt
+    key, value = ("role", b"pretrained") if kind == "checkpoint" else ("source", b"TAG")
+    pair = struct.pack("<H", len(key)) + key.encode() + struct.pack("<I", len(value)) + value
+    assert raw.count(pair) == raw.count(key.encode()) == 1
+    at = raw.index(pair)  # right after the pair count
+    (pairs,) = struct.unpack_from("<I", raw, at - 4)
+    removed = raw[: at - 4] + struct.pack("<I", pairs - 1) + raw[at + len(pair) :]
+    renamed = raw.replace(key.encode(), key[:-1].encode() + b"f")  # role -> rolf
+    for case in (removed, renamed):
+        path.write_bytes(case)
+        with pytest.raises(FormatError) as info:
+            load(str(path))
+        assert str(info.value) == f"{path}: no {key} metadata"
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_weights_are_format_errors(tmp_path, bad):
@@ -191,9 +208,91 @@ def test_role_is_a_reserved_meta_key(tmp_path):
         save_checkpoint(ps, str(tmp_path / "r.pada"))
 
 
+def test_a_mask_without_its_rate_is_a_format_error(tmp_path):
+    # save_mask writes source and rate, so a mask without either never came from it
+    path = str(tmp_path / "m.padm")
+    write_container(path, MASK_MAGIC, [("w", True, (4,), b"\x05")], {"source": "TAG"})
+    with pytest.raises(FormatError, match=f"^{re.escape(path)}: no rate metadata$"):
+        load_mask(path)
+
+
+def test_metadata_is_strings_only(tmp_path):
+    # the container holds only strings, so no checkpoint could hold the others
+    for meta in ({"n": 3}, {3: "n"}, {"n": None}):
+        with pytest.raises(ValueError, match="metadata keys and values must be strings"):
+            ParameterSet([], meta=meta)
+    ps = ParameterSet([], role="adapted")
+    ps.meta["n"] = 3  # edited after construction
+    with pytest.raises(ValueError, match="metadata keys and values must be strings, got 'n': 3"):
+        save_checkpoint(ps, str(tmp_path / "n.pada"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_overlong_metadata_key_is_refused_by_name(tmp_path):
+    key = "k" * 0x10000  # one byte past what its uint16 length holds
+    with pytest.raises(ValueError, match=f"^metadata key too long: '{key}'$"):
+        save_checkpoint(ParameterSet([], meta={key: "v"}), str(tmp_path / "k.pada"))
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError, match="nope.pada"):
         load_checkpoint(str(tmp_path / "nope.pada"))
+
+
+READERS = {
+    "config.json": load_config,
+    "pretrained.pada": load_checkpoint,
+    "tag_once_seed0.padm": load_mask,
+    "tag_once_seed0.jsonl": read_log_jsonl,
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+@pytest.mark.parametrize("case, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_an_unreadable_input_names_its_path_once(tmp_path, name, case, reason):
+    # every reader opens its file through params.read_file, which takes a pathlib.Path too
+    path = tmp_path / name
+    if case == "directory":
+        path.mkdir()
+    with pytest.raises(OSError) as info:
+        READERS[name](path)
+    assert str(info.value) == f"cannot read {path}: {reason}"
+
+
+@pytest.mark.parametrize("name", ["config.json", "tag_once_seed0.jsonl"])
+def test_json_nested_past_the_recursion_limit_is_not_json(tmp_path, name):
+    # json.loads raises RecursionError there, which the CLI would call a fault of pada itself
+    path = tmp_path / name
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises((ConfigError, FormatError), match="maximum recursion depth") as info:
+        READERS[name](path)
+    assert str(path) in str(info.value)
+
+
+def test_only_params_opens_a_file():
+    # every input is read by read_file and every output written by _atomic_write, so each
+    # failure has one wording; the executor's worker pipes are os.fdopen, not open
+    import ast
+    from pathlib import Path
+
+    import pada
+
+    opens = []
+    for module in sorted(Path(pada.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        within = {}  # each node's innermost function: ast.walk visits outer functions first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                within.update((id(node), func.name) for node in ast.walk(func))
+        opens += [
+            (module.name, within.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"
+        ]
+    assert sorted(opens) == [("params.py", "_atomic_write"), ("params.py", "read_file")]
 
 
 WRITERS = {
