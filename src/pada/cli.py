@@ -28,7 +28,9 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .data import gen_domain_shift
 from .metrics import layerwise_report, report_to_csv, report_to_json
 from .params import (
+    Fields,
     FormatError,
+    NonNegativeInt,
     ParameterSet,
     StructureMismatchError,
     load_checkpoint,
@@ -103,10 +105,11 @@ def _load_model(cfg: ExperimentConfig, name: str) -> ParameterSet:
     """Checkpoint ``name`` under the output directory, refused unless a model of ``cfg.arch``."""
     path = os.path.join(cfg.out, name)
     model = load_checkpoint(path)
+    if "activation" not in model.meta:  # the trainer writes it, so no default is invented
+        raise FormatError(f"{path}: no activation metadata")
     problem = structural_mismatch(init_model(cfg.arch, 0), model)
-    activation = model.meta.get("activation", "tanh")  # as ModelStack.of reads it
-    if problem is None and activation != cfg.arch.activation:
-        problem = f"activation {cfg.arch.activation!r} vs {activation!r}"
+    if problem is None and model.meta["activation"] != cfg.arch.activation:
+        problem = f"activation {cfg.arch.activation!r} vs {model.meta['activation']!r}"
     if problem is not None:
         raise StructureMismatchError(f"{path}: not a model of the config's arch: {problem}")
     return model
@@ -217,27 +220,22 @@ def cmd_compare_masks(path_a: str, path_b: str, out_dir: str, force: bool = Fals
     return csv_path, json_path
 
 
-_CELL_KEYS = ("strategy", "frequency")
-_RUN_KEYS = (*_CELL_KEYS, "seed")  # what names a run in its final record
+_RUN_KEYS = ("strategy", "frequency", "seed")  # what names a run in its final record
+# what `pada run` writes to table.json, and to each of its rows
+_TABLE = Fields({"seeds": list[NonNegativeInt], "rows": list[dict]})
+_ROW = Fields({"strategy": str, "frequency": str, "mean_error": float, "per_seed": list[float]})
 
 
 def _listed_runs(table_json: str) -> list[tuple]:
     """Each listed run's (name, strategy, frequency, seed), sorted by name; or a FormatError."""
     try:
-        table = read_json(table_json)
+        table = _TABLE.read(read_json(table_json), name="the table")
+        rows = [_ROW.read(row, f"rows[{i}]") for i, row in enumerate(table["rows"])]
     except ValueError as exc:
         raise FormatError(f"{table_json}: {exc}") from exc
-    rows, seeds = (table.get(k) if type(table) is dict else None for k in ("rows", "seeds"))
-    if type(rows) is not list or type(seeds) is not list or any(type(s) is not int for s in seeds):
-        raise FormatError(
-            f"{table_json}: expected an object with a list of rows and of integer seeds"
-        )
-    for i, row in enumerate(rows):
-        if type(row) is not dict or not all(type(row.get(k)) is str for k in _CELL_KEYS):
-            raise FormatError(f"{table_json}: rows[{i}] needs a string strategy and frequency")
-    runs = [(row["strategy"], row["frequency"], s) for row in rows for s in seeds]
+    runs = [(row["strategy"], row["frequency"], s) for row in rows for s in table["seeds"]]
     listed = sorted((_cell_name(*run), *run) for run in runs)
-    for name, *_ in listed:  # a strategy, frequency or seed no `pada run` plans
+    for name, *_ in listed:  # a strategy or frequency no `pada run` plans
         if not _RUN_FILE.fullmatch(name + ".jsonl"):
             raise FormatError(f"{table_json}: lists run {name!r}, which no `pada run` writes")
     for (name, *_), (next_name, *_) in zip(listed, listed[1:]):

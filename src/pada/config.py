@@ -9,12 +9,11 @@ The dataclasses are the schema of the sections that build them (:func:`_section`
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import NewType, get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 from .data import DomainShiftSpec
-from .params import read_json
+from .params import Fields, NonNegativeInt, read_json
 from .schedule import FREQUENCIES, LARGE_RATE_PRESETS, PruneSchedule, validate
 from .strategies import STRATEGY_KINDS
 from .trainer import TrainConfig, ModelArch
@@ -24,55 +23,18 @@ class ConfigError(ValueError):
     """Inconsistent run configuration (e.g. an unknown strategy or a missing field)."""
 
 
-# A random seed: numpy's generators refuse a negative one, but only when a
-# stage starts, so the config refuses it first.
-Seed = NewType("Seed", int)
-
 # Each dataclass's field types, resolved once (get_type_hints re-evaluates the
 # string annotations on every call), and its fields with a default.
 _TYPES = {cls: get_type_hints(cls) for cls in (DomainShiftSpec, ModelArch, TrainConfig)}
-_TYPES[TrainConfig]["seed"] = Seed
 _DEFAULTED = {cls: {f.name for f in fields(cls) if f.default is not MISSING} for cls in _TYPES}
-_KINDS = {int: "an integer", Seed: "a non-negative integer", float: "a number", str: "a string",
-          bool: "a bool", dict: "an object"}
-
-
-def _value(value, tp, path: str):
-    """``value`` read as the annotation ``tp``, or a ConfigError naming ``path``.
-
-    An int must be integral (2000.0 counts) and a float finite, neither a bool;
-    a Seed is an int that is not negative.
-    """
-    origin, args = get_origin(tp), get_args(tp)
-    try:
-        if type(None) in args:  # X | None
-            return None if value is None else _value(value, args[0], path)
-        if origin in (list, tuple) and type(value) is list:
-            return origin(_value(item, args[0], path) for item in value)
-        integral = type(value) is int or type(value) is float and value.is_integer()
-        if tp in (int, Seed) and integral and (tp is int or value >= 0):
-            return int(value)
-        if tp is float and type(value) in (int, float) and math.isfinite(value):
-            return float(value)
-        if tp in (str, bool, dict) and type(value) is tp:
-            return value
-    except (ConfigError, OverflowError):  # an item refused, or an int too large for a float
-        pass
-    kind = _KINDS[args[0] if args else tp]
-    kind = f"{kind} or null" if type(None) in args else f"a list, each {kind}" if args else kind
-    raise ConfigError(f"{path} must be {kind}, got {value!r}")
 
 
 def _object(doc, path: str, types: dict, optional=()) -> dict:
-    """Object ``doc`` at ``path`` read as ``types``; only the ``optional`` keys may be missing."""
-    doc = _value(doc, dict, path or "the config")
-    where = f"{path}." if path else ""
-    for key in [*doc, *types]:
-        if key not in types:
-            raise ConfigError(f"unknown config field: {where}{key}")
-        if key not in doc and key not in optional:
-            raise ConfigError(f"missing config field: {where}{key}")
-    return {key: _value(value, types[key], where + key) for key, value in doc.items()}
+    """``doc`` at ``path`` read by :class:`~pada.params.Fields` as ``types``; else a ConfigError."""
+    try:
+        return Fields(types, optional).read(doc, path, "the config")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _section(cls, doc, path: str, *keys, **given):
@@ -116,10 +78,11 @@ class ExperimentConfig:
 def parse_config(doc) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain JSON document."""
     sections = dict.fromkeys(("task", "arch", "pretrain", "donor", "target", "schedule"), dict)
-    required = {"strategies": list[str], "frequencies": list[str], "seeds": list[Seed], "out": str}
+    required = {"strategies": list[str], "frequencies": list[str], "seeds": list[NonNegativeInt],
+                "out": str}
     optional = {"include_dft": bool}
     top = _object(doc, "", sections | required | optional, optional)
-    task = {"seed": Seed} | _TYPES[DomainShiftSpec]
+    task = {"seed": NonNegativeInt} | _TYPES[DomainShiftSpec]
     task = _object(top["task"], "task", task, _DEFAULTED[DomainShiftSpec])
     task_seed = task.pop("seed")
     task = _section(DomainShiftSpec, task, "task")

@@ -13,7 +13,9 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
+from typing import NewType, get_args, get_origin
 
 import numpy as np
 
@@ -240,6 +242,68 @@ def read_json(path):
         return json.loads(read_file(path).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValueError(f"not JSON ({exc})") from exc
+
+
+NonNegativeInt = NewType("NonNegativeInt", int)  # a count, or a seed: numpy refuses a negative one
+ErrorRate = NewType("ErrorRate", float)  # a fraction of the evaluation rows
+
+
+def _number(integral: bool, lo: float, hi: float):
+    """Whether a value is a number in [lo, hi] (so not NaN), integral (2000.0 counts) if asked."""
+    return lambda v: ((type(v) is int or type(v) is float and (not integral or v.is_integer()))
+                      and lo <= v <= hi)
+
+
+# each annotation's (what it asks for, whether a value is one, what that value reads as)
+_SCALARS = {
+    int: ("an integer", _number(True, -math.inf, math.inf), int),
+    NonNegativeInt: ("a non-negative integer", _number(True, 0, math.inf), int),
+    float: ("a number", _number(False, -sys.float_info.max, sys.float_info.max), float),
+    ErrorRate: ("a number in [0, 1]", _number(False, 0, 1), float),
+    **{tp: (kind, lambda v, tp=tp: type(v) is tp, tp)  # never converted
+       for tp, kind in ((str, "a string"), (bool, "a bool"), (dict, "an object"))},
+}
+
+
+def _check(tp) -> tuple:
+    """``_SCALARS[tp]``, or the like entry built for ``list[X]``, ``tuple[X, ...]``, ``X|None``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if not args:
+        return _SCALARS[tp]
+    kind, ok, read = _check(args[0])
+    if type(None) in args:
+        return (f"{kind} or null", lambda v: v is None or ok(v),
+                lambda v: v if v is None else read(v))
+    return (f"a list, each {kind}", lambda v: type(v) is list and all(map(ok, v)),
+            lambda v: origin(map(read, v)))
+
+
+class Fields:
+    """What a JSON object must hold, ``{key: annotation}``: the one checker of every JSON input.
+
+    An unknown key is refused, and a missing one unless ``optional``.  An integer may be
+    written ``2000.0``; a number must be finite and reads as a float.  Each annotation
+    becomes its check once, here.
+    """
+
+    def __init__(self, types: dict, optional=()):
+        self.checks, self.optional = {key: _check(tp) for key, tp in types.items()}, {*optional}
+
+    def read(self, doc, path: str = "", name: str = "") -> dict:
+        """``doc`` at ``path`` (``name`` at the top), each value as read; else a ValueError."""
+        if type(doc) is not dict:
+            raise ValueError(f"{path or name} must be an object, got {doc!r}")
+        where, checks, values = f"{path}." if path else "", self.checks, dict(doc)
+        for key in [*doc, *checks] if doc.keys() != checks.keys() else ():
+            if key not in checks or key not in doc and key not in self.optional:
+                raise ValueError(f"{'missing' if key in checks else 'unknown'} field: {where}{key}")
+        for key, value in doc.items():
+            kind, ok, read = checks[key]
+            if not ok(value):
+                raise ValueError(f"{where}{key} must be {kind}, got {value!r}")
+            if type(value) is not read:  # an int for a float, 2000.0 for an int, or a list
+                values[key] = read(value)
+        return values
 
 
 def _atomic_write(path: str, payload: bytes) -> None:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import math
 import os
 import pickle
 import signal
@@ -46,7 +45,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .params import FormatError, ParameterSet, atomic_write_text, read_file
+from .params import (ErrorRate, Fields, FormatError, NonNegativeInt, ParameterSet,
+                     atomic_write_text, read_file)
 from .pruning import RANKED_MODEL, Mask, apply_zeroing, compute_ump_mask, sparsity
 from .strategies import initial_model
 from .trainer import (
@@ -113,7 +113,7 @@ def validate(sched: PruneSchedule, updates: int) -> None:
 
 @dataclass
 class PruneEvent:
-    update: int
+    update: NonNegativeInt
     rate: float
     sparsity_before: float
     sparsity_after: float
@@ -135,46 +135,20 @@ def write_log_jsonl(log: PadaRunLog, path: str) -> None:
     atomic_write_text(path, "".join(json.dumps(r, allow_nan=False) + "\n" for r in records))
 
 
-# what each field of a record must be; "error_rate" only when the run was scored
-_KIND = {int: "a non-negative integer", float: "a finite number"}
-_FIELDS = {
-    "prune": {name: _KIND[tp] for name, tp in get_type_hints(PruneEvent).items()},
-    "final": {
-        "total_updates": "a non-negative integer",
-        "strategy": "a string",
-        "frequency": "a string",
-        "final_sparsity": "a finite number",
-        "train_loss": "a finite number",
-        "error_rate": "a number in [0, 1]",  # a fraction of the evaluation rows
-        "seed": "a non-negative integer",
-    },
+# what each record kind must hold; "error_rate" only when the run was scored
+_RECORDS = {
+    "prune": Fields(get_type_hints(PruneEvent)),
+    "final": Fields({"total_updates": NonNegativeInt, "strategy": str, "frequency": str,
+                     "final_sparsity": float, "train_loss": float, "error_rate": ErrorRate,
+                     "seed": NonNegativeInt}, optional={"error_rate"}),
 }
-_IS = {
-    "a string": lambda v: type(v) is str,
-    "a finite number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
-    "a number in [0, 1]": lambda v: type(v) in (int, float) and 0 <= v <= 1,  # so not NaN
-    "a non-negative integer": lambda v: type(v) is int and v >= 0,
-}
-
-
-def _check_record(kind: str, rec: dict) -> None:
-    """Raise ValueError unless the ``kind`` record ``rec`` has each field, of its type, and no other."""
-    unknown = rec.keys() - _FIELDS[kind].keys()
-    if unknown:
-        raise ValueError(f"{kind} record has an unknown field {min(unknown)!r}")
-    for key, want in _FIELDS[kind].items():
-        if key not in rec:
-            if key != "error_rate":
-                raise ValueError(f"{kind} record has no {key}")
-        elif not _IS[want](rec[key]):
-            raise ValueError(f"{kind} record's {key} must be {want}, got {rec[key]!r}")
 
 
 def read_log_jsonl(path: str) -> PadaRunLog:
     """Inverse of :func:`write_log_jsonl`; anything else is a FormatError naming the line.
 
-    The log must end with its one final record, and every record's fields
-    have the types :func:`write_log_jsonl` writes.
+    The log must end with its one final record, and every record holds the
+    fields :func:`write_log_jsonl` writes, as :class:`~pada.params.Fields` reads them.
     """
     log, final_line, lineno = PadaRunLog(), None, 0
     # split at "\n" only, as a file object splits; each line is decoded where a bad byte can name it
@@ -184,7 +158,7 @@ def read_log_jsonl(path: str) -> PadaRunLog:
             kind = rec.pop("kind", None) if isinstance(rec, dict) else None
             if kind not in ("prune", "final"):
                 raise ValueError(f"unknown record kind {kind!r}")
-            _check_record(kind, rec)
+            rec = _RECORDS[kind].read(rec)
             if final_line is not None:
                 raise ValueError(f"{kind} record after the final record of line {final_line}")
             if kind == "prune":

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParameterSet, StructureMismatchError, Tensor
+from .params import NonNegativeInt, ParameterSet, StructureMismatchError, Tensor
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -87,7 +87,7 @@ class TrainConfig:
     lr: float
     batch: int
     updates: int
-    seed: int
+    seed: NonNegativeInt  # numpy's generators refuse a negative one, but only when training starts
     denoise_std: float = 0.1
 
     def __post_init__(self):

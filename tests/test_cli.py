@@ -536,6 +536,22 @@ def test_a_checkpoint_of_another_arch_is_refused(
     assert err == f"structure: {pre}: not a model of the config's arch: {problem}"
 
 
+@pytest.mark.parametrize("command", ["make-donor", "run"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_a_checkpoint_without_activation_is_refused(tmp_path, capsys, train_calls, command, activation):
+    # the trainer writes every model's activation, so a reader invents none,
+    # neither the config's (tanh) nor another one (relu)
+    def edit(out, cfg_path):
+        ps = load_checkpoint(str(out / "pretrained.pada"))
+        del ps.meta["activation"]
+        save_checkpoint(ps, str(out / "pretrained.pada"))
+        edit_config("activation", activation)(out, cfg_path)
+
+    doc = small_config(str(tmp_path / "exp"), seeds=(0,))
+    err = refuse_checkpoint(tmp_path, capsys, train_calls, doc, edit, command)
+    assert err == f"format: {tmp_path / 'exp' / 'pretrained.pada'}: no activation metadata"
+
+
 def test_run_cells_returns_finished_runs_and_divergences_only(tmp_path, train_calls):
     # an input failure raises before the first update; a slot ends only in a
     # finished run or its divergence
@@ -833,26 +849,27 @@ def test_report_without_table_is_config_error(tmp_path, capsys):
     assert "table.json" in err
 
 
+def table_text(seeds, *cells):
+    """table.json's text for ``seeds`` and rows of the (strategy, frequency) ``cells``."""
+    rows = [{"strategy": s, "frequency": f, "mean_error": 0.25, "per_seed": [0.25] * len(seeds)}
+            for s, f in cells]
+    return json.dumps({"seeds": seeds, "rows": rows})
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("{'rows': []}", "not JSON (Expecting property name"),
-        ("{}", "expected an object with a list of rows and of integer seeds"),
-        ('{"seeds": [0], "rows": [{"strategy": "TAG"}]}', "rows[0] needs a string strategy"),
-        ("[]", "expected an object with a list of rows and of integer seeds"),
+        ("{}", "missing field: seeds"),
+        ('{"seeds": [0], "rows": [{"strategy": "TAG"}]}', "missing field: rows[0].frequency"),
+        ("[]", "the table must be an object, got []"),
         # a run listed twice would be counted twice in summary.json and events.csv
-        ('{"seeds": [0, 3, 0], "rows": [{"strategy": "TAG", "frequency": "once"}]}',
-         "lists run tag_once_seed0 twice"),
-        ('{"seeds": [3], "rows": [{"strategy": "DFT", "frequency": "-"}, '
-         '{"strategy": "TAG", "frequency": "once"}, {"strategy": "DFT", "frequency": "-"}]}',
-         "lists run dft_seed3 twice"),
+        (table_text([0, 3, 0], ("TAG", "once")), "lists run tag_once_seed0 twice"),
+        (table_text([3], ("DFT", "-"), ("TAG", "once"), ("DFT", "-")), "lists run dft_seed3 twice"),
         # a run no `pada run` writes, and a run whose log is not under runs/
-        ('{"seeds": [0], "rows": [{"strategy": "TAX", "frequency": "once"}]}',
-         "lists run 'tax_once_seed0', which no `pada run` writes"),
-        ('{"seeds": [-1], "rows": [{"strategy": "DFT", "frequency": "-"}]}',
-         "lists run 'dft_seed-1', which no `pada run` writes"),
-        ('{"seeds": [1], "rows": [{"strategy": "TAG", "frequency": "once"}]}',
-         "lists run tag_once_seed1, but "),
+        (table_text([0], ("TAX", "once")), "lists run 'tax_once_seed0', which no `pada run` writes"),
+        (table_text([-1], ("DFT", "-")), "seeds must be a list, each a non-negative integer, got [-1]"),
+        (table_text([1], ("TAG", "once")), "lists run tag_once_seed1, but "),
     ],
 )
 def test_report_refuses_a_malformed_table_as_format_error(tmp_path, capsys, text, message):
@@ -966,7 +983,7 @@ def test_config_refuses_unknown_task_field(tmp_path, capsys):
         json.dump(doc, fh)
     assert main(["pretrain", "--config", cfg_path]) == 1
     err = capsys.readouterr().err.strip()
-    assert err == f"config: {cfg_path}: unknown config field: task.foo"
+    assert err == f"config: {cfg_path}: unknown field: task.foo"
     assert not os.path.exists(doc["out"])
 
 
@@ -975,7 +992,7 @@ def test_config_refuses_unknown_task_field(tmp_path, capsys):
     [
         ('{"kind": "layer", "name": "layers.0.weight"}\n', "unknown record kind 'layer'"),
         ('{"update": 5}\n', "unknown record kind None"),
-        ('{"kind": "prune", "update": 5}\n', "prune record has no rate"),
+        ('{"kind": "prune", "update": 5}\n', "missing field: rate"),
         ('{"kind": "prune", "upd', "Unterminated string"),
     ],
 )
@@ -1024,29 +1041,28 @@ def refuse_edited_log(tmp_path, capsys, edit):
 
 DROP = object()
 BAD_FINALS = [  # (field, its new value or DROP, the message)
-    ("seed", DROP, "final record has no seed"),
-    ("strategy", DROP, "final record has no strategy"),
-    ("total_updates", DROP, "final record has no total_updates"),
-    ("error_rate", "x", "final record's error_rate must be a number in [0, 1], got 'x'"),
+    ("seed", DROP, "missing field: seed"),
+    ("strategy", DROP, "missing field: strategy"),
+    ("total_updates", DROP, "missing field: total_updates"),
+    ("error_rate", "x", "error_rate must be a number in [0, 1], got 'x'"),
     # json reads NaN and Infinity, but no fraction of the evaluation rows is one
-    ("error_rate", float("nan"), "final record's error_rate must be a number in [0, 1], got nan"),
-    ("error_rate", float("inf"), "final record's error_rate must be a number in [0, 1], got inf"),
-    ("error_rate", 1.5, "final record's error_rate must be a number in [0, 1], got 1.5"),
-    ("error_rate", -0.1, "final record's error_rate must be a number in [0, 1], got -0.1"),
-    ("seed", "0", "final record's seed must be a non-negative integer, got '0'"),
-    ("seed", -1, "final record's seed must be a non-negative integer, got -1"),
-    ("seed", True, "final record's seed must be a non-negative integer, got True"),
-    ("total_updates", 60.0,
-     "final record's total_updates must be a non-negative integer, got 60.0"),
-    ("frequency", None, "final record's frequency must be a string, got None"),
-    ("strategy", 3, "final record's strategy must be a string, got 3"),
-    ("train_loss", [0.5], "final record's train_loss must be a finite number, got [0.5]"),
-    ("final_sparsity", "0.4", "final record's final_sparsity must be a finite number, got '0.4'"),
+    ("error_rate", float("nan"), "error_rate must be a number in [0, 1], got nan"),
+    ("error_rate", float("inf"), "error_rate must be a number in [0, 1], got inf"),
+    ("error_rate", 1.5, "error_rate must be a number in [0, 1], got 1.5"),
+    ("error_rate", -0.1, "error_rate must be a number in [0, 1], got -0.1"),
+    ("seed", "0", "seed must be a non-negative integer, got '0'"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("seed", True, "seed must be a non-negative integer, got True"),
+    ("total_updates", 60.5, "total_updates must be a non-negative integer, got 60.5"),
+    ("frequency", None, "frequency must be a string, got None"),
+    ("strategy", 3, "strategy must be a string, got 3"),
+    ("train_loss", [0.5], "train_loss must be a number, got [0.5]"),
+    ("final_sparsity", "0.4", "final_sparsity must be a number, got '0.4'"),
     # json reads NaN and Infinity, which would reach summary.json as written
     ("final_sparsity", float("nan"),
-     "final record's final_sparsity must be a finite number, got nan"),
-    ("train_loss", float("inf"), "final record's train_loss must be a finite number, got inf"),
-    ("note", "hand-added", "final record has an unknown field 'note'"),
+     "final_sparsity must be a number, got nan"),
+    ("train_loss", float("inf"), "train_loss must be a number, got inf"),
+    ("note", "hand-added", "unknown field: note"),
 ]
 
 
@@ -1099,19 +1115,19 @@ def test_report_refuses_a_log_not_ending_in_one_final_record(tmp_path, capsys, e
 
 
 BAD_PRUNES = [  # (field, its new value or DROP, the message)
-    ("rate", DROP, "prune record has no rate"),
-    ("train_loss", DROP, "prune record has no train_loss"),
-    ("note", "hand-added", "prune record has an unknown field 'note'"),
-    ("update", "0", "prune record's update must be a non-negative integer, got '0'"),
-    ("update", -500, "prune record's update must be a non-negative integer, got -500"),
-    ("update", 0.0, "prune record's update must be a non-negative integer, got 0.0"),
-    ("rate", "x", "prune record's rate must be a finite number, got 'x'"),
-    ("sparsity_before", None, "prune record's sparsity_before must be a finite number, got None"),
-    ("sparsity_after", True, "prune record's sparsity_after must be a finite number, got True"),
-    ("train_loss", [1.0], "prune record's train_loss must be a finite number, got [1.0]"),
+    ("rate", DROP, "missing field: rate"),
+    ("train_loss", DROP, "missing field: train_loss"),
+    ("note", "hand-added", "unknown field: note"),
+    ("update", "0", "update must be a non-negative integer, got '0'"),
+    ("update", -500, "update must be a non-negative integer, got -500"),
+    ("update", 0.5, "update must be a non-negative integer, got 0.5"),
+    ("rate", "x", "rate must be a number, got 'x'"),
+    ("sparsity_before", None, "sparsity_before must be a number, got None"),
+    ("sparsity_after", True, "sparsity_after must be a number, got True"),
+    ("train_loss", [1.0], "train_loss must be a number, got [1.0]"),
     # json reads NaN and Infinity, which would reach events.csv as written
-    ("rate", float("nan"), "prune record's rate must be a finite number, got nan"),
-    ("train_loss", float("-inf"), "prune record's train_loss must be a finite number, got -inf"),
+    ("rate", float("nan"), "rate must be a number, got nan"),
+    ("train_loss", float("-inf"), "train_loss must be a number, got -inf"),
 ]
 
 
@@ -1131,6 +1147,113 @@ def test_report_refuses_a_malformed_prune_record(tmp_path, capsys, key, value, m
         return [json.dumps(event) + "\n", lines[1]]
 
     assert refuse_edited_log(tmp_path, capsys, edit).endswith(f"line 1: {message}")
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished one-seed `pada run` with its `pada report`; tests edit copies of it."""
+    cfg = prep(tmp_path_factory.mktemp("finished"), seeds=(0,))
+    cmd_run(cfg)
+    cmd_report(cfg.out)
+    return Path(cfg.out)
+
+
+def feed(tmp_path, capsys, finished_run, site, key, value):
+    """Set dotted ``key`` (DROP: delete it) of one JSON input to ``value`` and run the command
+    reading it: ``pretrain`` for the "config", ``report`` for "table.json" or for the "prune" or
+    "final" record of ``tag_once_seed0.jsonl``.  Returns the exit code, the output directory
+    and stderr, which on a refusal is one line whose location is checked and cut off."""
+    out = tmp_path / "exp"
+    if site == "config":
+        path, lines, at = tmp_path / "config.json", [json.dumps(small_config(str(out)))], 0
+        argv, where = ["pretrain", "--config", str(path)], f"config: {path}: "
+    else:
+        shutil.copytree(finished_run, out)
+        path = out / ("table.json" if site == "table.json" else "runs/tag_once_seed0.jsonl")
+        text = path.read_text(encoding="utf-8")
+        lines = [text] if site == "table.json" else text.splitlines()
+        at = {"table.json": 0, "prune": 0, "final": len(lines) - 1}[site]
+        argv = ["report", str(out)]
+        where = f"format: {path}: " if site == "table.json" else f"format: {path}, line {at + 1}: "
+    doc = json.loads(lines[at])
+    *parents, last = key.split(".")
+    parent = doc
+    for name in parents:
+        parent = parent[int(name)] if isinstance(parent, list) else parent[name]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    lines[at] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(argv)
+    err = capsys.readouterr().err.strip()
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith(where), (where, err)
+        err = err[len(where):]
+    return code, out, err
+
+
+# one bad value, fed into the config, a run log and table.json: (input, dotted key, value, refusal)
+ONE_WORDING = {
+    "negative-integer": [
+        ("config", "task.seed", -1, "task.seed must be a non-negative integer, got -1"),
+        ("final", "seed", -1, "seed must be a non-negative integer, got -1"),
+        ("table.json", "seeds", [-1], "seeds must be a list, each a non-negative integer, got [-1]"),
+    ],
+    "nan": [
+        ("config", "target.lr", float("nan"), "target.lr must be a number, got nan"),
+        ("prune", "train_loss", float("nan"), "train_loss must be a number, got nan"),
+        ("table.json", "rows.0.mean_error", float("nan"),
+         "rows[0].mean_error must be a number, got nan"),
+    ],
+    "string": [
+        ("config", "pretrain.lr", "x", "pretrain.lr must be a number, got 'x'"),
+        ("prune", "rate", "x", "rate must be a number, got 'x'"),
+        ("table.json", "rows.0.per_seed", ["x"], "rows[0].per_seed must be a list, each a number, "
+                                                 "got ['x']"),
+    ],
+    "unknown-key": [
+        ("config", "note", "hand-added", "unknown field: note"),
+        ("final", "note", "hand-added", "unknown field: note"),
+        ("table.json", "rows.0.note", "hand-added", "unknown field: rows[0].note"),
+    ],
+    "missing-key": [
+        ("config", "target.lr", DROP, "missing field: target.lr"),
+        ("prune", "rate", DROP, "missing field: rate"),
+        ("table.json", "seeds", DROP, "missing field: seeds"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", ONE_WORDING)
+def test_every_json_input_refuses_a_bad_value_in_one_wording(
+    tmp_path, capsys, finished_run, train_calls, case
+):
+    # params.Fields checks the config, each log record and table.json, so after
+    # its location each refusal reads the same
+    for site, key, value, message in ONE_WORDING[case]:
+        (tmp_path / site).mkdir()
+        code, _, err = feed(tmp_path / site, capsys, finished_run, site, key, value)
+        assert (code, err) == (1, message), site
+    assert train_calls == []
+
+
+@pytest.mark.parametrize("site, key, value", [
+    ("config", "schedule.total_updates", 60.0),
+    ("final", "total_updates", 60.0),
+    ("prune", "update", 0.0),
+    ("table.json", "seeds", [0.0]),
+    ("prune", "rate", 40),  # a number written as an integer reads as a float: events.csv says 40.0
+])
+def test_every_json_input_reads_an_integral_number_as_written_by_pada(
+    tmp_path, capsys, finished_run, site, key, value
+):
+    code, out, err = feed(tmp_path, capsys, finished_run, site, key, value)
+    assert (code, err) == (0, "")
+    if site != "config":  # report wrote what it writes from the untouched run
+        for name in ("events.csv", "summary.json"):
+            assert (out / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
 def test_report_names_the_log_and_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):

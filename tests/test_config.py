@@ -105,7 +105,7 @@ def test_config_fuzz_refuses_each_malformed_key_with_one_line(tmp_path, capsys):
             cases.append((doc, f"config: {path} must be "))
         if path not in OPTIONAL:
             doc = _edited(path, lambda parent, key: parent.pop(key))
-            cases.append((doc, f"config: missing config field: {path}"))
+            cases.append((doc, f"config: missing field: {path}"))
         if path in SEEDS:  # an integral float counts as an integer, so it is refused too
             negative = -int(rng.integers(1, 1000))
             wrong = [*value, float(negative)] if isinstance(value, list) else negative
@@ -117,7 +117,7 @@ def test_config_fuzz_refuses_each_malformed_key_with_one_line(tmp_path, capsys):
     for path in objects:
         name = f"k{rng.integers(1000)}"
         doc = _edited(f"{path}.{name}" if path else name, lambda parent, key: parent.update({key: 1}))
-        cases.append((doc, f"config: unknown config field: {path + '.' if path else ''}{name}"))
+        cases.append((doc, f"config: unknown field: {path + '.' if path else ''}{name}"))
     cases.append(([default_config()], "config: the config must be an object"))
     assert len(cases) > 200
     for doc, expected in cases:
@@ -168,8 +168,8 @@ def test_bounds_name_their_section_before_any_stage_runs(tmp_path, capsys, path,
         ("out", "", "out must be a nonempty path without a null byte, got ''"),
         ("out", "exp\0x", "out must be a nonempty path without a null byte, got 'exp\\x00x'"),
         # the stage checkpoints have fixed names under out, which no key renames
-        ("pretrained", "pretrained.pada", "unknown config field: pretrained"),
-        ("donor_checkpoint", "donor.pada", "unknown config field: donor_checkpoint"),
+        ("pretrained", "pretrained.pada", "unknown field: pretrained"),
+        ("donor_checkpoint", "donor.pada", "unknown field: donor_checkpoint"),
     ],
     ids=["empty-out", "null-byte-out", "pretrained", "donor_checkpoint"],
 )

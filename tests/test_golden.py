@@ -1,10 +1,18 @@
-"""The default experiment, pinned: its table rows and the SHA-256 of every file it writes.
+"""The default experiment, pinned: every file it writes, compared with tests/data/default_golden.json.
 
 ``pretrain`` -> ``make-donor`` -> ``run`` -> ``report`` on demos/config_default.json
-must reproduce tests/data/default_golden.json.  Bits may legitimately differ across
-numpy's ``tanh`` or BLAS kernels, so the rows and hashes are compared exactly only in
-the environment the file was recorded in.  Elsewhere the test names the fields that
-differ and requires the table's order CD-TAW dynamic < TAG dynamic < DFT.
+must reproduce the recorded files.  In every environment:
+
+* each checkpoint, mask and ``table.*`` file is byte-identical (its SHA-256);
+* each run log, ``events.csv`` and ``summary.json`` holds the recorded numbers to a
+  relative 1e-12, and the rest of its text exactly.
+
+Where Python, numpy and the BLAS name, version and core match the recorded ones,
+every file is byte-identical too.  Elsewhere numpy's ``tanh`` or the BLAS kernels
+may round differently: gradients are rounded to float32 before each update, so the
+checkpoints and masks keep their bits, and only the float64 losses the logs print
+move, by about 5e-15 relative.  One ``tanh`` computed in float32 moves them by
+2.8e-10 at least, and 102 checkpoints with them.
 
 Record the file again only with a change that says why the bytes had to change:
 
@@ -16,7 +24,6 @@ import hashlib
 import json
 import os
 import platform
-import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +33,7 @@ from pada.cli import main
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "demos", "config_default.json")
 GOLDEN = os.path.join(ROOT, "tests", "data", "default_golden.json")
+REL_TOL = 1e-12  # ~190x the kernel noise, ~280x below the float32-tanh change
 
 
 def _openblas():
@@ -59,8 +67,46 @@ def environment() -> dict:
             **dict(zip(("blas_name", "blas_version", "blas_core"), blas))}
 
 
-def run_default(tmp: str) -> tuple[dict, dict]:
-    """Run the default pipeline under ``tmp``; its table.json and {file: SHA-256}."""
+def has_numbers(name: str) -> bool:
+    """Whether file ``name`` holds the float64 losses a kernel may round differently."""
+    return name.endswith(".jsonl") or name in ("events.csv", "summary.json")
+
+
+def numbers(path: str) -> dict:
+    """The numbers of a run log, ``events.csv`` or ``summary.json``, in order, read from its raw
+    text, and the SHA-256 of its layout: the parsed text with each number replaced by ``#``."""
+    values = []
+
+    def number(text):
+        values.append(float(text))
+        return "#"
+
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if path.endswith(".csv"):
+        layout = [[number(cell) if _is_number(cell) else cell for cell in line.split(",")]
+                  for line in text.splitlines()]
+    else:  # one JSON document per line of a log, or the whole summary
+        docs = text.splitlines() if path.endswith(".jsonl") else [text]
+        layout = [json.loads(doc, parse_float=number, parse_int=number) for doc in docs]
+    return {"layout": hashlib.sha256(json.dumps(layout).encode()).hexdigest(), "values": values}
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_default(tmp: str) -> str:
+    """Run the default pipeline under ``tmp``; returns its output directory."""
     with open(CONFIG, encoding="utf-8") as fh:
         doc = json.load(fh)
     out = doc["out"] = os.path.join(tmp, "out")
@@ -70,41 +116,59 @@ def run_default(tmp: str) -> tuple[dict, dict]:
     for argv in (["pretrain", "--config", config], ["make-donor", "--config", config],
                  ["run", "--config", config], ["report", out]):
         assert main(argv) == 0, argv
-    hashes = {}
-    for directory, _, names in os.walk(out):
-        for name in names:
-            path = os.path.join(directory, name)
-            with open(path, "rb") as fh:
-                hashes[os.path.relpath(path, out)] = hashlib.sha256(fh.read()).hexdigest()
-    with open(os.path.join(out, "table.json"), encoding="utf-8") as fh:
-        return json.load(fh), dict(sorted(hashes.items()))
+    return out
+
+
+def written(out: str) -> list[str]:
+    """Every file under ``out``, by its path relative to ``out``, sorted."""
+    return sorted(os.path.relpath(os.path.join(directory, name), out)
+                  for directory, _, names in os.walk(out) for name in names)
+
+
+def moved_numbers(got: dict, want: dict):
+    """None if ``got`` matches ``want`` to REL_TOL; else "layout" or the largest relative change."""
+    if got["layout"] != want["layout"] or len(got["values"]) != len(want["values"]):
+        return "layout"
+    worst = max((abs(a - b) / max(abs(a), abs(b))
+                 for a, b in zip(got["values"], want["values"]) if a != b), default=0.0)
+    return worst if worst > REL_TOL else None
 
 
 @pytest.mark.golden
 def test_default_pipeline_reproduces_its_golden_table_and_bytes(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
-    table, hashes = run_default(str(tmp_path))
-    here = environment()
-    differ = [f"{k}: {here[k]} here, {v} recorded" for k, v in golden["environment"].items()
-              if here[k] != v]
-    if not differ:
-        assert table == golden["table"]
-        assert sorted(hashes) == sorted(golden["sha256"])
-        assert [name for name, h in hashes.items() if golden["sha256"][name] != h] == []
-    else:
-        warnings.warn(f"golden: checked the table's order only, since {'; '.join(differ)}")
-    mean = {(row["strategy"], row["frequency"]): row["mean_error"] for row in table["rows"]}
-    assert mean["CD-TAW", "dynamic_iterative"] < mean["TAG", "dynamic_iterative"] < mean["DFT", "-"]
+    out = run_default(str(tmp_path))
+    names = written(out)
+    assert names == sorted(golden["sha256"])
+    with open(os.path.join(out, "table.json"), encoding="utf-8") as fh:
+        assert json.load(fh) == golden["table"]
+    recorded = environment() == golden["environment"]
+    exact = [name for name in names if recorded or not has_numbers(name)]
+    assert [name for name in exact if sha256(os.path.join(out, name)) != golden["sha256"][name]] == []
+    moved = {name: moved_numbers(numbers(os.path.join(out, name)), golden["numbers"][name])
+             for name in names if has_numbers(name)}
+    assert {name: change for name, change in moved.items() if change is not None} == {}
+
+
+def record(out: str) -> str:
+    """The golden file's text for the pipeline output ``out``: one line per file's numbers."""
+    names = written(out)
+    with open(os.path.join(out, "table.json"), encoding="utf-8") as fh:
+        head = {"environment": environment(), "table": json.load(fh),
+                "sha256": {name: sha256(os.path.join(out, name)) for name in names}}
+    lines = [f"    {json.dumps(name)}: {json.dumps(numbers(os.path.join(out, name)))}"
+             for name in names if has_numbers(name)]
+    return (json.dumps(head, indent=2)[:-2] + ',\n  "numbers": {\n' + ",\n".join(lines)
+            + "\n  }\n}\n")
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table, hashes = run_default(tmp)
+        text = record(run_default(tmp))
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"environment": environment(), "table": table, "sha256": hashes},
-                            indent=2) + "\n")
+        fh.write(text)
     print(f"wrote {GOLDEN}")
