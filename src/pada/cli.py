@@ -43,7 +43,7 @@ from .params import (
 from .pruning import load_mask, save_mask
 from .schedule import FREQUENCIES, PruneEvent, read_log_jsonl, run_cells, write_log_jsonl
 from .strategies import RANKED_MODEL, STRATEGY_KINDS
-from .trainer import TrainingDivergedError, finetune_supervised, init_model, pretrain_denoising
+from .trainer import TrainingDivergedError, finetune_supervised, model_layout, pretrain_denoising
 
 
 # the stage checkpoints under ``out``; a donor fine-tuned elsewhere goes at <out>/donor.pada
@@ -107,7 +107,7 @@ def _load_model(cfg: ExperimentConfig, name: str) -> ParameterSet:
     model = load_checkpoint(path)
     if "activation" not in model.meta:  # the trainer writes it, so no default is invented
         raise FormatError(f"{path}: no activation metadata")
-    problem = structural_mismatch(init_model(cfg.arch, 0), model)
+    problem = structural_mismatch(model_layout(cfg.arch), model)
     if problem is None and model.meta["activation"] != cfg.arch.activation:
         problem = f"activation {cfg.arch.activation!r} vs {model.meta['activation']!r}"
     if problem is not None:

@@ -151,6 +151,7 @@ def flat_prunable_values(ps: ParameterSet) -> np.ndarray:
     """Concatenated float32 values of all prunable tensors, ``ps.d_prunable`` of them.
 
     Tensors come in insertion order, the elements of each in row-major order.
+    The array is always a fresh copy, so a caller may overwrite it.
     """
     parts = [t.data.ravel() for t in ps.tensors if t.prunable]
     if not parts:
@@ -197,12 +198,14 @@ def _text(text: str, width: struct.Struct, what: str) -> bytes:
 
 
 class _Reader:
+    """Reads the fields of ``buf`` in order; a payload is a memoryview slice, never a copy."""
+
     def __init__(self, buf: bytes, path):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.path = path
         self.off = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.buf):
             raise FormatError(
                 f"{self.path}: truncated {what} (need {n} bytes at offset {self.off})"
@@ -222,7 +225,7 @@ class _Reader:
     def text(self, width: struct.Struct, what: str) -> str:
         n = self.uint(width, what)  # a cut length prefix is a truncated ``what`` too
         try:
-            return self.take(n, what).decode("utf-8")
+            return str(self.take(n, what), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.path}: {what} is not UTF-8 ({exc})") from exc
 
@@ -278,6 +281,13 @@ def _check(tp) -> tuple:
             lambda v: origin(map(read, v)))
 
 
+def json_object(doc, name: str) -> dict:
+    """``doc`` if it is a JSON object, else a ValueError ``<name> must be an object, got …``."""
+    if type(doc) is not dict:
+        raise ValueError(f"{name} must be an object, got {doc!r}")
+    return doc
+
+
 class Fields:
     """What a JSON object must hold, ``{key: annotation}``: the one checker of every JSON input.
 
@@ -291,8 +301,7 @@ class Fields:
 
     def read(self, doc, path: str = "", name: str = "") -> dict:
         """``doc`` at ``path`` (``name`` at the top), each value as read; else a ValueError."""
-        if type(doc) is not dict:
-            raise ValueError(f"{path or name} must be an object, got {doc!r}")
+        json_object(doc, path or name)
         where, checks, values = f"{path}." if path else "", self.checks, dict(doc)
         for key in [*doc, *checks] if doc.keys() != checks.keys() else ():
             if key not in checks or key not in doc and key not in self.optional:
@@ -368,8 +377,8 @@ def write_container(
 def read_container(path: str, magic: bytes, label: str, payload_nbytes, required: tuple[str, ...]):
     """Parse a container; ``payload_nbytes(n_elements)`` sizes each payload.
 
-    Returns (records, metadata) where records are
-    (name, prunable, shape, payload_bytes) tuples; a metadata key of
+    Returns (records, metadata) where records are (name, prunable, shape,
+    payload) tuples, each payload a memoryview of the file's bytes; a metadata key of
     ``required`` that the file lacks is a FormatError.
     """
     buf = read_file(path)

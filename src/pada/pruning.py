@@ -90,6 +90,10 @@ class Mask:
         )
 
 
+_MAGNITUDE_BITS = 0x7FFFFFFF  # all bits of a float32 but its sign
+_INF_KEY, _NAN_KEY = 0x7F800000, 0x7F800001  # the bits of +inf and of the smallest NaN
+
+
 def prune_count(rate: float, d_prunable: int) -> int:
     """Number of weights zeroed at ``rate`` percent: floor(rate/100 * d)."""
     return int(math.floor(rate / 100.0 * d_prunable))
@@ -112,23 +116,30 @@ def compute_ump_mask(ps: ParameterSet, rate: float, source: str = "in-loop") -> 
     +inf.  The selection takes linear time: ``np.partition`` finds the
     z-th smallest magnitude, every weight below it is pruned, and then the
     earliest weights equal to it, which is the first z of a stable sort.
+    Ties are only looked up when some of them are kept.
+
+    Magnitudes are ranked as integers: a float32 with its sign bit cleared
+    orders exactly as its bits do as a uint32.  NaN keys lie above +inf's but
+    order by payload, so when the threshold is a NaN every NaN key is clamped
+    to the smallest one and all NaNs tie.
     """
     if not 0.0 <= rate <= 100.0:
         raise ValueError(f"prune rate must be in [0, 100], got {rate}")
     prunable = _require_prunable(ps)
-    values = flat_prunable_values(ps)
-    z = prune_count(rate, values.size)
+    keys = flat_prunable_values(ps).view(np.uint32)  # a fresh array, so it is ranked in place
+    z = prune_count(rate, keys.size)
     if z == 0:
-        keep = np.ones(values.size, dtype=bool)
+        keep = np.ones(keys.size, dtype=bool)
     else:
-        mags = np.abs(values)
-        kth = np.partition(mags, z - 1)[z - 1]  # NaN sorts last, as in a sort
-        if np.isnan(kth):  # nothing compares equal to NaN
-            below, at = ~np.isnan(mags), np.isnan(mags)
-        else:
-            below, at = mags < kth, mags == kth
-        keep = ~below
-        keep[np.flatnonzero(at)[: z - np.count_nonzero(below)]] = False
+        np.bitwise_and(keys, _MAGNITUDE_BITS, out=keys)  # |value|, bit for bit
+        kth = np.partition(keys, z - 1)[z - 1]
+        if kth > _INF_KEY:  # NaN keys order by payload; clamped, every NaN ties after +inf
+            np.minimum(keys, _NAN_KEY, out=keys)
+            kth = _NAN_KEY
+        keep = keys > kth
+        kept_ties = keys.size - np.count_nonzero(keep) - z  # the last ties at kth are kept
+        if kept_ties:
+            keep[np.flatnonzero(keys == kth)[-kept_ties:]] = True
     entries = []
     offset = 0
     for t in prunable:
@@ -159,10 +170,11 @@ def apply_zeroing(ps: ParameterSet, mask: Mask) -> ParameterSet:
 
 
 def sparsity(ps: ParameterSet) -> float:
-    """Fraction of exactly-zero values among prunable elements."""
-    _require_prunable(ps)
-    values = flat_prunable_values(ps)
-    return float(np.count_nonzero(values == 0.0) / values.size)
+    """Fraction of exactly-zero values among prunable elements (-0.0 counts, NaN does not)."""
+    prunable = _require_prunable(ps)
+    # counting nonzero float32 takes ~3x as long as counting the bools of a comparison
+    zeros = sum(np.count_nonzero(t.data == 0.0) for t in prunable)
+    return float(zeros / ps.d_prunable)
 
 
 def save_mask(mask: Mask, path: str) -> None:
@@ -184,7 +196,7 @@ def load_mask(path: str) -> Mask:
     for name, _prunable, shape, payload in records:
         bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8), count=math.prod(shape), bitorder="little"
-        ).astype(bool)
+        ).view(bool)  # unpackbits writes only 0 and 1
         entries.append(MaskEntry(name, bits.reshape(shape)))
     try:
         return Mask(entries, source=metadata["source"], rate=float(metadata["rate"]))

@@ -46,7 +46,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .params import (ErrorRate, Fields, FormatError, NonNegativeInt, ParameterSet,
-                     atomic_write_text, read_file)
+                     atomic_write_text, json_object, read_file)
 from .pruning import RANKED_MODEL, Mask, apply_zeroing, compute_ump_mask, sparsity
 from .strategies import initial_model
 from .trainer import (
@@ -154,8 +154,8 @@ def read_log_jsonl(path: str) -> PadaRunLog:
     # split at "\n" only, as a file object splits; each line is decoded where a bad byte can name it
     for lineno, line in enumerate(io.BytesIO(read_file(path)), 1):
         try:
-            rec = json.loads(line.decode("utf-8"))
-            kind = rec.pop("kind", None) if isinstance(rec, dict) else None
+            rec = json_object(json.loads(line.decode("utf-8")), "the record")
+            kind = rec.pop("kind", None)
             if kind not in ("prune", "final"):
                 raise ValueError(f"unknown record kind {kind!r}")
             rec = _RECORDS[kind].read(rec)

@@ -34,6 +34,7 @@ pruning pass just zeroed, which is what lets zeroed weights regrow.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,26 +136,35 @@ class LabeledBatch:
         return self.x.shape[0]
 
 
+TensorSpec = namedtuple("TensorSpec", "name shape prunable")  # a model's tensor, without values
+
+
+def model_layout(arch: ModelArch) -> list[TensorSpec]:
+    """The tensors of a model of ``arch`` in checkpoint order: trunk, then recon and cls heads.
+
+    Each layer is a ``(fan_out, fan_in)`` weight, prunable, and then its bias.
+    """
+    widths = [arch.input_dim, *arch.hidden]
+    layers = [(f"layers.{i}", *io) for i, io in enumerate(zip(widths[1:], widths[:-1]))]
+    layers += [("recon", arch.input_dim, widths[-1]), ("cls", arch.num_classes, widths[-1])]
+    return [spec for name, fan_out, fan_in in layers for spec in (
+        TensorSpec(f"{name}.weight", (fan_out, fan_in), True),
+        TensorSpec(f"{name}.bias", (fan_out,), False),
+    )]
+
+
 def init_model(arch: ModelArch, seed) -> ParameterSet:
-    """Fresh parameter set: trunk + both heads, biases zero, seeded Gaussian weights.
+    """Fresh parameter set laid out as :func:`model_layout` says: biases zero, seeded
+    Gaussian weights scaled by ``1/sqrt(fan_in)``, drawn in layout order.
 
     ``seed`` may be an int or a ``numpy.random.Generator`` (the latter lets a
     caller keep drawing from the same stream after initialization).
     """
     rng = np.random.default_rng(seed)
-    widths = [arch.input_dim, *arch.hidden]
     tensors = []
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        w = rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in)
-        tensors.append(Tensor(f"layers.{i}.weight", w.astype(np.float32)))
-        tensors.append(Tensor(f"layers.{i}.bias", np.zeros(fan_out, dtype=np.float32)))
-    h_last = widths[-1]
-    w = rng.standard_normal((arch.input_dim, h_last)) / math.sqrt(h_last)
-    tensors.append(Tensor("recon.weight", w.astype(np.float32)))
-    tensors.append(Tensor("recon.bias", np.zeros(arch.input_dim, dtype=np.float32)))
-    w = rng.standard_normal((arch.num_classes, h_last)) / math.sqrt(h_last)
-    tensors.append(Tensor("cls.weight", w.astype(np.float32)))
-    tensors.append(Tensor("cls.bias", np.zeros(arch.num_classes, dtype=np.float32)))
+    for name, shape, prunable in model_layout(arch):  # Tensor rounds to float32
+        w = rng.standard_normal(shape) / math.sqrt(shape[1]) if prunable else np.zeros(shape)
+        tensors.append(Tensor(name, w, prunable))
     return ParameterSet(tensors, "pretrained", {"activation": arch.activation})
 
 
@@ -289,9 +299,15 @@ class ModelStack:
 
     @classmethod
     def of(cls, models: list, kind: str) -> "ModelStack":
-        """Stack of parameter sets; the first one's metadata names the activation."""
+        """Stack of parameter sets, whose metadata must name one activation (none reads as tanh)."""
+        activations = [ps.meta.get("activation", "tanh") for ps in models]
+        other = next((a for a in activations if a != activations[0]), None)
+        if other is not None:
+            raise ValueError(
+                f"models of one stack differ in activation: {activations[0]!r} vs {other!r}"
+            )
         weights = [{t.name: t.data for t in ps.tensors} for ps in models]
-        return cls(weights, kind, models[0].meta.get("activation", "tanh"))
+        return cls(weights, kind, activations[0])
 
     def view(self, flat: np.ndarray, name: str) -> np.ndarray:
         """Trained tensor ``name`` of every slice as a view of ``flat``, ``flat_work`` or

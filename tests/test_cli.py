@@ -992,6 +992,8 @@ def test_config_refuses_unknown_task_field(tmp_path, capsys):
     [
         ('{"kind": "layer", "name": "layers.0.weight"}\n', "unknown record kind 'layer'"),
         ('{"update": 5}\n', "unknown record kind None"),
+        ("[1]\n", "the record must be an object, got [1]"),
+        ("5\n", "the record must be an object, got 5"),
         ('{"kind": "prune", "update": 5}\n', "missing field: rate"),
         ('{"kind": "prune", "upd', "Unterminated string"),
     ],

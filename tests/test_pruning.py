@@ -105,6 +105,35 @@ def test_oracle_equivalence_and_exact_count():
         assert mask.zero_bits == z == prune_count(rate, len(values))
 
 
+# float32 bit patterns that a ranking on magnitudes might get wrong: signed zeros, the smallest
+# and largest subnormals, the smallest normal, infinities, NaNs of several payloads and both
+# signs, and +-1.0 to tie at the threshold
+ADVERSARIAL_BITS = [
+    0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, 0x00800000,
+    0x7F800000, 0xFF800000, 0x7F800001, 0xFF800001, 0x7FC00000, 0xFFC00000, 0x7FFFFFFF,
+    0xFFFFFFFF, 0x7FA00001, 0x3F800000, 0xBF800000, 0x3F800000,
+]
+
+
+def stable_sort_keep(values: np.ndarray, z: int) -> np.ndarray:
+    """The oracle: retain all but the first ``z`` of a stable argsort of the magnitudes."""
+    keep = np.ones(values.size, dtype=bool)
+    keep[np.argsort(np.abs(values), kind="stable")[:z]] = False
+    return keep
+
+
+def split_set(values: np.ndarray, cuts) -> ParameterSet:
+    """``values`` as prunable tensors, cut before each flat position of ``cuts``."""
+    parts = np.split(values, sorted(set(cuts)))
+    return ParameterSet([Tensor(f"t{k}", part, True) for k, part in enumerate(parts)])
+
+
+def rate_for(z: int, d: int) -> float:
+    rate = 100.0 * (z + 0.5) / d if z < d else 100.0
+    assert prune_count(rate, d) == z
+    return rate
+
+
 def test_selection_equals_a_stable_sort_at_large_d():
     """Past the grid-wide size (75,264): ties, signed zeros, infinities and NaN, across tensors."""
     rng = np.random.default_rng(11)
@@ -118,18 +147,52 @@ def test_selection_equals_a_stable_sort_at_large_d():
     mags = np.abs(values)
     straddle = int(np.count_nonzero(mags < np.float32(0.05))) + 15  # 10 before the boundary
     at_inf = int(np.count_nonzero(mags < np.inf)) + 7
-    offsets = np.cumsum((0,) + sizes)
-    ps = ParameterSet(
-        [Tensor(f"t{k}", values[offsets[k] : offsets[k + 1]], True) for k in range(len(sizes))]
-    )
+    ps = split_set(values, np.cumsum(sizes[:-1]))
     for z in (0, 1, straddle, at_inf, d - 1, d):
-        rate = 100.0 * (z + 0.5) / d if z < d else 100.0
-        assert prune_count(rate, d) == z
-        keep = np.ones(d, dtype=bool)
-        keep[np.argsort(mags, kind="stable")[:z]] = False
-        mask = compute_ump_mask(ps, rate)
-        assert np.array_equal(mask_bits(mask), keep), z
+        mask = compute_ump_mask(ps, rate_for(z, d))
+        assert np.array_equal(mask_bits(mask), stable_sort_keep(values, z)), z
         assert mask.zero_bits == z
+
+
+def test_selection_equals_a_stable_sort_on_adversarial_bits():
+    # every bit pattern twice, in two tensors, so each magnitude ties; every z from 0 to d
+    bits = np.array(ADVERSARIAL_BITS + ADVERSARIAL_BITS[::-1], dtype=np.uint32)
+    values = bits.view(np.float32)
+    d = values.size
+    ps = split_set(values, [7])
+    for z in range(d + 1):
+        mask = compute_ump_mask(ps, rate_for(z, d))
+        assert np.array_equal(mask_bits(mask), stable_sort_keep(values, z)), z
+        assert mask.zero_bits == z
+    assert flat_prunable_values(ps).view(np.uint32).tolist() == bits.tolist()  # ps unchanged
+
+
+def test_selection_equals_a_stable_sort_on_random_adversarial_vectors():
+    rng = np.random.default_rng(13)
+    pool = np.array(ADVERSARIAL_BITS, dtype=np.uint32)
+    for _ in range(300):
+        d = int(rng.integers(1, 60))
+        bits = rng.choice(pool, d)
+        plain = rng.random(d) < 0.3  # some ordinary magnitudes, a few of them tied
+        normal = np.round(rng.normal(size=int(plain.sum())), 1).astype(np.float32)
+        bits[plain] = normal.view(np.uint32)
+        values = bits.view(np.float32)
+        ps = split_set(values, rng.integers(1, d, size=int(rng.integers(0, 3))) if d > 1 else [])
+        z = int(rng.choice([0, 1, d, int(rng.integers(0, d + 1))]))
+        mask = compute_ump_mask(ps, rate_for(z, d))
+        assert np.array_equal(mask_bits(mask), stable_sort_keep(values, z)), (bits.tolist(), z)
+
+
+def test_sparsity_equals_the_share_of_zeros_of_the_concatenated_values():
+    rng = np.random.default_rng(17)
+    pool = np.array(ADVERSARIAL_BITS, dtype=np.uint32)
+    for _ in range(100):
+        d = int(rng.integers(1, 60))
+        values = rng.choice(pool, d).view(np.float32)  # -0.0 counts as a zero, NaN does not
+        ps = split_set(values, rng.integers(1, d, size=2) if d > 1 else [])
+        assert sparsity(ps) == float(np.count_nonzero(np.concatenate(
+            [t.data.ravel() for t in ps.tensors]) == 0.0) / d)
+    assert sparsity(vec_set([0.0, -0.0, np.nan, 1.0])) == 0.5
 
 
 def test_selection_idempotent_on_zeroed_set():

@@ -544,6 +544,20 @@ def test_stack_of_several_seeds_trains_each_model_as_if_alone():
         assert gens[seed].bit_generator.state == rng.bit_generator.state
 
 
+def test_stack_refuses_models_of_two_activations():
+    # every slice of a stack trains with one activation, so a mixed stack is refused; a model
+    # without the key reads as tanh
+    relu = init_model(ModelArch(input_dim=6, hidden=(8,), num_classes=4, activation="relu"), 65)
+    tanh = init_model(ModelArch(input_dim=6, hidden=(8,), num_classes=4, activation="tanh"), 66)
+    with pytest.raises(ValueError, match="differ in activation: 'relu' vs 'tanh'"):
+        ModelStack.of([relu, tanh], "cross_entropy")
+    unnamed = tanh.copy()
+    del unnamed.meta["activation"]
+    with pytest.raises(ValueError, match="differ in activation: 'relu' vs 'tanh'"):
+        ModelStack.of([relu, unnamed], "cross_entropy")
+    assert ModelStack.of([unnamed, tanh], "cross_entropy").activation == "tanh"
+
+
 def test_train_refuses_several_streams_on_unlabeled_data():
     # denoising draws each model's noise from its stream, and one stream
     # is all any stage needs; the generators are left untouched
