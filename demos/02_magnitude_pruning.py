@@ -39,7 +39,7 @@ ties = ParameterSet([Tensor("w", np.full((1, 3), 0.2, dtype=np.float32))])
 print("tie-break at rate 33.4%:", compute_ump_mask(ties, 33.4).entries[0].bits.ravel().astype(int))
 
 # --- regrowth: pruning keeps every weight trainable -----------------------
-arch = ModelArch(input_dim=8, hidden=(16,), num_classes=3, activation="tanh")
+arch = ModelArch(input_dim=8, hidden=(16,), num_classes=3)
 model = init_model(arch, seed=1)
 zeroed = apply_zeroing(model, compute_ump_mask(model, 40.0))
 print(f"\nsparsity right after 40% zeroing: {sparsity(zeroed):.3f}")

@@ -28,7 +28,7 @@ task = gen_domain_shift(7, DomainShiftSpec())
 print(f"task: |P|={task.source_unlabeled.n} |J|={task.source_labeled.n} "
       f"|L|={task.target_labeled.n} |eval|={task.target_eval.n}")
 
-arch = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6, activation="tanh")
+arch = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6)
 pre = pretrain_denoising(arch, task.source_unlabeled,
                          TrainConfig(lr=0.05, batch=32, updates=3000, seed=101, denoise_std=0.3))
 donor = finetune_supervised(pre, task.source_labeled,

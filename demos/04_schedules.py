@@ -18,7 +18,7 @@ from pada import (
 )
 
 task = gen_domain_shift(7, DomainShiftSpec())
-arch = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6, activation="tanh")
+arch = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6)
 pre = pretrain_denoising(arch, task.source_unlabeled,
                          TrainConfig(lr=0.05, batch=32, updates=3000, seed=101, denoise_std=0.3))
 

@@ -103,7 +103,7 @@ def parse_config(doc) -> ExperimentConfig:
     cfg = ExperimentConfig(
         task_seed=task_seed,
         task=task,
-        arch=_section(ModelArch, top["arch"], "arch", "hidden", "activation",
+        arch=_section(ModelArch, top["arch"], "arch", "hidden",
                       input_dim=task.input_dim, num_classes=task.num_classes),
         pretrain=_section(TrainConfig, top["pretrain"], "pretrain"),
         # the donor and target fine-tunes train on labels, so they read no denoise_std
@@ -137,7 +137,7 @@ def default_config() -> dict:
     """The default desk-scale experiment (JSON-ready document)."""
     return {
         "task": {"seed": 7, **asdict(DomainShiftSpec())},
-        "arch": {"hidden": [32, 32], "activation": "tanh"},
+        "arch": {"hidden": [32, 32]},
         "pretrain": {"lr": 0.05, "batch": 32, "updates": 3000, "seed": 101, "denoise_std": 0.3},
         "donor": {"lr": 0.05, "batch": 32, "updates": 3000, "seed": 202},
         "target": {"lr": 0.05, "batch": 16},

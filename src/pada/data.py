@@ -49,9 +49,9 @@ class DomainShiftSpec:
                 raise ValueError(f"{name} must be positive")
         if self.target_labeled is not None and self.target_labeled < 1:
             raise ValueError("target_labeled must be positive")
-        if self.noise_std < 0 or self.class_std < 0:
+        if not (self.noise_std >= 0 and self.class_std >= 0):  # NaN fails each bound
             raise ValueError("noise levels must be >= 0")
-        if self.mean_scale < 0:
+        if not self.mean_scale >= 0:
             raise ValueError("mean_scale must be >= 0")
 
     @property

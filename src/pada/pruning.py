@@ -194,6 +194,9 @@ def load_mask(path: str) -> Mask:
     )
     entries = []
     for name, _prunable, shape, payload in records:
+        tail = math.prod(shape) % 8  # the elements in the last byte, 0 when it is full
+        if tail and payload[-1] >> tail:  # saving the mask again would clear the set bits
+            raise FormatError(f"{path}: tensor {name!r}: nonzero padding bits")
         bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8), count=math.prod(shape), bitorder="little"
         ).view(bool)  # unpackbits writes only 0 and 1

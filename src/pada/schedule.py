@@ -135,12 +135,12 @@ def write_log_jsonl(log: PadaRunLog, path: str) -> None:
     atomic_write_text(path, "".join(json.dumps(r, allow_nan=False) + "\n" for r in records))
 
 
-# what each record kind must hold; "error_rate" only when the run was scored
+# what each record kind must hold
 _RECORDS = {
     "prune": Fields(get_type_hints(PruneEvent)),
     "final": Fields({"total_updates": NonNegativeInt, "strategy": str, "frequency": str,
                      "final_sparsity": float, "train_loss": float, "error_rate": ErrorRate,
-                     "seed": NonNegativeInt}, optional={"error_rate"}),
+                     "seed": NonNegativeInt}),
 }
 
 
@@ -178,7 +178,8 @@ def run_cells(
     target_data: LabeledBatch,
     cfg: TrainConfig,
     donor: ParameterSet | None = None,
-    eval_data: LabeledBatch | None = None,
+    *,
+    eval_data: LabeledBatch,
 ) -> list:
     """Fine-tune every slot on the target data, in as few stacks as the ranked models allow, on up to 2 CPUs.
 
@@ -207,16 +208,13 @@ def run_cells(
     another layout.  Returns one finished run per slot, in order: ``(model,
     log, initial mask)``, where the log holds the prune events (a DFT slot
     has neither events nor mask) and the final record, which a block builds
-    once the wave's stack is released, scoring ``eval_data`` when given; or
+    once the wave's stack is released, scoring it on ``eval_data``; or
     the divergence that ended the slot, which never stops the others.
     """
-    if not isinstance(target_data, LabeledBatch):
-        raise ValueError("fine-tuning on the target requires a LabeledBatch")
-    check_data(pretrained, target_data)
-    if eval_data is not None:
-        if not isinstance(eval_data, LabeledBatch):
-            raise ValueError("evaluation requires a LabeledBatch")
-        check_data(pretrained, eval_data)
+    for data, use in ((target_data, "fine-tuning on the target"), (eval_data, "evaluation")):
+        if not isinstance(data, LabeledBatch):
+            raise ValueError(f"{use} requires a LabeledBatch")
+        check_data(pretrained, data)
     for sched in dict.fromkeys(sched for _, _, sched in slots if sched is not None):
         validate(sched, cfg.updates)
     first = [slot for slot in slots if slot[2] is not None and not _ranks_dft(slot)]
@@ -445,7 +443,8 @@ def run_pada(
     target_data: LabeledBatch,
     cfg: TrainConfig,
     donor: ParameterSet | None = None,
-    eval_data: LabeledBatch | None = None,
+    *,
+    eval_data: LabeledBatch,
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Prune-assisted fine-tuning: strategy prune at update 0, then train to N.
 
@@ -460,14 +459,15 @@ def run_pada(
     strategy and r1, ranking ``donor`` or the DFT model :func:`run_dft` trains.
     """
     slot = (cfg.seed, strategy, sched)
-    return _result(run_cells(pretrained, [slot], target_data, cfg, donor, eval_data)[0])
+    return _result(run_cells(pretrained, [slot], target_data, cfg, donor, eval_data=eval_data)[0])
 
 
 def run_dft(
     pretrained: ParameterSet,
     target_data: LabeledBatch,
     cfg: TrainConfig,
-    eval_data: LabeledBatch | None = None,
+    *,
+    eval_data: LabeledBatch,
 ) -> tuple[ParameterSet, PadaRunLog]:
     """Direct fine-tuning baseline: cfg.updates SGD steps, no pruning at all.
 
@@ -487,14 +487,12 @@ def _prune_event(update, rate, sparsity_before, model, target_data) -> PruneEven
 def _final_record(slot, model, cfg, target_data, eval_data) -> dict:
     """The "final" log record of a slot's trained model (key order is the file format)."""
     seed, strategy, sched = slot
-    final = {
+    return {
         "total_updates": cfg.updates,
         "strategy": strategy,
         "frequency": "-" if sched is None else sched.freq,
         "final_sparsity": sparsity(model) if model.d_prunable else 0.0,
         "train_loss": dataset_loss(model, target_data),
+        "error_rate": evaluate(model, eval_data),
+        "seed": seed,
     }
-    if eval_data is not None:
-        final["error_rate"] = evaluate(model, eval_data)
-    final["seed"] = seed
-    return final

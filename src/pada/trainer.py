@@ -1,6 +1,6 @@
 """Desk-scale feed-forward model: manual backprop, plain SGD, two task heads.
 
-Every model owns a shared trunk of hidden layers plus two linear heads, a
+Every model owns a shared trunk of tanh hidden layers plus two linear heads, a
 reconstruction head (``recon.*``, used for denoising pre-training) and a
 classification head (``cls.*``, used for supervised fine-tuning).  Both heads
 exist from initialization, so parameter sets from every pipeline stage share
@@ -41,8 +41,6 @@ import numpy as np
 
 from .params import NonNegativeInt, ParameterSet, StructureMismatchError, Tensor
 
-ACTIVATIONS = ("tanh", "relu")
-
 _LOSS_HEAD = {"mse_reconstruction": "recon", "cross_entropy": "cls"}
 _HEAD_NAME = {"recon": "reconstruction", "cls": "classification"}
 
@@ -61,20 +59,17 @@ class TrainingDivergedError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModelArch:
-    """Layer widths and activation."""
+    """Layer widths; every hidden layer is a tanh layer."""
 
     input_dim: int
     hidden: tuple[int, ...]
     num_classes: int
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.num_classes < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("all layer widths must be positive")
         if not self.hidden:
             raise ValueError("at least one hidden layer is required")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -92,13 +87,13 @@ class TrainConfig:
     denoise_std: float = 0.1
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN fails each bound
             raise ValueError("learning rate must be positive")
         if self.batch < 1:
             raise ValueError("batch size must be positive")
         if self.updates < 0:
             raise ValueError("update count must be >= 0")
-        if self.denoise_std < 0:
+        if not self.denoise_std >= 0:
             raise ValueError("denoise_std must be >= 0")
 
 
@@ -165,26 +160,7 @@ def init_model(arch: ModelArch, seed) -> ParameterSet:
     for name, shape, prunable in model_layout(arch):  # Tensor rounds to float32
         w = rng.standard_normal(shape) / math.sqrt(shape[1]) if prunable else np.zeros(shape)
         tensors.append(Tensor(name, w, prunable))
-    return ParameterSet(tensors, "pretrained", {"activation": arch.activation})
-
-
-def _apply_act(a: np.ndarray, activation: str) -> None:
-    """The activation of ``a``, in place."""
-    if activation == "tanh":
-        np.tanh(a, out=a)
-    else:
-        np.maximum(a, 0.0, out=a)
-
-
-def _times_act_grad(da: np.ndarray, a: np.ndarray, activation: str) -> None:
-    """``da *= f'(z)`` from the activation output ``a``, which it overwrites."""
-    # relu' at z == 0 is taken as 0, consistent with a == 0 there
-    if activation == "tanh":
-        np.multiply(a, a, out=a)
-        np.subtract(1.0, a, out=a)
-    else:
-        np.greater(a, 0.0, out=a)
-    np.multiply(da, a, out=da)
+    return ParameterSet(tensors, "pretrained", {"activation": "tanh"})
 
 
 def _trunk_depth(names, head: str) -> int:
@@ -271,12 +247,10 @@ class ModelStack:
     slice cannot change another slice's bits.
     """
 
-    def __init__(self, weights: list, kind: str, activation: str = "tanh"):
+    def __init__(self, weights: list, kind: str):
         if kind not in _LOSS_HEAD:
             raise ValueError(f"unknown loss kind {kind!r}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.kind, self.activation, self.head = kind, activation, _LOSS_HEAD[kind]
+        self.kind, self.head = kind, _LOSS_HEAD[kind]
         self.depth = _trunk_depth(weights[0], self.head)
         self.layers = [f"layers.{i}" for i in range(self.depth)] + [self.head]
         names = list(weights[0])
@@ -299,15 +273,12 @@ class ModelStack:
 
     @classmethod
     def of(cls, models: list, kind: str) -> "ModelStack":
-        """Stack of parameter sets, whose metadata must name one activation (none reads as tanh)."""
-        activations = [ps.meta.get("activation", "tanh") for ps in models]
-        other = next((a for a in activations if a != activations[0]), None)
-        if other is not None:
-            raise ValueError(
-                f"models of one stack differ in activation: {activations[0]!r} vs {other!r}"
-            )
-        weights = [{t.name: t.data for t in ps.tensors} for ps in models]
-        return cls(weights, kind, activations[0])
+        """Stack of parameter sets of tanh models, as the trainer writes them; a set built by
+        hand without ``activation`` metadata is taken as one."""
+        for ps in models:
+            if ps.meta.get("activation", "tanh") != "tanh":
+                raise ValueError(f"a stack trains tanh models, not {ps.meta['activation']!r} ones")
+        return cls([{t.name: t.data for t in ps.tensors} for ps in models], kind)
 
     def view(self, flat: np.ndarray, name: str) -> np.ndarray:
         """Trained tensor ``name`` of every slice as a view of ``flat``, ``flat_work`` or
@@ -379,7 +350,7 @@ class ModelStack:
         for wt, b, a in self._trunk_ops:
             np.matmul(a_in, wt, out=a)
             np.add(a, b, out=a)
-            _apply_act(a, self.activation)
+            np.tanh(a, out=a)
             a_in = a
         wt, b, out = self._head_ops
         np.matmul(a_in, wt, out=out)
@@ -440,10 +411,13 @@ class ModelStack:
         losses = self._loss(self._forward(x), target)
         # each gradient overwrites its tensor's working copy, which the
         # backward pass has read for the last time by then; likewise each
-        # activation buffer becomes f'(z) once the layer reading it is done
+        # activation buffer a = tanh(z) becomes tanh'(z) = 1 - a² once the
+        # layer reading it is done
         for d, dt, w, b, a_in, a, d_in in self._backward_ops:
             if a is not None:
-                _times_act_grad(d, a, self.activation)
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                np.multiply(d, a, out=d)
             if d_in is not None:
                 np.matmul(d, w, out=d_in)
             np.matmul(dt, x if a_in is None else a_in, out=w)

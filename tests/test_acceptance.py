@@ -39,7 +39,7 @@ from pada.trainer import (
     sgd_step,
 )
 
-ARCH = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6, activation="tanh")
+ARCH = ModelArch(input_dim=16, hidden=(32, 32), num_classes=6)
 
 
 def ok(name):
@@ -107,16 +107,16 @@ def test_schedule_timing_paper_presets():
     cfg = TrainConfig(lr=0.05, batch=16, updates=10000, seed=5)
 
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 1000)
-    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
+    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg, eval_data=task.target_eval)
     assert [e.update for e in log.events] == [0, 1000, 2000]
     assert log.final["total_updates"] == 10000
 
     sched = PruneSchedule("iterative", (30, 30, 30), 1000)
-    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
+    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg, eval_data=task.target_eval)
     assert len(log.events) == 3
 
     sched = PruneSchedule("once", (40,), 1000)
-    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg)
+    _, log = run_pada(pre, "TAG", sched, task.target_labeled, cfg, eval_data=task.target_eval)
     assert len(log.events) == 1
     ok("schedule timing: dynamic events {0,1000,2000} at N=10000, n=1000; iterative 3; once 1")
 
@@ -137,7 +137,7 @@ def weights64(ps):
 
 def _finite_difference_max_rel_err(ps, x, target, kind, n_coords=120, eps=1e-4, seed=0):
     # a stack of float64 weights keeps float64 masters: perturbations are exact
-    stack = ModelStack([weights64(ps)], kind, ps.meta.get("activation", "tanh"))
+    stack = ModelStack([weights64(ps)], kind)
     stack.grads(x, target)
     grads = stack.flat_grad.copy()  # the next grads call overwrites flat_grad
     rng = np.random.default_rng(seed)

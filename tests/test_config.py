@@ -12,17 +12,16 @@ import pytest
 from pada.cli import main
 from pada.config import default_config, parse_config
 from pada.data import DomainShiftSpec
-from pada.trainer import ModelArch, TrainConfig
+from pada.trainer import TrainConfig
 
 FORMATS = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
 
 DEFAULTS = {
-    cls: {f.name: f.default for f in fields(cls)} for cls in (DomainShiftSpec, ModelArch, TrainConfig)
+    cls: {f.name: f.default for f in fields(cls)} for cls in (DomainShiftSpec, TrainConfig)
 }
 # the keys a config may leave out, and the value each then parses to
 OPTIONAL = {
     **{f"task.{name}": default for name, default in DEFAULTS[DomainShiftSpec].items()},
-    "arch.activation": DEFAULTS[ModelArch]["activation"],
     "pretrain.denoise_std": DEFAULTS[TrainConfig]["denoise_std"],
     "include_dft": True,
 }
@@ -142,7 +141,7 @@ def test_left_out_optional_keys_parse_to_their_defaults():
         ("pretrain.denoise_std", -0.1, "pretrain: denoise_std must be >= 0"),
         ("task.num_classes", 0, "task: degenerate task spec: need at least 1 class"),
         ("task.mean_scale", -0.5, "task: mean_scale must be >= 0"),
-        ("arch.activation", "gelu", "arch: unknown activation 'gelu'"),
+        ("task.class_std", -1, "task: noise levels must be >= 0"),
         ("strategies", ["XYZ"], "unknown strategy 'XYZ' in config"),
         ("task.target_labeled", 0, "task: target_labeled must be positive"),
         ("task.noise_std", -1, "task: noise levels must be >= 0"),
@@ -170,15 +169,16 @@ def test_bounds_name_their_section_before_any_stage_runs(tmp_path, capsys, path,
         # the stage checkpoints have fixed names under out, which no key renames
         ("pretrained", "pretrained.pada", "unknown field: pretrained"),
         ("donor_checkpoint", "donor.pada", "unknown field: donor_checkpoint"),
+        # the model has one activation, tanh, which no key chooses
+        ("arch.activation", "tanh", "unknown field: arch.activation"),
     ],
-    ids=["empty-out", "null-byte-out", "pretrained", "donor_checkpoint"],
+    ids=["empty-out", "null-byte-out", "pretrained", "donor_checkpoint", "arch.activation"],
 )
 def test_an_unusable_out_or_a_removed_key_is_refused_before_any_stage_runs(
     tmp_path, capsys, monkeypatch, key, value, message
 ):
     monkeypatch.chdir(tmp_path)  # where a relative out would be made
-    doc = default_config()
-    doc[key] = value
+    doc = _edited(key, lambda parent, name: parent.__setitem__(name, value))
     code, lines, made = _pretrain(tmp_path, capsys, doc)
     assert (code, lines, made) == (1, [f"config: {message}"], False)
     assert os.listdir(tmp_path) == ["config.json"]
@@ -202,6 +202,21 @@ def test_duplicate_grid_entries_are_refused(tmp_path, capsys, key, value, messag
     doc["include_dft"], doc[key] = False, value
     code, lines, made = _pretrain(tmp_path, capsys, doc)
     assert (code, lines, made) == (1, [f"config: {message}"], False)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (TrainConfig, "lr"), (TrainConfig, "denoise_std"),
+    (DomainShiftSpec, "noise_std"), (DomainShiftSpec, "class_std"), (DomainShiftSpec, "mean_scale"),
+])
+def test_a_nan_setting_fails_its_bound(cls, name):
+    # a config never gets here, since Fields refuses NaN first; a library
+    # caller gets the bound's own message, not a divergence or a NaN task
+    given = {"lr": 0.05, "batch": 4, "updates": 1, "seed": 0} if cls is TrainConfig else {}
+    with pytest.raises(ValueError) as info:
+        cls(**{**given, name: float("nan")})
+    given[name] = -1.0
+    with pytest.raises(ValueError, match=f"^{re.escape(str(info.value))}$"):
+        cls(**given)
 
 
 def test_empty_strategies_with_dft_is_a_dft_only_grid():

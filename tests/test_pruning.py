@@ -288,6 +288,22 @@ def test_mask_roundtrip(tmp_path):
     assert loaded.rate == 37.5
 
 
+def test_a_mask_with_a_set_padding_bit_is_refused(tmp_path):
+    # 10 bits take 2 bytes, and bits 2-7 of the second are padding; with one
+    # set, the file would load as the mask it was saved from, whose save
+    # writes other bytes
+    mask = compute_ump_mask(vec_set(np.arange(1.0, 11.0).reshape(2, 5)), 40.0)
+    path = tmp_path / "m.padm"
+    save_mask(mask, str(path))
+    raw = bytearray(path.read_bytes())
+    last = 4 + 1 + 4 + 2 + len("w") + 1 + 1 + 2 * 4 + 1  # after the header, name, flag and dims
+    assert raw[last] == 0b11  # elements 8 and 9 are kept
+    raw[last] |= 0b10000000
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"m\.padm: tensor 'w': nonzero padding bits$"):
+        load_mask(str(path))
+
+
 def test_mask_magic_differs_from_checkpoint(tmp_path):
     ps = vec_set([1.0, 2.0])
     mask = compute_ump_mask(ps, 50.0)

@@ -21,7 +21,7 @@ from pada.trainer import (
     init_model,
 )
 
-ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3, activation="tanh")
+ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3)
 
 
 def toy_labeled(n=40, seed=0):
@@ -67,7 +67,7 @@ def test_event_timing_dynamic():
     pre = init_model(ARCH, 0)
     data = toy_labeled(seed=1)
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 10)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=2, updates=50))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=2, updates=50), eval_data=data)
     assert [e.update for e in log.events] == [0, 10, 20]
     assert [e.rate for e in log.events] == [40.0, 20.0, 10.0]
     assert log.final["total_updates"] == 50
@@ -79,17 +79,17 @@ def test_run_pada_trains_cfg_updates():
     data = toy_labeled(seed=50)
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 10)
     for n_total, expected in ((15, [0, 10]), (20, [0, 10, 20]), (45, [0, 10, 20])):
-        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=51, updates=n_total))
+        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=51, updates=n_total), eval_data=data)
         assert log.final["total_updates"] == n_total
         assert [e.update for e in log.events] == expected
     # without pruning, a run takes exactly the SGD steps DFT takes on the same config
     unpruned = PruneSchedule("once", (0,), 1)
     for n_total in (7, 8):
         cfg = tcfg(seed=52, updates=n_total)
-        adapted, _ = run_pada(pre, "TAG", unpruned, data, cfg)
-        assert adapted.tensors == run_dft(pre, data, cfg)[0].tensors
+        adapted, _ = run_pada(pre, "TAG", unpruned, data, cfg, eval_data=data)
+        assert adapted.tensors == run_dft(pre, data, cfg, eval_data=data)[0].tensors
     with pytest.raises(ScheduleError, match="total_updates must be positive"):
-        run_pada(pre, "TAG", sched, data, tcfg(seed=51, updates=0))
+        run_pada(pre, "TAG", sched, data, tcfg(seed=51, updates=0), eval_data=data)
 
 
 def test_event_timing_iterative_guard():
@@ -97,7 +97,7 @@ def test_event_timing_iterative_guard():
     pre = init_model(ARCH, 3)
     data = toy_labeled(seed=4)
     sched = PruneSchedule("iterative", (30, 30, 30), 1000)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=5, updates=1500))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=5, updates=1500), eval_data=data)
     assert [e.update for e in log.events] == [0, 1000]
 
 
@@ -105,7 +105,7 @@ def test_event_exactly_at_n_is_executed():
     pre = init_model(ARCH, 6)
     data = toy_labeled(seed=7)
     sched = PruneSchedule("iterative", (30, 30, 30), 10)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=8, updates=20))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=8, updates=20), eval_data=data)
     assert [e.update for e in log.events] == [0, 10, 20]
 
 
@@ -113,7 +113,7 @@ def test_once_single_event():
     pre = init_model(ARCH, 9)
     data = toy_labeled(seed=10)
     sched = PruneSchedule("once", (40,), 10)
-    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=11, updates=30))
+    _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=11, updates=30), eval_data=data)
     assert [e.update for e in log.events] == [0]
 
 
@@ -128,7 +128,7 @@ def test_event_count_bound_property():
         rates = tuple(np.linspace(50, 5, k))  # strictly decreasing
         freq = "dynamic_iterative" if k > 1 else "once"
         sched = PruneSchedule(freq, rates, interval)
-        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=15, updates=n_total))
+        _, log = run_pada(pre, "TAG", sched, data, tcfg(seed=15, updates=n_total), eval_data=data)
         expected = min(k, n_total // interval + 1) if freq != "once" else 1
         assert len(log.events) == expected
         assert [e.update for e in log.events] == [i * interval for i in range(len(log.events))] or freq == "once"
@@ -139,8 +139,8 @@ def test_rate_zero_collapses_to_dft():
     data = toy_labeled(seed=17)
     cfg = tcfg(seed=18, updates=40)
     sched = PruneSchedule("iterative", (0, 0, 0), 10)
-    adapted, log = run_pada(pre, "TAG", sched, data, cfg)
-    baseline, _ = run_dft(pre, data, cfg)
+    adapted, log = run_pada(pre, "TAG", sched, data, cfg, eval_data=data)
+    baseline, _ = run_dft(pre, data, cfg, eval_data=data)
     assert adapted.tensors == baseline.tensors  # bit-identical weights
     assert all(e.rate == 0.0 for e in log.events)
 
@@ -150,8 +150,8 @@ def test_once_rate_zero_equals_dft():
     data = toy_labeled(seed=20)
     cfg = tcfg(seed=21, updates=35)
     sched = PruneSchedule("once", (0,), 5)
-    adapted, _ = run_pada(pre, "TAG", sched, data, cfg)
-    baseline, _ = run_dft(pre, data, cfg)
+    adapted, _ = run_pada(pre, "TAG", sched, data, cfg, eval_data=data)
+    baseline, _ = run_dft(pre, data, cfg, eval_data=data)
     assert adapted.tensors == baseline.tensors
 
 
@@ -159,7 +159,7 @@ def test_no_persistent_mask_regrowth():
     pre = init_model(ARCH, 22)
     data = toy_labeled(seed=23)
     sched = PruneSchedule("once", (40,), 10)
-    adapted, log = run_pada(pre, "TAG", sched, data, tcfg(seed=24, updates=200))
+    adapted, log = run_pada(pre, "TAG", sched, data, tcfg(seed=24, updates=200), eval_data=data)
     assert log.final["final_sparsity"] < log.events[0].sparsity_after
 
 
@@ -167,8 +167,8 @@ def test_reproducible_bit_identical():
     pre = init_model(ARCH, 25)
     data = toy_labeled(seed=26)
     sched = PruneSchedule("dynamic_iterative", (40, 20, 10), 20)
-    a, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27, updates=60))
-    b, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27, updates=60))
+    a, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27, updates=60), eval_data=data)
+    b, _ = run_pada(pre, "TAG", sched, data, tcfg(seed=27, updates=60), eval_data=data)
     assert a == b
     assert a.role == "adapted"
 
@@ -178,7 +178,7 @@ def test_invalid_schedule_rejected_by_run():
     data = toy_labeled(seed=32)
     sched = PruneSchedule("dynamic_iterative", (10, 20), 5)
     with pytest.raises(ScheduleError):
-        run_pada(pre, "TAG", sched, data, tcfg(seed=33, updates=10))
+        run_pada(pre, "TAG", sched, data, tcfg(seed=33, updates=10), eval_data=data)
 
 
 def test_divergence_carries_global_step():
@@ -201,7 +201,7 @@ def test_divergence_carries_global_step():
     sched = PruneSchedule("iterative", (10, 10, 10), 2)
     assert expected >= sched.interval  # fails in a later chunk, not the first
     with pytest.raises(TrainingDivergedError) as info:
-        run_pada(pre, "TAG", sched, data, cfg)
+        run_pada(pre, "TAG", sched, data, cfg, eval_data=data)
     assert info.value.step == expected
 
 
@@ -224,7 +224,7 @@ def test_run_dft_model_is_the_target_finetune():
     pre = init_model(ARCH, 37)
     data = toy_labeled(seed=38)
     cfg = tcfg(seed=40, updates=50)
-    model, _ = run_dft(pre, data, cfg)
+    model, _ = run_dft(pre, data, cfg, eval_data=data)
     assert model.tensors == finetune_supervised(pre, data, cfg).tensors
 
 
@@ -253,11 +253,11 @@ def test_taw_strategy_inside_run():
     data = toy_labeled(seed=46)
     cfg = tcfg(seed=47, updates=30)
     sched = PruneSchedule("once", (40,), 10)
-    a, log = run_pada(pre, "TAW", sched, data, cfg)
-    b, _ = run_pada(pre, "TAW", sched, data, cfg)
+    a, log = run_pada(pre, "TAW", sched, data, cfg, eval_data=data)
+    b, _ = run_pada(pre, "TAW", sched, data, cfg, eval_data=data)
     assert a == b
     # the initial mask ranks the seed's DFT model, not the pre-trained one
-    finetuned, _ = run_dft(pre, data, cfg)
+    finetuned, _ = run_dft(pre, data, cfg, eval_data=data)
     start, mask = initial_model(pre, "TAW", 40.0, finetuned=finetuned)
     assert mask == compute_ump_mask(finetuned, 40.0)
     assert mask != compute_ump_mask(pre, 40.0)
@@ -302,7 +302,8 @@ def test_a_wave_with_a_failed_slot_releases_its_stack_before_scoring(monkeypatch
     once = PruneSchedule("once", (40.0,), 5)
     slots = [(seed, s, once if s != "DFT" else None) for seed in range(4)
              for s in ("DFT", "TAG", "TAW")]
-    outcomes = run_cells(pre, slots, LabeledBatch(x, data.y), tcfg(batch=2, updates=10))
+    outcomes = run_cells(pre, slots, LabeledBatch(x, data.y), tcfg(batch=2, updates=10),
+                         eval_data=data)
     failed = [slot for slot, o in zip(slots, outcomes) if isinstance(o, TrainingDivergedError)]
     assert [(seed, s) for seed, s, _ in failed] == [(3, "DFT"), (3, "TAG"), (3, "TAW")]
     assert live_when_scoring == [0] * 9
@@ -340,13 +341,14 @@ def test_run_cells_validates_each_schedule_once_before_any_training(monkeypatch,
     pre = init_model(ARCH, 0)
     once, twice = PruneSchedule("once", (40.0,), 5), PruneSchedule("iterative", (30.0, 30.0), 5)
     slots = [(seed, s, sched) for seed in (0, 1) for s in ("TAG", "TAW") for sched in (once, twice)]
-    run_cells(pre, slots + [(0, "DFT", None)], toy_labeled(), tcfg(updates=10))
+    run_cells(pre, slots + [(0, "DFT", None)], toy_labeled(), tcfg(updates=10),
+              eval_data=toy_labeled())
     assert checked == [once, twice] and train_calls
     train_calls.clear()
     bad = PruneSchedule("once", (40.0, 20.0), 5)  # the last slot, after slots that would train
     with pytest.raises(ScheduleError, match="'once' takes exactly one pruning rate"):
         run_cells(pre, [(0, "DFT", None), (0, "TAG", once), (1, "TAG", bad)], toy_labeled(),
-                  tcfg(updates=10))
+                  tcfg(updates=10), eval_data=toy_labeled())
     assert train_calls == []
 
 

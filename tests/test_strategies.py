@@ -6,7 +6,7 @@ from pada.pruning import Mask, MaskEntry, apply_zeroing, prune_count, sparsity
 from pada.strategies import cdtaw_mask, initial_model, tag_mask, taw_mask
 from pada.trainer import LabeledBatch, ModelArch, TrainConfig, finetune_supervised, init_model
 
-ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3, activation="tanh")
+ARCH = ModelArch(input_dim=5, hidden=(8,), num_classes=3)
 
 
 def vec_set(values):
@@ -113,6 +113,32 @@ def test_cdtaw_never_reads_pretrained_values():
     for t in scaled.tensors:
         t.data = (t.data * 3.7).astype(np.float32)
     assert cdtaw_mask(pre, donor, 40.0) == cdtaw_mask(scaled, donor, 40.0)
+
+
+@pytest.mark.parametrize("r1", [0.0, 40.0, 100.0])
+def test_cdtaw_ranking_the_pretrained_model_is_tag(r1):
+    # a donor fine-tuned for 0 updates is the pretrained model itself, so
+    # CD-TAW ranks what TAG ranks: the same model and mask, bit for bit
+    pre = init_model(ARCH, 30)
+    model, mask = initial_model(pre, "CD-TAW", r1, donor=pre)
+    tag_model, tag = initial_model(pre, "TAG", r1)
+    assert model == tag_model
+    assert mask == tag and [e.bits.tobytes() for e in mask.entries] == [
+        e.bits.tobytes() for e in tag.entries
+    ]
+
+
+def test_a_cdtaw_run_with_the_pretrained_model_as_donor_is_the_tag_run():
+    from pada.schedule import PruneSchedule, run_pada
+
+    pre = init_model(ARCH, 31)
+    data = toy_labeled(seed=32)
+    cfg = TrainConfig(lr=0.05, batch=8, updates=30, seed=33)
+    sched = PruneSchedule("dynamic_iterative", (40.0, 20.0, 10.0), 10)
+    cdtaw, cdtaw_log = run_pada(pre, "CD-TAW", sched, data, cfg, donor=pre, eval_data=data)
+    tag, tag_log = run_pada(pre, "TAG", sched, data, cfg, eval_data=data)
+    assert cdtaw == tag
+    assert cdtaw_log.events == tag_log.events
 
 
 def test_initial_model_sparsity_exact():

@@ -20,7 +20,7 @@ from pada.trainer import (
     sgd_train,
 )
 
-ARCH = ModelArch(input_dim=6, hidden=(10, 8), num_classes=4, activation="tanh")
+ARCH = ModelArch(input_dim=6, hidden=(10, 8), num_classes=4)
 
 
 def toy_labeled(n=64, seed=0, arch=ARCH):
@@ -66,9 +66,9 @@ def test_forward_zero_weights_tanh_zero_output():
 
 
 def test_forward_hand_computed_matrix_vector():
-    # identity trunk under relu with nonnegative input passes x through, so
-    # the classification output is exactly W x + b, computed by hand below
-    arch = ModelArch(input_dim=3, hidden=(3,), num_classes=3, activation="relu")
+    # an identity trunk passes tanh(x) through, so the classification output
+    # is exactly W tanh(x) + b, computed by hand below
+    arch = ModelArch(input_dim=3, hidden=(3,), num_classes=3)
     ps = init_model(arch, 0)
     ps["layers.0.weight"].data = np.eye(3, dtype=np.float32)
     ps["layers.0.bias"].data = np.zeros(3, dtype=np.float32)
@@ -77,9 +77,11 @@ def test_forward_hand_computed_matrix_vector():
     )
     ps["cls.bias"].data = np.array([0.5, 0.0, -1.0], dtype=np.float32)
     x = np.array([[1.0, 2.0, 0.5]])
+    h1, h2, h3 = np.tanh(x[0])
     out = outputs(ps, x)
-    # rows of W dot x: [1+4+1.5, 0-2+0.5, 2+1-1] then + bias
-    np.testing.assert_allclose(out, [[6.5 + 0.5, -1.5 + 0.0, 2.0 - 1.0]], atol=1e-6)
+    # rows of W dot tanh(x), then + bias
+    want = [h1 + 2 * h2 + 3 * h3 + 0.5, -h2 + h3 + 0.0, 2 * h1 + 0.5 * h2 - 2 * h3 - 1.0]
+    np.testing.assert_allclose(out, [want], atol=1e-6)
 
 
 def test_forward_batch_row_independence():
@@ -131,7 +133,7 @@ def finite_difference_max_rel_err(ps, x, target, kind, n_coords=120, eps=1e-4, s
     a perturbation is exact; the analytic gradients are the float32 ones a
     training step applies.
     """
-    stack = ModelStack([weights64(ps)], kind, ps.meta.get("activation", "tanh"))
+    stack = ModelStack([weights64(ps)], kind)
     stack.grads(x, target)
     grads = stack.flat_grad.copy()  # the next grads call overwrites flat_grad
     rng = np.random.default_rng(seed)
@@ -180,14 +182,6 @@ def test_gradcheck_at_zeroed_coordinates():
     ps = apply_zeroing(init_model(ARCH, 11), compute_ump_mask(init_model(ARCH, 11), 40.0))
     data = toy_labeled(32, seed=12)
     err = finite_difference_max_rel_err(ps, data.x, data.y, "cross_entropy", seed=13)
-    assert err <= 1e-4
-
-
-def test_gradcheck_relu():
-    arch = ModelArch(input_dim=6, hidden=(10, 8), num_classes=4, activation="relu")
-    ps = init_model(arch, 14)
-    data = toy_labeled(32, seed=15, arch=arch)
-    err = finite_difference_max_rel_err(ps, data.x, data.y, "cross_entropy", seed=16)
     assert err <= 1e-4
 
 
@@ -270,8 +264,8 @@ def test_supervised_stages_refuse_unlabeled_data():
     cfg = TrainConfig(lr=0.05, batch=2, updates=1, seed=0)
     for stage in (
         lambda: finetune_supervised(pre, data, cfg),
-        lambda: run_dft(pre, data, cfg),
-        lambda: run_pada(pre, "TAG", PruneSchedule("once", (40,), 1), data, cfg),
+        lambda: run_dft(pre, data, cfg, eval_data=data),
+        lambda: run_pada(pre, "TAG", PruneSchedule("once", (40,), 1), data, cfg, eval_data=data),
     ):
         with pytest.raises(ValueError, match="LabeledBatch"):
             stage()
@@ -397,7 +391,7 @@ def test_divergence_error_survives_pickling(run):
 
 def test_nonfinite_loss_is_returned_as_it_is():
     # as ModelStack.grads returns it; training turns it into a divergence
-    ps = init_model(ModelArch(2, (3,), 2, activation="relu"), 44)
+    ps = init_model(ModelArch(2, (3,), 2), 44)
     loss, grads = loss_and_grads(ps, UnlabeledBatch(np.full((2, 2), 1e300)))
     assert not np.isfinite(loss)
     assert list(grads) == ps.names()
@@ -505,7 +499,7 @@ def test_sgd_train_builds_objects_once_per_call(monkeypatch):
 def test_stack_trains_each_model_as_if_alone(labeled):
     # one stack of two different models, one of them freshly zeroed, under
     # both losses: every slice ends bit-identical to training it alone
-    arch = ModelArch(input_dim=6, hidden=(40, 24), num_classes=4, activation="tanh")
+    arch = ModelArch(input_dim=6, hidden=(40, 24), num_classes=4)
     rows = toy_labeled(64, seed=56, arch=arch)
     data = rows if labeled else UnlabeledBatch(rows.x)
     kind = "cross_entropy" if labeled else "mse_reconstruction"
@@ -526,7 +520,7 @@ def test_stack_of_several_seeds_trains_each_model_as_if_alone():
     # slot alone: each slot gets its own generator's minibatches and ends
     # bit-identical to training it alone on that generator's seed, and
     # each generator is consumed as by one model trained alone
-    arch = ModelArch(input_dim=6, hidden=(40, 24), num_classes=4, activation="tanh")
+    arch = ModelArch(input_dim=6, hidden=(40, 24), num_classes=4)
     data = toy_labeled(64, seed=60, arch=arch)
     cfg = TrainConfig(lr=0.05, batch=8, updates=30, seed=0)
     other = init_model(arch, 62)
@@ -545,17 +539,20 @@ def test_stack_of_several_seeds_trains_each_model_as_if_alone():
 
 
 def test_stack_refuses_models_of_two_activations():
-    # every slice of a stack trains with one activation, so a mixed stack is refused; a model
-    # without the key reads as tanh
-    relu = init_model(ModelArch(input_dim=6, hidden=(8,), num_classes=4, activation="relu"), 65)
-    tanh = init_model(ModelArch(input_dim=6, hidden=(8,), num_classes=4, activation="tanh"), 66)
-    with pytest.raises(ValueError, match="differ in activation: 'relu' vs 'tanh'"):
-        ModelStack.of([relu, tanh], "cross_entropy")
+    # a stack trains tanh models, the trainer's one kind, so a model whose
+    # metadata names another activation is refused, alone or beside tanh
+    # ones; a set built by hand without the key is taken as tanh
+    tanh = init_model(ModelArch(input_dim=6, hidden=(8,), num_classes=4), 66)
+    other = tanh.copy()
+    other.meta["activation"] = "sigmoid"
+    for models in ([tanh, other], [other]):
+        with pytest.raises(ValueError, match="a stack trains tanh models, not 'sigmoid' ones"):
+            ModelStack.of(models, "cross_entropy")
     unnamed = tanh.copy()
     del unnamed.meta["activation"]
-    with pytest.raises(ValueError, match="differ in activation: 'relu' vs 'tanh'"):
-        ModelStack.of([relu, unnamed], "cross_entropy")
-    assert ModelStack.of([unnamed, tanh], "cross_entropy").activation == "tanh"
+    data = toy_labeled(16, seed=67, arch=ModelArch(input_dim=6, hidden=(8,), num_classes=4))
+    stack = ModelStack.of([unnamed, tanh], "cross_entropy")
+    assert stack.outputs(data.x)[0].tobytes() == outputs(tanh, data.x).tobytes()
 
 
 def test_train_refuses_several_streams_on_unlabeled_data():
@@ -582,30 +579,20 @@ def test_train_refuses_several_streams_on_unlabeled_data():
 # the same order, so it must match this bit for bit.
 
 
-def ref_apply_act(a, activation):
-    if activation == "tanh":
-        np.tanh(a, out=a)
-    else:
-        np.maximum(a, 0.0, out=a)
-
-
-def ref_times_act_grad(da, a, activation):
-    if activation == "tanh":
-        np.multiply(a, a, out=a)
-        np.subtract(1.0, a, out=a)
-    else:
-        np.greater(a, 0.0, out=a)
+def ref_times_act_grad(da, a):
+    np.multiply(a, a, out=a)
+    np.subtract(1.0, a, out=a)
     np.multiply(da, a, out=da)
 
 
-def ref_forward(w, x, activation, head, depth):
+def ref_forward(w, x, head, depth):
     shapes = [w[f"layers.{i}.weight"].shape for i in range(depth)] + [w[f"{head}.weight"].shape]
     bufs = [np.empty((models, x.shape[-2], width)) for models, width, _ in shapes]
     acts = [x]
     for i, a in enumerate(bufs[:-1]):
         np.matmul(acts[-1], w[f"layers.{i}.weight"].transpose(0, 2, 1), out=a)
         a += w[f"layers.{i}.bias"][:, None, :]
-        ref_apply_act(a, activation)
+        np.tanh(a, out=a)
         acts.append(a)
     out = bufs[-1]
     np.matmul(acts[-1], w[f"{head}.weight"].transpose(0, 2, 1), out=out)
@@ -651,20 +638,20 @@ def ref_sgd_update(w, g, lr, work):
     np.copyto(w, work)
 
 
-def ref_step(master, x, target, kind, activation, lr):
+def ref_step(master, x, target, kind, lr):
     """One SGD step of the stacked float32 ``master`` dict, in place; returns the losses."""
     head = "cls" if kind == "cross_entropy" else "recon"
     depth = sum(name.endswith(".weight") and name.startswith("layers.") for name in master)
     trained = [n for n in master if n.startswith(("layers.", f"{head}."))]
     w = {n: master[n].astype(np.float64) for n in trained}
-    out, acts = ref_forward(w, x, activation, head, depth)
+    out, acts = ref_forward(w, x, head, depth)
     losses = ref_loss_from_outputs(out, target, kind)
     da = [np.empty_like(a) for a in acts[1:]]
     np.matmul(out, w[f"{head}.weight"], out=da[-1])
     ref_store(w, head, out, acts[-1])
     for i in reversed(range(depth)):
         dz = da[i]
-        ref_times_act_grad(dz, acts[i + 1], activation)
+        ref_times_act_grad(dz, acts[i + 1])
         if i:
             np.matmul(dz, w[f"layers.{i}.weight"], out=da[i - 1])
         ref_store(w, f"layers.{i}", dz, acts[i])
@@ -692,11 +679,11 @@ def ref_batches(data, batch, steps, seeds, denoise_std):
         yield clean + g.normal(0.0, denoise_std, size=clean.shape), clean
 
 
-# (labeled, activation, models, batches); only labeled data trains on per-slot batches
+# (labeled, models, batches), with ids that name the model's activation;
+# only labeled data trains on per-slot batches
 BOUND_STEP_CASES = [
-    (labeled, activation, models, batches)
+    pytest.param(labeled, models, batches, id=f"{labeled}-tanh-{models}-{batches}")
     for labeled in (False, True)
-    for activation in ("relu", "tanh")
     for models, batches in ((1, "shared"), (3, "shared"), (3, "per-slot"), (7, "shared"),
                             (7, "per-slot"))
     if labeled or batches == "shared"
@@ -704,11 +691,11 @@ BOUND_STEP_CASES = [
 
 
 @pytest.mark.bit_identity
-@pytest.mark.parametrize("labeled,activation,models,batches", BOUND_STEP_CASES)
-def test_bound_step_equals_the_unbound_reference(labeled, activation, models, batches):
+@pytest.mark.parametrize("labeled,models,batches", BOUND_STEP_CASES)
+def test_bound_step_equals_the_unbound_reference(labeled, models, batches):
     # 200 steps of the default 16-32-32-6 model, with a batch-size change
     # after 150 so the step is bound twice; one slot freshly zeroed
-    arch = ModelArch(16, (32, 32), 6, activation)
+    arch = ModelArch(16, (32, 32), 6)
     rows = toy_labeled(200, seed=70, arch=arch)
     data = rows if labeled else UnlabeledBatch(rows.x)
     kind = "cross_entropy" if labeled else "mse_reconstruction"
@@ -723,7 +710,7 @@ def test_bound_step_equals_the_unbound_reference(labeled, activation, models, ba
         losses = stack.train(data, cfg, steps, [gens[s] for s in seeds])
         ref = ref_batches(data, batch, steps, [s + steps for s in seeds], 0.3)
         for got, (x, target) in zip(losses, ref, strict=True):
-            want = ref_step(master, x, target, kind, activation, cfg.lr)
+            want = ref_step(master, x, target, kind, cfg.lr)
             assert got.tobytes() == want.tobytes()
     for j, ps in enumerate(start):
         model = stack.model(j, ps, ps.role)
@@ -732,20 +719,19 @@ def test_bound_step_equals_the_unbound_reference(labeled, activation, models, ba
 
 
 @pytest.mark.bit_identity
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_forward_only_calls_equal_the_unbound_reference(activation):
+def test_forward_only_calls_equal_the_unbound_reference():
     # the forward-only entry points run the bound forward at S = 1 on a
     # row count no training batch uses
-    arch = ModelArch(16, (32, 32), 6, activation)
+    arch = ModelArch(16, (32, 32), 6)
     ps = init_model(arch, 80)
     data = toy_labeled(2000, seed=81, arch=arch)
     w = {t.name: t.data.astype(np.float64)[None] for t in ps.tensors}
-    out, _ = ref_forward(w, data.x, activation, "cls", 2)
+    out, _ = ref_forward(w, data.x, "cls", 2)
     assert outputs(ps, data.x).tobytes() == out[0].tobytes()
     assert evaluate(ps, data) == float(np.mean(out[0].argmax(axis=1) != data.y))
     ce = ref_loss_from_outputs(out, data.y, "cross_entropy")
     assert dataset_loss(ps, data) == float(ce[0])
-    recon, _ = ref_forward(w, data.x, activation, "recon", 2)
+    recon, _ = ref_forward(w, data.x, "recon", 2)
     mse = ref_loss_from_outputs(recon, data.x, "mse_reconstruction")
     assert dataset_loss(ps, UnlabeledBatch(data.x)) == float(mse[0])
 
@@ -768,7 +754,7 @@ def test_labels_outside_the_classes_are_refused(label):
         lambda: loss_and_grads(ps, data),
         lambda: dataset_loss(ps, data),
         lambda: evaluate(ps, data),
-        lambda: run_cells(ps, [(0, "DFT", None)], data, cfg),
+        lambda: run_cells(ps, [(0, "DFT", None)], data, cfg, eval_data=data),
     ):
         with pytest.raises(ValueError, match=message):
             stage()
